@@ -5,13 +5,8 @@
 // knowledge; this table shows the bound is loose in practice — the loop
 // stops long before the model is complete.
 //
-// The harness runs every scenario twice — incrementalCompose off (the
-// original from-scratch recomposition) and on (IncrementalComposer arenas) —
-// asserts identical verdicts and iteration counts, and writes
-// BENCH_iterations.json with the recomposition-work comparison (schema in
-// docs/PERFORMANCE.md). A verdict/iteration mismatch fails the process
-// (the perf-smoke CI gate); timing never does. MUI_BENCH_SMOKE=1 restricts
-// the run to the small sizes.
+// Writes BENCH_iterations.json (schema in docs/PERFORMANCE.md).
+// MUI_BENCH_SMOKE=1 restricts the run to the small sizes.
 
 #include <cstdio>
 #include <string>
@@ -29,92 +24,63 @@ int main() {
       "sub-behavior, deadlock-freedom requirement. Iterations grow roughly "
       "with the context-reachable part, not with the full component "
       "(Sec. 4.4 / Thm. 2: knowledge strictly increases and is bounded by "
-      "the complete model). Each scenario runs with incremental composition "
-      "off and on; 'recomposed' counts product states built from scratch "
-      "vs. interned fresh, 'reused' the arena hits.");
+      "the complete model). 'composed' counts the product states built over "
+      "all iterations.");
 
   util::TextTable table({"legacy states", "hidden trans", "verdict",
                          "iterations", "learned states", "learned trans",
-                         "learned refusals", "test periods", "scratch ms",
-                         "incr ms", "recomposed", "incr new", "incr reused"});
+                         "learned refusals", "test periods", "ms",
+                         "composed"});
   const std::vector<std::size_t> sizes =
       smoke ? std::vector<std::size_t>{4, 8}
             : std::vector<std::size_t>{4, 8, 16, 32, 64};
   std::string json = "{\"bench\":\"iterations\",\"unit\":\"ms\",\"smoke\":";
   json += smoke ? "true" : "false";
   json += ",\"sizes\":[";
-  bool allMatch = true;
   for (std::size_t si = 0; si < sizes.size(); ++si) {
     const std::size_t states = sizes[si];
     // Aggregate a few seeds per size.
-    double msScratch = 0, msIncr = 0;
+    double ms = 0;
     std::size_t iters = 0, lStates = 0, lTrans = 0, lForb = 0, hTrans = 0;
-    std::size_t composedScratch = 0, newIncr = 0, reusedIncr = 0;
+    std::size_t composed = 0;
     std::uint64_t periods = 0;
     std::string verdicts;
-    bool match = true;
     constexpr int kSeeds = 5;
     for (int seed = 1; seed <= kSeeds; ++seed) {
       bench::Scenario sc(states, static_cast<std::uint64_t>(seed) * 13,
                          /*contextKeepPct=*/60);
-      const auto runOnce = [&](bool incremental) {
-        testing::AutomatonLegacy legacy(sc.hidden);
-        synthesis::IntegrationConfig cfg;
-        cfg.incrementalCompose = incremental;
-        return synthesis::IntegrationVerifier(sc.context, legacy, cfg).run();
-      };
-      bench::Stopwatch w1;
-      const auto scratch = runOnce(false);
-      msScratch += w1.ms();
-      bench::Stopwatch w2;
-      const auto incr = runOnce(true);
-      msIncr += w2.ms();
+      testing::AutomatonLegacy legacy(sc.hidden);
+      bench::Stopwatch w;
+      const auto res = synthesis::runIntegration(sc.context, legacy, {});
+      ms += w.ms();
 
-      if (scratch.verdict != incr.verdict ||
-          scratch.iterations != incr.iterations) {
-        std::fprintf(stderr,
-                     "MISMATCH: states %zu seed %d — scratch %s/%zu iters, "
-                     "incremental %s/%zu iters\n",
-                     states, seed, bench::verdictName(scratch.verdict),
-                     scratch.iterations, bench::verdictName(incr.verdict),
-                     incr.iterations);
-        match = false;
-      }
-      composedScratch += scratch.totalProductStatesNew;
-      newIncr += incr.totalProductStatesNew;
-      reusedIncr += incr.totalProductStatesReused;
-      iters += incr.iterations;
-      lStates += incr.learnedModels[0].base().stateCount();
-      lTrans += incr.learnedModels[0].base().transitionCount();
-      lForb += incr.learnedModels[0].forbiddenCount();
-      periods += incr.totalTestPeriods;
+      composed += res.totalProductStatesNew;
+      iters += res.iterations;
+      lStates += res.learnedModels[0].base().stateCount();
+      lTrans += res.learnedModels[0].base().transitionCount();
+      lForb += res.learnedModels[0].forbiddenCount();
+      periods += res.totalTestPeriods;
       hTrans += sc.hidden.transitionCount();
-      verdicts += incr.verdict == synthesis::Verdict::ProvenCorrect ? 'P' : 'E';
+      verdicts += res.verdict == synthesis::Verdict::ProvenCorrect ? 'P' : 'E';
     }
-    allMatch = allMatch && match;
     const auto avg = [&](std::size_t v) {
       return util::fmt(static_cast<double>(v) / kSeeds, 1);
     };
     table.row({std::to_string(states), avg(hTrans), verdicts, avg(iters),
                avg(lStates), avg(lTrans), avg(lForb),
                avg(static_cast<std::size_t>(periods)),
-               util::fmt(msScratch / kSeeds, 1), util::fmt(msIncr / kSeeds, 1),
-               avg(composedScratch), avg(newIncr), avg(reusedIncr)});
+               util::fmt(ms / kSeeds, 1), avg(composed)});
     if (si) json += ',';
     json += "{\"legacyStates\":" + std::to_string(states) +
             ",\"seeds\":" + std::to_string(kSeeds) +
             ",\"iterations\":" + std::to_string(iters) +
-            ",\"scratchMs\":" + util::fmt(msScratch, 3) +
-            ",\"incrementalMs\":" + util::fmt(msIncr, 3) +
-            ",\"statesComposedScratch\":" + std::to_string(composedScratch) +
-            ",\"statesNewIncremental\":" + std::to_string(newIncr) +
-            ",\"statesReusedIncremental\":" + std::to_string(reusedIncr) +
-            ",\"verdictsMatch\":" + (match ? "true" : "false") + "}";
+            ",\"scratchMs\":" + util::fmt(ms, 3) +
+            ",\"statesComposedScratch\":" + std::to_string(composed) + "}";
   }
   json += "]}\n";
   std::printf("%s\n", table.str().c_str());
   std::printf("verdict column: one letter per seed (P = proven correct, "
               "E = real error found)\n");
   bench::writeBenchJson("BENCH_iterations.json", json);
-  return allMatch ? 0 : 1;
+  return 0;
 }

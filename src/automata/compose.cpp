@@ -1,6 +1,6 @@
 #include "automata/compose.hpp"
 
-#include <algorithm>
+#include <cstdint>
 #include <deque>
 #include <stdexcept>
 #include <unordered_map>
@@ -14,7 +14,6 @@ namespace {
 struct ComposeMetrics {
   obs::Counter& products;
   obs::Counter& statesNew;
-  obs::Counter& statesReused;
   obs::Histogram& productStates;
 
   static const ComposeMetrics& get() {
@@ -22,11 +21,7 @@ struct ComposeMetrics {
         obs::Registry::global().counter("mui_compose_products_total",
                                         "Product automata built"),
         obs::Registry::global().counter(
-            "mui_compose_product_states_new_total",
-            "Product states interned for the first time"),
-        obs::Registry::global().counter(
-            "mui_compose_product_states_reused_total",
-            "Product states reused from a previous composition"),
+            "mui_compose_product_states_new_total", "Product states built"),
         obs::Registry::global().histogram("mui_compose_product_states",
                                           "States per product automaton",
                                           "states"),
@@ -239,213 +234,9 @@ Product composeAll(const std::vector<const Automaton*>& components) {
   }
   const ComposeMetrics& m = ComposeMetrics::get();
   m.products.inc();
-  m.statesNew.add(acc.automaton.stateCount());  // full rebuild: all new
+  m.statesNew.add(acc.automaton.stateCount());
   m.productStates.observe(acc.automaton.stateCount());
   return acc;
-}
-
-IncrementalComposer::IncrementalComposer(const Automaton& context)
-    : context_(context) {}
-
-Product IncrementalComposer::compose(const std::vector<const Automaton*>& others,
-                                     const StableKey& stableKey) {
-  if (others.empty()) {
-    throw std::invalid_argument("IncrementalComposer: need >= 1 partner");
-  }
-  std::vector<const Automaton*> parts;
-  parts.reserve(others.size() + 1);
-  parts.push_back(&context_);
-  parts.insert(parts.end(), others.begin(), others.end());
-  const std::size_t n = parts.size();
-
-  for (std::size_t i = 0; i < n; ++i) {
-    if (parts[i]->signalTable() != context_.signalTable() ||
-        parts[i]->propTable() != context_.propTable()) {
-      throw std::invalid_argument("compose: automata must share tables");
-    }
-    // Pairwise composability is equivalent to the fold's accumulated check
-    // because the components' I (resp. O) sets are pairwise disjoint.
-    for (std::size_t j = i + 1; j < n; ++j) {
-      if (!parts[i]->composableWith(*parts[j])) {
-        throw std::invalid_argument(
-            "compose: not composable (I or O sets overlap)");
-      }
-    }
-  }
-
-  stats_ = {};
-
-  const auto keyOf = [&](std::size_t k, StateId s) {
-    return stableKey ? stableKey(k, s) : std::uint64_t{s};
-  };
-
-  // Matching condition of Def. 3 between components i and j. With pairwise
-  // disjoint input (and output) alphabets, requiring it for every pair is
-  // equivalent to the fold's accumulated-alphabet check: intersecting both
-  // sides of the accumulated equation with I_i (resp. I_j) recovers exactly
-  // the pairwise equations.
-  const auto matches = [&](const Transition& ti, std::size_t i,
-                           const Transition& tj, std::size_t j) {
-    return (ti.label.in & parts[j]->outputs()) ==
-               (tj.label.out & parts[i]->inputs()) &&
-           (tj.label.in & parts[i]->outputs()) ==
-               (ti.label.out & parts[j]->inputs());
-  };
-
-  struct LocalState {
-    ArenaEntry* entry;
-    std::vector<StateId> tuple;
-  };
-  std::vector<LocalState> locals;
-  std::unordered_map<std::vector<std::uint64_t>, std::uint32_t, KeyVecHash>
-      localIds;
-  std::deque<std::uint32_t> work;
-
-  const auto ensure = [&](const std::vector<StateId>& tuple) -> std::uint32_t {
-    std::vector<std::uint64_t> raw(n);
-    for (std::size_t i = 0; i < n; ++i) raw[i] = tuple[i];
-    const auto [lit, fresh] =
-        localIds.try_emplace(std::move(raw),
-                             static_cast<std::uint32_t>(locals.size()));
-    if (!fresh) return lit->second;
-    std::vector<std::uint64_t> key(n);
-    for (std::size_t i = 0; i < n; ++i) key[i] = keyOf(i, tuple[i]);
-    const auto [ait, interned] = arena_.try_emplace(std::move(key));
-    if (interned) {
-      ArenaEntry& e = ait->second;
-      e.seq = nextSeq_++;
-      std::size_t len = n;
-      for (std::size_t i = 0; i < n; ++i) {
-        len += parts[i]->stateName(tuple[i]).size();
-      }
-      e.name.reserve(len);
-      for (std::size_t i = 0; i < n; ++i) {
-        if (i) e.name += '|';
-        e.name += parts[i]->stateName(tuple[i]);
-      }
-      // Def. 3: L''((s_0, …, s_k)) = L(s_0) ∪ … ∪ L(s_k).
-      for (std::size_t i = 0; i < n; ++i) e.labels |= parts[i]->labels(tuple[i]);
-      ++stats_.statesNew;
-    } else {
-      ++stats_.statesReused;
-    }
-    locals.push_back({&ait->second, tuple});
-    work.push_back(lit->second);
-    return lit->second;
-  };
-
-  // Q'' = Q_0 × … × Q_k, discovered in the same nested order as the fold.
-  std::vector<std::uint32_t> initialLocals;
-  {
-    std::vector<StateId> tuple(n);
-    const auto seed = [&](const auto& self, std::size_t k) -> void {
-      if (k == n) {
-        initialLocals.push_back(ensure(tuple));
-        return;
-      }
-      for (StateId q : parts[k]->initialStates()) {
-        tuple[k] = q;
-        self(self, k + 1);
-      }
-    };
-    seed(seed, 0);
-  }
-
-  // Single n-ary frontier BFS — no intermediate fold products. Transition
-  // combinations are enumerated in the fold's lexicographic nesting (first
-  // component outermost) so the discovery order, and with it every
-  // per-state adjacency order, matches composeAll exactly.
-  struct Edge {
-    std::uint32_t from;
-    Interaction label;
-    std::uint32_t to;
-  };
-  std::vector<Edge> edges;
-  std::vector<const Transition*> pick(n);
-  std::vector<StateId> target(n);
-  while (!work.empty()) {
-    const std::uint32_t cur = work.front();
-    work.pop_front();
-    const std::vector<StateId> tuple = locals[cur].tuple;  // locals may grow
-    const auto expand = [&](const auto& self, std::size_t k) -> void {
-      if (k == n) {
-        Interaction joint;
-        for (std::size_t i = 0; i < n; ++i) {
-          joint.in |= pick[i]->label.in;
-          joint.out |= pick[i]->label.out;
-          target[i] = pick[i]->to;
-        }
-        edges.push_back({cur, std::move(joint), ensure(target)});
-        return;
-      }
-      for (const auto& t : parts[k]->transitionsFrom(tuple[k])) {
-        bool ok = true;
-        for (std::size_t j = 0; j < k && ok; ++j) {
-          ok = matches(*pick[j], j, t, k);
-        }
-        if (!ok) continue;
-        pick[k] = &t;
-        self(self, k + 1);
-      }
-    };
-    expand(expand, 0);
-  }
-
-  // Assemble the Product, ordering states by first-ever-discovery sequence:
-  // on monotone growth (the refinement loop only adds knowledge) previously
-  // seen product states keep their ids across calls.
-  std::string prodName = parts[0]->name();
-  for (std::size_t i = 1; i < n; ++i) {
-    const std::string& nm = parts[i]->name();
-    prodName = prodName.empty() || nm.empty() ? prodName + nm
-                                              : prodName + "|" + nm;
-  }
-  Product p{Automaton(context_.signalTable(), context_.propTable(),
-                      std::move(prodName)),
-            {}, {}, {}, {}, {}};
-  SignalSet ins, outs;
-  for (std::size_t i = 0; i < n; ++i) {
-    p.componentNames.push_back(parts[i]->name());
-    auto& names = p.componentStateNames.emplace_back();
-    names.reserve(parts[i]->stateCount());
-    for (StateId s = 0; s < parts[i]->stateCount(); ++s) {
-      names.push_back(parts[i]->stateName(s));
-    }
-    p.componentInputs.push_back(parts[i]->inputs());
-    p.componentOutputs.push_back(parts[i]->outputs());
-    ins |= parts[i]->inputs();
-    outs |= parts[i]->outputs();
-  }
-  p.automaton.declareSignals(ins, outs);
-
-  std::vector<std::uint32_t> order(locals.size());
-  for (std::uint32_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [&](std::uint32_t a, std::uint32_t b) {
-    return locals[a].entry->seq < locals[b].entry->seq;
-  });
-  std::vector<StateId> finalId(locals.size());
-  p.origins.resize(locals.size());
-  for (const std::uint32_t li : order) {
-    const StateId id = p.automaton.addState(locals[li].entry->name);
-    p.automaton.addLabels(id, locals[li].entry->labels);
-    p.origins[id] = locals[li].tuple;
-    finalId[li] = id;
-  }
-  for (const std::uint32_t li : initialLocals) {
-    p.automaton.markInitial(finalId[li]);
-  }
-  for (const Edge& e : edges) {
-    p.automaton.addTransition(finalId[e.from], e.label, finalId[e.to]);
-  }
-
-  stats_.states = locals.size();
-  stats_.transitions = p.automaton.transitionCount();
-  const ComposeMetrics& m = ComposeMetrics::get();
-  m.products.inc();
-  m.statesNew.add(stats_.statesNew);
-  m.statesReused.add(stats_.statesReused);
-  m.productStates.observe(stats_.states);
-  return p;
 }
 
 }  // namespace mui::automata

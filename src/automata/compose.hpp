@@ -6,10 +6,7 @@
 // synchronous communication (sending and receiving happen within the same
 // step). Only reachable product states are kept, as required by Def. 3.
 
-#include <cstdint>
-#include <functional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "automata/automaton.hpp"
@@ -51,78 +48,5 @@ Product compose(const Automaton& a, const Automaton& b);
 /// n-ary composition: fold of binary compositions with flattened origins.
 /// Requires at least one component.
 Product composeAll(const std::vector<const Automaton*>& components);
-
-/// Reuse counters of one IncrementalComposer::compose call.
-struct ComposeStats {
-  std::size_t states = 0;       // product states this call
-  std::size_t statesNew = 0;    // interned for the first time (name + labels
-                                // constructed from scratch)
-  std::size_t statesReused = 0; // served from the persistent arena
-  std::size_t transitions = 0;
-};
-
-/// Composes a fixed context with a changing set of partner automata, once
-/// per refinement iteration, reusing work across calls.
-///
-/// The refinement loop (synthesis/verifier.cpp) recomposes closure ‖ context
-/// every iteration, but only the closures change — and mostly by *growing*.
-/// This composer explores the product with a single n-ary frontier BFS (no
-/// intermediate fold products) and interns every product state in a
-/// persistent arena keyed by a caller-supplied *stable key* per component
-/// state. A product state whose key tuple was seen in an earlier call reuses
-/// its interned name and label set instead of rebuilding them, and keeps a
-/// stable product id as long as the reachable region grows monotonically
-/// (ids are assigned by first-ever-discovery order of the live states).
-///
-/// Contract for `StableKey(k, s)`: k is the component index (0 = context),
-/// s a state of that component in the *current* call. Equal keys across
-/// calls must denote states with identical name and label set; distinct
-/// states of one call must map to distinct keys. The default keys states by
-/// their id — correct whenever the component automata themselves are stable.
-///
-/// The result is equal to composeAll({&context, others...}) as an automaton
-/// (same reachable states, transitions, labels and initial states; state
-/// ids may be permuted between the incremental and the from-scratch path).
-class IncrementalComposer {
- public:
-  using StableKey = std::function<std::uint64_t(std::size_t, StateId)>;
-
-  /// The context must outlive the composer and must not change between
-  /// compose() calls.
-  explicit IncrementalComposer(const Automaton& context);
-
-  /// Composes context ‖ others[0] ‖ others[1] ‖ ….  The component count and
-  /// order must be the same on every call.
-  Product compose(const std::vector<const Automaton*>& others,
-                  const StableKey& stableKey = {});
-
-  [[nodiscard]] const ComposeStats& lastStats() const { return stats_; }
-  /// States ever interned (arena size; memory is bounded by the full
-  /// reachable product over all calls).
-  [[nodiscard]] std::size_t internedStates() const { return arena_.size(); }
-
- private:
-  struct ArenaEntry {
-    std::string name;
-    PropSet labels;
-    std::uint64_t seq;  // first-ever-discovery order, global across calls
-  };
-  struct KeyVecHash {
-    std::size_t operator()(const std::vector<std::uint64_t>& k) const {
-      std::size_t h = 0xcbf29ce484222325ull;
-      for (const std::uint64_t w : k) {
-        h ^= static_cast<std::size_t>(w);
-        h *= 0x100000001b3ull;
-      }
-      return h;
-    }
-  };
-
-  const Automaton& context_;
-  std::unordered_map<std::vector<std::uint64_t>, ArenaEntry, KeyVecHash>
-      arena_;
-  std::uint64_t nextSeq_ = 0;
-  ComposeStats stats_;
-};
 
 }  // namespace mui::automata

@@ -75,10 +75,8 @@ struct JobResult {
   double composeMs = 0;
   double checkMs = 0;
   double testMs = 0;
-  /// Composition reuse across iterations (see IterationRecord): product
-  /// states interned fresh vs. served from the incremental-compose arena.
+  /// Product states built over all refinement iterations.
   std::size_t productStatesNew = 0;
-  std::size_t productStatesReused = 0;
   bool cacheHit = false;
   /// The semantic pre-solve stage (analysis::presolveIntegration) decided
   /// the verdict statically; the refinement loop never ran.

@@ -21,26 +21,19 @@ constexpr JobStatus kAllStatuses[] = {
 std::string renderBatchReport(const BatchReport& report) {
   util::TextTable table({"job", "model", "pattern", "role", "hidden", "status",
                          "iters", "test periods", "learned", "wall ms",
-                         "cl/co/ck/te ms", "reuse", "cache"});
+                         "cl/co/ck/te ms", "cache"});
   for (const auto& r : report.results) {
-    // Phase breakdown: closure / compose / check / test wall-clock totals,
-    // and composition reuse as reused/(new+reused) product states.
+    // Phase breakdown: closure / compose / check / test wall-clock totals.
     const std::string phases = r.cacheHit
                                    ? "-"
                                    : util::fmt(r.closureMs, 1) + "/" +
                                          util::fmt(r.composeMs, 1) + "/" +
                                          util::fmt(r.checkMs, 1) + "/" +
                                          util::fmt(r.testMs, 1);
-    const std::string reuse =
-        r.cacheHit ? "-"
-                   : std::to_string(r.productStatesReused) + "/" +
-                         std::to_string(r.productStatesNew +
-                                        r.productStatesReused);
     table.row({r.job.name, r.job.modelPath, r.job.pattern, r.job.legacyRole,
                r.job.hidden, jobStatusName(r.status),
                std::to_string(r.iterations), std::to_string(r.testPeriods),
                std::to_string(r.learnedFacts), util::fmt(r.wallMs, 1), phases,
-               reuse,
                r.cacheHit ? "hit" : (r.presolved ? "presolved" : "-")});
   }
 
@@ -82,8 +75,9 @@ std::string writeBatchSummary(const BatchReport& report) {
            ",\"checkMs\":" + util::fmt(r.checkMs, 3) +
            ",\"testMs\":" + util::fmt(r.testMs, 3) +
            ",\"productStatesNew\":" + std::to_string(r.productStatesNew) +
-           ",\"productStatesReused\":" +
-           std::to_string(r.productStatesReused) +
+           // Always 0 (every product is composed from scratch); kept so the
+           // job line's fields stay the same.
+           ",\"productStatesReused\":0" +
            ",\"cacheHit\":" + (r.cacheHit ? "true" : "false") +
            ",\"presolved\":" + (r.presolved ? "true" : "false") + "}\n";
   }

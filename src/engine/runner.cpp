@@ -210,8 +210,8 @@ JobResult runJob(const Job& job, TextCache& texts, ResultCache& results,
       // part of the JobKey (see the ResultCache contract in cache.hpp).
       muml::checkExternalInterface(eit->second, pattern.roles[roleIdx],
                                    model.source, model.signals);
-      testing::SubprocessConfig scfg =
-          testing::configFromExternal(model, eit->second);
+      testing::SubprocessConfig scfg = testing::configFromExternal(
+          model, eit->second, pattern.roles[roleIdx].name);
       scfg.journal = options.journal;
       scfg.ulid = job.ulid;
       legacy = std::make_unique<testing::SubprocessLegacy>(std::move(scfg));
@@ -283,7 +283,6 @@ JobResult runJob(const Job& job, TextCache& texts, ResultCache& results,
     out.checkMs = res.totalCheckMs;
     out.testMs = res.totalTestMs;
     out.productStatesNew = res.totalProductStatesNew;
-    out.productStatesReused = res.totalProductStatesReused;
 
     if (out.status != JobStatus::Timeout &&
         out.status != JobStatus::EngineError && !external) {

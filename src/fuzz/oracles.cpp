@@ -310,47 +310,6 @@ OracleResult checkO3(const Scenario& s, const OracleOptions& opts) {
   return {};
 }
 
-// ---- O4: incremental composition vs full recomposition --------------------
-
-OracleResult checkO4(const Scenario& s, const OracleOptions&) {
-  util::Rng rng(s.seed * 0x9e3779b97f4a7c15ull + 0xf4);
-  // A partial revision of the hidden model over the same state set, as the
-  // refinement loop produces between iterations (the composer keys arena
-  // entries by state id, so the state set must stay aligned across calls).
-  Automaton partial = stateSkeleton(s.hidden);
-  for (StateId st = 0; st < s.hidden.stateCount(); ++st) {
-    for (const auto& t : s.hidden.transitionsFrom(st)) {
-      if (rng.chance(7, 10)) partial.addTransition(t.from, t.label, t.to);
-    }
-  }
-
-  automata::IncrementalComposer composer(s.context);
-  const auto check = [&](const Automaton& other,
-                         const char* what) -> std::optional<std::string> {
-    const auto inc = composer.compose({&other});
-    const auto scratch = automata::composeAll({&s.context, &other});
-    if (canonicalText(inc.automaton) != canonicalText(scratch.automaton)) {
-      return "O4: incremental product not isomorphic to full recomposition (" +
-             std::string(what) + ")";
-    }
-    return std::nullopt;
-  };
-  const std::vector<std::pair<const Automaton*, const char*>> calls = {
-      {&partial, "partial model"},
-      {&s.hidden, "grown model"},
-      {&s.hidden, "repeat call"}};
-  for (const auto& [other, what] : calls) {
-    if (auto err = check(*other, what)) return violation(std::move(*err));
-  }
-  if (composer.lastStats().statesNew != 0) {
-    return violation(
-        "O4: repeat composition interned " +
-        std::to_string(composer.lastStats().statesNew) +
-        " new product states (arena reuse broken)");
-  }
-  return {};
-}
-
 // ---- O5: verdict invariance under quotient and renaming -------------------
 
 OracleResult checkO5(const Scenario& s, const OracleOptions& opts) {
@@ -420,8 +379,6 @@ const char* toString(OracleId id) {
       return "O2";
     case OracleId::O3VerdictSound:
       return "O3";
-    case OracleId::O4IncrementalCompose:
-      return "O4";
     case OracleId::O5VerdictInvariance:
       return "O5";
     case OracleId::O6PresolveSound:
@@ -439,8 +396,8 @@ std::optional<OracleId> oracleFromString(std::string_view text) {
 
 std::vector<OracleId> allOracles() {
   return {OracleId::O1CheckerAgreement, OracleId::O2ChaosSafety,
-          OracleId::O3VerdictSound, OracleId::O4IncrementalCompose,
-          OracleId::O5VerdictInvariance, OracleId::O6PresolveSound};
+          OracleId::O3VerdictSound, OracleId::O5VerdictInvariance,
+          OracleId::O6PresolveSound};
 }
 
 const char* describeOracle(OracleId id) {
@@ -453,8 +410,6 @@ const char* describeOracle(OracleId id) {
     case OracleId::O3VerdictSound:
       return "integration verdict matches the concrete ground truth "
              "(Lemmas 5/6)";
-    case OracleId::O4IncrementalCompose:
-      return "incremental composition isomorphic to full recomposition";
     case OracleId::O5VerdictInvariance:
       return "verdicts invariant under minimization and state renaming";
     case OracleId::O6PresolveSound:
@@ -489,8 +444,6 @@ OracleResult checkOracle(OracleId id, const Scenario& s,
       return checkO2(s, opts);
     case OracleId::O3VerdictSound:
       return checkO3(s, opts);
-    case OracleId::O4IncrementalCompose:
-      return checkO4(s, opts);
     case OracleId::O5VerdictInvariance:
       return checkO5(s, opts);
     case OracleId::O6PresolveSound:

@@ -1,5 +1,5 @@
 #pragma once
-// The six metamorphic oracles of the fuzzing subsystem. Each one turns a
+// The five metamorphic oracles of the fuzzing subsystem. Each one turns a
 // guarantee of the paper — or an internal implementation equivalence — into
 // an executable check over a generated scenario:
 //
@@ -14,8 +14,6 @@
 //       concrete composition satisfies φ ∧ ¬δ (Lemma 5), and RealError
 //       implies it does not (Lemma 6 — replayed counterexamples admit no
 //       false negatives).
-//   O4  IncrementalComposer products are isomorphic to full recomposition
-//       across model revisions, and repeat calls reuse the whole arena.
 //   O5  CCTL verdicts are invariant under bisimulation minimization and
 //       under state renaming/reordering (automata::shuffledCopy).
 //   O6  Pre-solve soundness: when analysis::presolveIntegration returns a
@@ -40,15 +38,14 @@ enum class OracleId {
   O1CheckerAgreement,
   O2ChaosSafety,
   O3VerdictSound,
-  O4IncrementalCompose,
   O5VerdictInvariance,
   O6PresolveSound,
 };
 
-/// "O1" .. "O6".
+/// "O1" .. "O3", "O5", "O6".
 const char* toString(OracleId id);
 std::optional<OracleId> oracleFromString(std::string_view text);
-/// All six, in numeric order.
+/// All five, in numeric order.
 std::vector<OracleId> allOracles();
 /// One-line catalog entry (usage text and docs/FUZZING.md).
 const char* describeOracle(OracleId id);

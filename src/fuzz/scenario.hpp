@@ -8,8 +8,8 @@
 // paper's guarantees on it — the chaotic closure is a safe over-approximation
 // (Thm. 1), verdicts transfer (Lemma 5), counterexamples admit no false
 // negatives (Lemma 6) — plus the implementation-level equivalences (worklist
-// vs reference checker, incremental vs from-scratch composition, verdict
-// invariance under bisimulation quotient and state renaming).
+// vs reference checker, verdict invariance under bisimulation quotient and
+// state renaming, pre-solve vs the concrete ground truth).
 //
 // Everything here is deterministic in the seed: generating the same seed
 // twice yields structurally identical automata and the same property text,
@@ -77,8 +77,7 @@ ctl::FormulaPtr randomCctlFormula(util::Rng& rng,
 /// Canonical structural fingerprint of an automaton: states sorted by name
 /// with their label sets and initial markers, transitions sorted by
 /// (source, label, target) rendering. Two automata over the same tables have
-/// equal fingerprints iff they are isomorphic modulo state ids — the O4
-/// comparison between incremental and from-scratch composition.
+/// equal fingerprints iff they are isomorphic modulo state ids.
 std::string canonicalText(const automata::Automaton& a);
 
 }  // namespace mui::fuzz

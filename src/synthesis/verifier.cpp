@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <optional>
 #include <stdexcept>
 
 #include "automata/minimize.hpp"
@@ -71,7 +72,7 @@ IntegrationResult IntegrationVerifier::run() {
                        .u("legacies", legacies_.size())
                        .s("property", config_.property)
                        .u("maxIterations", config_.maxIterations)
-                       .b("incrementalCompose", config_.incrementalCompose));
+                       .b("incrementalCompose", false));
   }
 
   ctl::FormulaPtr phi;
@@ -106,7 +107,6 @@ IntegrationResult IntegrationVerifier::run() {
 
   const auto accumulate = [&res](const IterationRecord& rec) {
     res.totalProductStatesNew += rec.productStatesNew;
-    res.totalProductStatesReused += rec.productStatesReused;
     res.totalClosureMs += rec.closureMs;
     res.totalComposeMs += rec.composeMs;
     res.totalCheckMs += rec.checkMs;
@@ -128,7 +128,7 @@ IntegrationResult IntegrationVerifier::run() {
                        .u("closureStates", rec.closureStates)
                        .u("productStates", rec.productStates)
                        .u("statesNew", rec.productStatesNew)
-                       .u("statesReused", rec.productStatesReused)
+                       .u("statesReused", 0)
                        .b("checkPassed", rec.checkPassed)
                        .s("cexKind", cexKind)
                        .u("cexLength", rec.cexLength)
@@ -199,47 +199,19 @@ IntegrationResult IntegrationVerifier::run() {
     }
     rec.closureMs = lapMs();
 
-    // Closure states are rebuilt every round, but their *origins* (kind +
-    // known-model state) are stable: learned models only grow, and closure
-    // state names/labels are functions of the origin. That makes the origin
-    // the safe arena key for cross-iteration reuse.
-    const auto keyFor = [](const std::vector<automata::Closure>& cs) {
-      return [&cs](std::size_t k, automata::StateId s) -> std::uint64_t {
-        if (k == 0) return s;  // the context is fixed
-        const auto& o = cs[k - 1].origins[s];
-        const std::uint64_t known =
-            o.kind == automata::Closure::Kind::Copy0 ||
-                    o.kind == automata::Closure::Kind::Copy1
-                ? o.knownState
-                : 0;
-        return (std::uint64_t{static_cast<std::uint8_t>(o.kind)} << 32) |
-               known;
-      };
+    const auto composeWith = [&](const std::vector<automata::Closure>& cs) {
+      std::vector<const automata::Automaton*> parts{&context_};
+      for (const auto& c : cs) parts.push_back(&c.automaton);
+      automata::Product p = automata::composeAll(parts);
+      rec.productStatesNew += p.automaton.stateCount();
+      return p;
     };
-    const auto composeWith =
-        [&](const std::vector<automata::Closure>& cs,
-            std::optional<automata::IncrementalComposer>& composer) {
-          std::vector<const automata::Automaton*> parts;
-          if (config_.incrementalCompose) {
-            for (const auto& c : cs) parts.push_back(&c.automaton);
-            if (!composer) composer.emplace(context_);
-            automata::Product p = composer->compose(parts, keyFor(cs));
-            rec.productStatesNew += composer->lastStats().statesNew;
-            rec.productStatesReused += composer->lastStats().statesReused;
-            return p;
-          }
-          parts.push_back(&context_);
-          for (const auto& c : cs) parts.push_back(&c.automaton);
-          automata::Product p = automata::composeAll(parts);
-          rec.productStatesNew += p.automaton.stateCount();
-          return p;
-        };
     std::optional<automata::Product> productPess, productOpt;
     {
       const obs::ObsSpan span("compose", config_.ulid);
       if (progress != nullptr) progress->setPhase("compose");
-      if (needPess) productPess = composeWith(closuresPess, composerPess_);
-      if (needOpt) productOpt = composeWith(closuresOpt, composerOpt_);
+      if (needPess) productPess = composeWith(closuresPess);
+      if (needOpt) productOpt = composeWith(closuresOpt);
     }
     rec.productStates = productPess ? productPess->automaton.stateCount()
                         : productOpt ? productOpt->automaton.stateCount()
@@ -392,7 +364,7 @@ IntegrationResult IntegrationVerifier::run() {
                        .u("learnedFacts", res.totalLearnedFacts)
                        .u("testPeriods", res.totalTestPeriods)
                        .u("productStatesNew", res.totalProductStatesNew)
-                       .u("productStatesReused", res.totalProductStatesReused)
+                       .u("productStatesReused", 0)
                        .f("closureMs", res.totalClosureMs)
                        .f("composeMs", res.totalComposeMs)
                        .f("checkMs", res.totalCheckMs)

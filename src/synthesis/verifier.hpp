@@ -27,7 +27,6 @@
 
 #include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -66,15 +65,6 @@ struct IntegrationConfig {
   /// shrinks every product the checker sees; counterexample rendering then
   /// shows class-representative state names.
   bool minimizeContext = false;
-  /// Reuse composition work across refinement iterations: the closure ‖
-  /// context products are explored by per-abstraction IncrementalComposers
-  /// that intern product states across rounds (keyed by the stable closure
-  /// origins, so a state survives the per-iteration closure rebuild), and
-  /// the loop skips the optimistic product when no property is set and the
-  /// pessimistic product when deadlock freedom is not required. Verdicts
-  /// and journals are identical either way (tests/test_ctl_diff.cpp checks
-  /// this); off recomposes from scratch like the original loop.
-  bool incrementalCompose = true;
   /// Record every executed component test (stimulus + observed outcome) as
   /// a regression suite (paper abstract: "systematic generation of
   /// component tests"); see test_suite.hpp.
@@ -132,12 +122,8 @@ struct IterationRecord {
   std::size_t cexLength = 0;
   std::size_t learnedFacts = 0;      // knowledge delta during this iteration
   std::uint64_t testPeriods = 0;     // legacy periods driven this iteration
-  /// Composition reuse (summed over the products built this iteration):
-  /// product states interned for the first time vs. served from the
-  /// composer's arena. With incrementalCompose off, every state counts as
-  /// new.
+  /// Product states built this iteration, summed over the products.
   std::size_t productStatesNew = 0;
-  std::size_t productStatesReused = 0;
   /// Wall-clock phase breakdown of this iteration, in milliseconds.
   double closureMs = 0;  // chaotic closures (Def. 9)
   double composeMs = 0;  // products with the context (Def. 3)
@@ -158,8 +144,11 @@ struct IntegrationResult {
   std::size_t iterations = 0;
   std::uint64_t totalTestPeriods = 0;
   std::size_t totalLearnedFacts = 0;
-  /// Totals of the per-iteration phase/reuse metrics (see IterationRecord).
+  /// Totals of the per-iteration phase metrics (see IterationRecord).
   std::size_t totalProductStatesNew = 0;
+  /// Always 0: every product is composed from scratch. Kept, like the
+  /// journal's `statesReused`/`productStatesReused` fields, until a journal
+  /// schema v3 drops them.
   std::size_t totalProductStatesReused = 0;
   double totalClosureMs = 0;
   double totalComposeMs = 0;
@@ -219,11 +208,6 @@ class IntegrationVerifier {
   std::vector<automata::IncompleteAutomaton> models_;
   std::vector<std::vector<automata::Interaction>> alphabets_;
   std::vector<ComponentTestSuite> suites_;  // recordTests only
-  /// Iteration-scoped composition caches (incrementalCompose): one arena per
-  /// abstraction, created lazily on the first round and reused for the rest
-  /// of the loop. They reference context_, which is fixed after construction.
-  std::optional<automata::IncrementalComposer> composerPess_;
-  std::optional<automata::IncrementalComposer> composerOpt_;
 };
 
 /// Re-entrant one-shot entry point: builds a fresh verifier and runs it.

@@ -483,10 +483,11 @@ SignalSet SubprocessLegacy::parseOutputs(const std::string& text) const {
 }
 
 SubprocessConfig configFromExternal(const muml::Model& model,
-                                    const muml::ExternalLegacy& ext) {
+                                    const muml::ExternalLegacy& ext,
+                                    const std::string& instance) {
   SubprocessConfig cfg;
   cfg.binary = muml::resolveExternalBinary(ext, model.source);
-  cfg.name = ext.name;
+  cfg.name = instance.empty() ? ext.name : instance;
   cfg.signals = model.signals;
   cfg.inputs = ext.inputs;
   cfg.outputs = ext.outputs;

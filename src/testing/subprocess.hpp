@@ -158,7 +158,15 @@ class SubprocessLegacy final : public LegacyComponent {
 /// SemanticError when missing or not executable), expands the `%model%`
 /// argument placeholder to the declaring .muml file's path, and copies the
 /// declared I/O interface. journal/ulid are left for the caller.
+///
+/// The component is named `instance`, the role instance it plays, just as
+/// an in-process hidden automaton is rebound with automata::withInstanceName:
+/// the learned model takes that name, so the property's `role.state` atoms
+/// see its states. Named after the clause instead, those atoms are unknown
+/// and evaluate to false, which can prove what the real system refutes.
+/// Empty keeps the clause's name (for callers that play no role).
 SubprocessConfig configFromExternal(const muml::Model& model,
-                                    const muml::ExternalLegacy& ext);
+                                    const muml::ExternalLegacy& ext,
+                                    const std::string& instance = {});
 
 }  // namespace mui::testing

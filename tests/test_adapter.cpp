@@ -23,6 +23,7 @@
 
 #include "automata/rename.hpp"
 #include "engine/engine.hpp"
+#include "engine/runner.hpp"
 #include "muml/external.hpp"
 #include "muml/integration.hpp"
 #include "muml/loader.hpp"
@@ -627,6 +628,35 @@ TEST(EngineAdapter, HangSurfacesAsAdapterFailureStatus) {
   EXPECT_NE(report.results[0].explanation.find("deadline"),
             std::string::npos);
   EXPECT_EQ(report.count(engine::JobStatus::AdapterFailure), 1u);
+}
+
+TEST(EngineAdapter, ExternalIsBoundToTheRoleInstanceLikeInProcess) {
+  // The lingering device violates only the device role invariant, whose
+  // atoms name the role instance: an external bound to its clause name
+  // would leave them unknown and prove the integration.
+  engine::TextCache texts;
+  engine::ResultCache cache;
+  obs::Journal journal;
+  engine::RunnerOptions options;
+  options.journal = &journal;
+  for (const char* hidden : {"deviceLingering", "deviceLingeringExt"}) {
+    const engine::JobResult r = engine::runJob(
+        externalJob(hidden, kFixture, "WatchdogInvariant", "device", hidden),
+        texts, cache, options);
+    EXPECT_EQ(r.status, engine::JobStatus::RealError)
+        << hidden << ": " << r.explanation;
+  }
+  // Adapter lifecycle events name the component by its role instance too.
+  std::size_t adapterEvents = 0;
+  std::istringstream lines(journal.text());
+  std::string line;
+  while (std::getline(lines, line)) {
+    const auto obj = obs::parseFlatJson(line);
+    if (!obj || obj->at("type").text != "adapter") continue;
+    ++adapterEvents;
+    EXPECT_EQ(obj->at("adapter").text, "device") << line;
+  }
+  EXPECT_GT(adapterEvents, 0u);
 }
 
 TEST(EngineAdapter, MissingAdapterBinaryIsAdapterFailureNotEngineError) {

@@ -1,13 +1,7 @@
-// Differential tests for the performance paths introduced with the worklist
-// checker and the incremental composer:
-//
-//  - ctl::Checker (worklist fixpoints over a predecessor index, dense
-//    bitsets) against ctl::ReferenceChecker (the retained naive sweep
-//    implementation) on random models and random CCTL formulas, including
-//    the bounded operators;
-//  - IntegrationVerifier with incrementalCompose on vs. off: verdicts,
-//    journals, and rendered counterexamples must be identical — the
-//    composer arena is pure reuse, never an approximation.
+// Differential tests for the worklist checker: ctl::Checker (worklist
+// fixpoints over a predecessor index, dense bitsets) against
+// ctl::ReferenceChecker (the retained naive sweep implementation) on random
+// models and random CCTL formulas, including the bounded operators.
 
 #include <gtest/gtest.h>
 
@@ -19,15 +13,11 @@
 #include "ctl/formula.hpp"
 #include "ctl/reference.hpp"
 #include "helpers.hpp"
-#include "muml/shuttle.hpp"
-#include "synthesis/verifier.hpp"
-#include "testing/legacy.hpp"
 #include "util/rng.hpp"
 
 namespace mui {
 namespace {
 
-namespace sh = muml::shuttle;
 using automata::Automaton;
 using automata::StateId;
 using ctl::Bound;
@@ -144,92 +134,6 @@ TEST(CtlDifferential, HoldsAgreesOnInitialStates) {
     for (int i = 0; i < 20; ++i) {
       const FormulaPtr f = randomFormula(rng, 2);
       EXPECT_EQ(fast.holds(f), ref.holds(f)) << f->toString();
-    }
-  }
-}
-
-// ---- Verifier: incremental composition is observationally pure ------------
-
-void expectSameOutcome(const synthesis::IntegrationResult& scratch,
-                       const synthesis::IntegrationResult& incremental,
-                       const std::string& what) {
-  EXPECT_EQ(scratch.verdict, incremental.verdict) << what;
-  EXPECT_EQ(scratch.iterations, incremental.iterations) << what;
-  EXPECT_EQ(scratch.totalLearnedFacts, incremental.totalLearnedFacts) << what;
-  EXPECT_EQ(scratch.totalTestPeriods, incremental.totalTestPeriods) << what;
-  EXPECT_EQ(scratch.explanation, incremental.explanation) << what;
-  EXPECT_EQ(scratch.counterexampleText, incremental.counterexampleText)
-      << what;
-  ASSERT_EQ(scratch.journal.size(), incremental.journal.size()) << what;
-  for (std::size_t i = 0; i < scratch.journal.size(); ++i) {
-    const auto& a = scratch.journal[i];
-    const auto& b = incremental.journal[i];
-    EXPECT_EQ(a.modelStates, b.modelStates) << what << " iter " << i;
-    EXPECT_EQ(a.modelTransitions, b.modelTransitions) << what << " iter " << i;
-    EXPECT_EQ(a.closureStates, b.closureStates) << what << " iter " << i;
-    EXPECT_EQ(a.productStates, b.productStates) << what << " iter " << i;
-    EXPECT_EQ(a.checkPassed, b.checkPassed) << what << " iter " << i;
-    EXPECT_EQ(a.cexWasDeadlock, b.cexWasDeadlock) << what << " iter " << i;
-    EXPECT_EQ(a.cexLength, b.cexLength) << what << " iter " << i;
-    EXPECT_EQ(a.learnedFacts, b.learnedFacts) << what << " iter " << i;
-    EXPECT_EQ(a.cexText, b.cexText) << what << " iter " << i;
-  }
-}
-
-synthesis::IntegrationResult runShuttle(bool incremental, bool faultyLegacy) {
-  Tables t;
-  const Automaton front = sh::frontRoleAutomaton(t.signals, t.props);
-  testing::AutomatonLegacy legacy(faultyLegacy
-                                      ? sh::faultyRearLegacy(t.signals, t.props)
-                                      : sh::correctRearLegacy(t.signals,
-                                                              t.props));
-  synthesis::IntegrationConfig cfg;
-  cfg.property = sh::kPatternConstraint;
-  cfg.keepTraces = true;  // compare the rendered runs, not just the verdicts
-  cfg.incrementalCompose = incremental;
-  return synthesis::IntegrationVerifier(front, legacy, cfg).run();
-}
-
-TEST(VerifierDifferential, ShuttleScenarioIdenticalWithAndWithoutCaching) {
-  for (const bool faulty : {false, true}) {
-    const auto scratch = runShuttle(false, faulty);
-    const auto incremental = runShuttle(true, faulty);
-    expectSameOutcome(scratch, incremental,
-                      faulty ? "faulty legacy" : "correct legacy");
-    // The incremental run must actually reuse: every iteration past the
-    // first re-encounters at least the initial product state.
-    if (incremental.iterations > 1) {
-      EXPECT_GT(incremental.totalProductStatesReused, 0u);
-    }
-  }
-}
-
-synthesis::IntegrationResult runRandomScenario(std::size_t states,
-                                               std::uint64_t seed,
-                                               bool incremental) {
-  Tables t;
-  automata::RandomSpec spec;
-  spec.states = states;
-  spec.seed = seed;
-  spec.name = "lg";
-  Automaton hidden = automata::randomAutomaton(spec, t.signals, t.props);
-  const Automaton context = automata::mirrored(
-      automata::subAutomaton(hidden, 60, seed + 101, "lg_sub"), "ctx");
-  testing::AutomatonLegacy legacy(std::move(hidden));
-  synthesis::IntegrationConfig cfg;  // deadlock freedom only
-  cfg.keepTraces = true;
-  cfg.incrementalCompose = incremental;
-  return synthesis::IntegrationVerifier(context, legacy, cfg).run();
-}
-
-TEST(VerifierDifferential, RandomScenariosIdenticalWithAndWithoutCaching) {
-  for (const std::size_t states : {4u, 8u, 16u}) {
-    for (std::uint64_t seed = 1; seed <= 5; ++seed) {
-      const auto scratch = runRandomScenario(states, seed, false);
-      const auto incremental = runRandomScenario(states, seed, true);
-      expectSameOutcome(scratch, incremental,
-                        "states=" + std::to_string(states) +
-                            " seed=" + std::to_string(seed));
     }
   }
 }

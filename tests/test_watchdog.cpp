@@ -66,6 +66,11 @@ struct WatchdogCase {
   synthesis::Verdict expected;
 };
 
+// Names each case after its device. Without this printer the discovered
+// test names dump the struct's raw bytes, a string pointer and padding
+// among them, so they changed with every build.
+void PrintTo(const WatchdogCase& c, std::ostream* os) { *os << c.device; }
+
 class WatchdogIntegration : public ::testing::TestWithParam<WatchdogCase> {};
 
 TEST_P(WatchdogIntegration, VerdictsMatchTheDeviceQuality) {

@@ -449,17 +449,17 @@ int cmdIntegrate(int argc, char** argv) {
   }
   const auto scenario = muml::makeIntegrationScenario(
       pattern, roleIdx, model.signals, model.props);
-  // The hidden component plays the role. An automaton gets its instance
-  // name rebound so the role invariants and the pattern constraint see its
-  // states; a `legacy ... external` clause spawns the adapter binary
-  // out-of-process instead (docs/ADAPTERS.md).
+  // The hidden component plays the role: it takes the role's instance name
+  // so the role invariants and the pattern constraint see its states. A
+  // `legacy ... external` clause spawns the adapter binary out-of-process
+  // (docs/ADAPTERS.md); an automaton runs in process.
   std::unique_ptr<testing::LegacyComponent> legacy;
   const auto eit = model.externals.find(positional[3]);
   if (eit != model.externals.end()) {
     muml::checkExternalInterface(eit->second, pattern.roles[roleIdx],
                                  model.source, model.signals);
-    testing::SubprocessConfig scfg =
-        testing::configFromExternal(model, eit->second);
+    testing::SubprocessConfig scfg = testing::configFromExternal(
+        model, eit->second, pattern.roles[roleIdx].name);
     scfg.journal = obsOpts.journalPtr();
     legacy = std::make_unique<testing::SubprocessLegacy>(std::move(scfg));
   } else {
@@ -1220,7 +1220,7 @@ int cmdFuzz(int argc, char** argv) {
           const auto id = fuzz::oracleFromString(name);
           if (!id) {
             return usageError("unknown oracle '" + name +
-                              "' (expected O1..O6)");
+                              "' (expected O1, O2, O3, O5 or O6)");
           }
           options.oracles.push_back(*id);
         }
@@ -1228,7 +1228,7 @@ int cmdFuzz(int argc, char** argv) {
         pos = comma + 1;
       }
       if (options.oracles.empty()) {
-        return usageError("--oracles expects a comma-separated O1..O6 list");
+        return usageError("--oracles expects a comma-separated oracle list");
       }
     } else if (std::strcmp(argv[i], "--inject-bug") == 0) {
       const char* name = flagValue("--inject-bug");
