@@ -8,7 +8,6 @@
 #include <cstdio>
 
 #include "bench_util.hpp"
-#include "muml/shuttle.hpp"
 #include "testing/legacy.hpp"
 #include "testing/legacy_shuttle.hpp"
 
@@ -44,14 +43,11 @@ int main() {
                            "test periods", "avg cex len", "wall ms"});
     for (const bool faulty : {false, true}) {
       for (const auto& v : kVariants) {
-        automata::SignalTableRef signals =
-            std::make_shared<automata::SignalTable>();
-        automata::SignalTableRef props =
-            std::make_shared<automata::SignalTable>();
-        const auto front = muml::shuttle::frontRoleAutomaton(signals, props);
-        testing::FirmwareShuttleLegacy legacy(signals, faulty);
+        const bench::Railcab rc;
+        const auto front = rc.bind("rearShipped").scenario.context;
+        testing::FirmwareShuttleLegacy legacy(rc.model.signals, faulty);
         synthesis::IntegrationConfig cfg;
-        cfg.property = muml::shuttle::kPatternConstraint;
+        cfg.property = rc.constraint();
         cfg.search = v.search;
         cfg.counterexamplesPerCheck = v.batch;
         bench::Stopwatch watch;

@@ -10,7 +10,6 @@
 #include <cstdio>
 
 #include "bench_util.hpp"
-#include "muml/shuttle.hpp"
 #include "testing/legacy.hpp"
 #include "testing/legacy_shuttle.hpp"
 
@@ -48,14 +47,12 @@ int main() {
   for (const auto style : {automata::ClosureStyle::DeterministicTarget,
                            automata::ClosureStyle::PaperExact}) {
     {
-      bench::Tables t;
-      const auto front = muml::shuttle::frontRoleAutomaton(t.signals, t.props);
-      testing::FirmwareShuttleLegacy good(t.signals, false);
-      runOne("shuttle correct", front, good, muml::shuttle::kPatternConstraint,
-             style);
-      testing::FirmwareShuttleLegacy bad(t.signals, true);
-      runOne("shuttle faulty", front, bad, muml::shuttle::kPatternConstraint,
-             style);
+      const bench::Railcab rc;
+      const auto front = rc.bind("rearShipped").scenario.context;
+      testing::FirmwareShuttleLegacy good(rc.model.signals, false);
+      runOne("shuttle correct", front, good, rc.constraint(), style);
+      testing::FirmwareShuttleLegacy bad(rc.model.signals, true);
+      runOne("shuttle faulty", front, bad, rc.constraint(), style);
     }
     for (int seed = 1; seed <= 3; ++seed) {
       bench::Scenario sc(8, 500 + static_cast<std::uint64_t>(seed), 70);

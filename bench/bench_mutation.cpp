@@ -20,8 +20,6 @@
 #include "automata/compose.hpp"
 #include "bench_util.hpp"
 #include "ctl/parser.hpp"
-#include "muml/integration.hpp"
-#include "muml/shuttle.hpp"
 #include "synthesis/test_suite.hpp"
 #include "testing/legacy.hpp"
 #include "testing/mutation.hpp"
@@ -29,7 +27,6 @@
 namespace {
 
 using namespace mui;
-namespace sh = muml::shuttle;
 
 const char* opName(testing::MutationOp op) {
   switch (op) {
@@ -54,16 +51,14 @@ int main() {
       "suite-kill = mutants failing the regression suite recorded from the "
       "unmutated component.");
 
-  bench::Tables t;
-  const auto front = sh::frontRoleAutomaton(t.signals, t.props);
-  const auto original = sh::correctRearLegacy(t.signals, t.props);
+  const bench::Railcab rc;
+  const auto shipped = rc.bind("rearShipped");
+  const auto& front = shipped.scenario.context;
+  const auto& original = *shipped.legacy.hidden;
   // Full requirement: pattern constraint plus both role invariants — the
   // liveness part is what distinguishes a silenced component from a
   // harmless variation.
-  const std::string property = muml::makeIntegrationScenario(
-                                   sh::distanceCoordinationPattern(), 1,
-                                   t.signals, t.props)
-                                   .property;
+  const std::string& property = shipped.scenario.property;
 
   // The regression suite from the unmutated run.
   synthesis::ComponentTestSuite suite;
@@ -116,7 +111,7 @@ int main() {
       }
 
       testing::AutomatonLegacy forSuite(mutant->first);
-      if (!synthesis::runSuite(suite, forSuite, *t.signals).allPassed()) {
+      if (!synthesis::runSuite(suite, forSuite, *rc.model.signals).allPassed()) {
         ++suiteKilled;
       }
     }

@@ -13,40 +13,38 @@
 #include "automata/rename.hpp"
 #include "bench_util.hpp"
 #include "muml/channel.hpp"
-#include "muml/shuttle.hpp"
 #include "testing/legacy_shuttle.hpp"
 
 namespace {
 
 using namespace mui;
-namespace sh = muml::shuttle;
 
 /// Builds the context "front shuttle behind a radio link": the front role
 /// rebound to channel endpoint names, composed with the channel automaton.
-automata::Automaton channeledContext(const bench::Tables& t,
+automata::Automaton channeledContext(const bench::Railcab& rc,
+                                     const automata::Automaton& front,
                                      std::uint32_t delay, bool lossy) {
-  const auto front = sh::frontRoleAutomaton(t.signals, t.props);
   // Rear -> front messages arrive via *_d endpoints; front -> rear messages
   // leave via *_u endpoints.
   const auto frontR = automata::renameSignals(
       front, {
-                 {sh::kConvoyProposal, "convoyProposal_d"},
-                 {sh::kBreakConvoyProposal, "breakConvoyProposal_d"},
-                 {sh::kConvoyProposalRejected, "convoyProposalRejected_u"},
-                 {sh::kStartConvoy, "startConvoy_u"},
-                 {sh::kBreakConvoyRejected, "breakConvoyRejected_u"},
-                 {sh::kBreakConvoyAccepted, "breakConvoyAccepted_u"},
+                 {"convoyProposal", "convoyProposal_d"},
+                 {"breakConvoyProposal", "breakConvoyProposal_d"},
+                 {"convoyProposalRejected", "convoyProposalRejected_u"},
+                 {"startConvoy", "startConvoy_u"},
+                 {"breakConvoyRejected", "breakConvoyRejected_u"},
+                 {"breakConvoyAccepted", "breakConvoyAccepted_u"},
              });
   const auto channel = muml::makeChannel(
-      t.signals, t.props,
+      rc.model.signals, rc.model.props,
       {"radio",
        {
-           {sh::kConvoyProposal, "convoyProposal_d"},
-           {sh::kBreakConvoyProposal, "breakConvoyProposal_d"},
-           {"convoyProposalRejected_u", sh::kConvoyProposalRejected},
-           {"startConvoy_u", sh::kStartConvoy},
-           {"breakConvoyRejected_u", sh::kBreakConvoyRejected},
-           {"breakConvoyAccepted_u", sh::kBreakConvoyAccepted},
+           {"convoyProposal", "convoyProposal_d"},
+           {"breakConvoyProposal", "breakConvoyProposal_d"},
+           {"convoyProposalRejected_u", "convoyProposalRejected"},
+           {"startConvoy_u", "startConvoy"},
+           {"breakConvoyRejected_u", "breakConvoyRejected"},
+           {"breakConvoyAccepted_u", "breakConvoyAccepted"},
        },
        delay,
        /*capacity=*/2,
@@ -87,14 +85,14 @@ int main() {
 
   std::string desyncCex;
   for (const auto& [cfg, minimize] : configs) {
-    bench::Tables t;
+    const bench::Railcab rc;
+    const automata::Automaton front = rc.bind("rearShipped").scenario.context;
     const automata::Automaton context =
-        cfg.direct ? sh::frontRoleAutomaton(t.signals, t.props)
-                   : channeledContext(t, cfg.delay, cfg.lossy);
-    testing::FirmwareShuttleLegacy firmware(t.signals,
+        cfg.direct ? front : channeledContext(rc, front, cfg.delay, cfg.lossy);
+    testing::FirmwareShuttleLegacy firmware(rc.model.signals,
                                             /*faultyRevision=*/false);
     synthesis::IntegrationConfig vcfg;
-    vcfg.property = sh::kPatternConstraint;
+    vcfg.property = rc.constraint();
     vcfg.minimizeContext = minimize;
     bench::Stopwatch watch;
     const auto res =

@@ -6,14 +6,12 @@
 #include <cstdio>
 
 #include "bench_util.hpp"
-#include "muml/shuttle.hpp"
 #include "testing/driver.hpp"
 #include "testing/legacy_shuttle.hpp"
 #include "testing/runtime.hpp"
 
 int main() {
   using namespace mui;
-  namespace sh = muml::shuttle;
 
   bench::printHeader(
       "E5: monitoring probe levels and deterministic replay",
@@ -22,9 +20,9 @@ int main() {
       "perturbing the execution — the driver cross-checks every replayed "
       "output against the recording.");
 
-  automata::SignalTableRef signals = std::make_shared<automata::SignalTable>();
-  automata::SignalTableRef props = std::make_shared<automata::SignalTable>();
-  const auto front = sh::frontRoleAutomaton(signals, props);
+  const bench::Railcab rc;
+  const automata::SignalTableRef& signals = rc.model.signals;
+  const auto front = rc.bind("rearShipped").scenario.context;
 
   util::TextTable table({"periods", "replay-only events", "full events",
                          "events/period (target)", "events/period (replay)",
@@ -58,9 +56,9 @@ int main() {
   testing::CounterexampleTestDriver driver(fw, *signals);
   std::vector<automata::Interaction> steps;
   automata::Interaction propose;
-  propose.out.set(signals->intern(sh::kConvoyProposal));
+  propose.out.set(signals->intern("convoyProposal"));
   automata::Interaction reject;
-  reject.in.set(signals->intern(sh::kConvoyProposalRejected));
+  reject.in.set(signals->intern("convoyProposalRejected"));
   for (int i = 0; i < 300; ++i) {
     steps.push_back({});
     steps.push_back(propose);

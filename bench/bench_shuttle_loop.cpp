@@ -8,7 +8,6 @@
 #include <cstdio>
 
 #include "bench_util.hpp"
-#include "muml/shuttle.hpp"
 #include "synthesis/report.hpp"
 #include "testing/legacy_shuttle.hpp"
 
@@ -17,13 +16,12 @@ namespace {
 using namespace mui;
 
 void runAndReport(const char* title, bool faulty) {
-  automata::SignalTableRef signals = std::make_shared<automata::SignalTable>();
-  automata::SignalTableRef props = std::make_shared<automata::SignalTable>();
-  const auto front = muml::shuttle::frontRoleAutomaton(signals, props);
-  testing::FirmwareShuttleLegacy legacy(signals, faulty);
+  const bench::Railcab rc;
+  const auto front = rc.bind("rearShipped").scenario.context;
+  testing::FirmwareShuttleLegacy legacy(rc.model.signals, faulty);
 
   synthesis::IntegrationConfig cfg;
-  cfg.property = muml::shuttle::kPatternConstraint;
+  cfg.property = rc.constraint();
   bench::Stopwatch watch;
   const auto res = synthesis::IntegrationVerifier(front, legacy, cfg).run();
   const double ms = watch.ms();

@@ -10,6 +10,8 @@
 #include <string>
 
 #include "automata/random.hpp"
+#include "muml/integration.hpp"
+#include "muml/loader.hpp"
 #include "synthesis/verifier.hpp"
 #include "util/json.hpp"
 #include "util/text_table.hpp"
@@ -79,6 +81,24 @@ struct Scenario {
     spec.seed = seed;
     spec.name = "lg";
     return automata::randomAutomaton(spec, t.signals, t.props);
+  }
+};
+
+/// The paper's running example, models/railcab.muml. bind() puts a hidden
+/// rear shuttle (rearShipped, the correct firmware; rearFaulty, the faulty
+/// revision) into rearRole of DistanceCoordination, whose context is the
+/// front role.
+struct Railcab {
+  muml::Model model =
+      muml::loadModelFile(std::string(MUI_MODELS_DIR) + "/railcab.muml");
+
+  [[nodiscard]] muml::IntegrationBinding bind(const std::string& hidden) const {
+    return muml::bindIntegration(model, "DistanceCoordination", "rearRole",
+                                 hidden);
+  }
+  /// The pattern constraint of Fig. 1.
+  [[nodiscard]] const std::string& constraint() const {
+    return model.patterns.at("DistanceCoordination").constraint;
   }
 };
 

@@ -4,11 +4,15 @@
 // recording the paper advocates for target systems — and then passed through
 // the full verification/testing/learning loop.
 //
+// The front shuttle (the context) and the pattern constraint come from
+// models/railcab.muml.
+//
 // Build & run:  ./build/examples/legacy_firmware
 
 #include <cstdio>
 
-#include "muml/shuttle.hpp"
+#include "muml/integration.hpp"
+#include "muml/loader.hpp"
 #include "synthesis/report.hpp"
 #include "synthesis/test_suite.hpp"
 #include "synthesis/verifier.hpp"
@@ -17,11 +21,14 @@
 
 int main() {
   using namespace mui;
-  namespace sh = muml::shuttle;
 
-  automata::SignalTableRef signals = std::make_shared<automata::SignalTable>();
-  automata::SignalTableRef props = std::make_shared<automata::SignalTable>();
-  const automata::Automaton front = sh::frontRoleAutomaton(signals, props);
+  const muml::Model model =
+      muml::loadModelFile(std::string(MUI_MODELS_DIR) + "/railcab.muml");
+  const automata::SignalTableRef& signals = model.signals;
+  const automata::Automaton front =
+      muml::bindIntegration(model, "DistanceCoordination", "rearRole",
+                            "rearShipped")
+          .scenario.context;
 
   // ---- Phase A: run the firmware "in the field" with minimal probes. ------
   std::printf("== Executing the firmware against the front shuttle "
@@ -39,7 +46,7 @@ int main() {
   std::printf("== Verifying the integration ==\n\n");
   firmware.reset();
   synthesis::IntegrationConfig cfg;
-  cfg.property = sh::kPatternConstraint;
+  cfg.property = model.patterns.at("DistanceCoordination").constraint;
   cfg.recordTests = true;
   synthesis::IntegrationVerifier verifier(front, firmware, cfg);
   const auto result = verifier.run();

@@ -13,12 +13,16 @@
 //   L. 1.5   a successful learning step (correct firmware)
 //   Fig. 7   the correct synthesized behavior w.r.t. the context
 //
+// Everything comes from models/railcab.muml: the pattern, its roles, and the
+// front role as the context of the legacy rear shuttle.
+//
 // Build & run:  ./build/examples/shuttle_convoy
 
 #include <cstdio>
 
 #include "automata/chaos.hpp"
-#include "muml/shuttle.hpp"
+#include "muml/integration.hpp"
+#include "muml/loader.hpp"
 #include "muml/verify.hpp"
 #include "synthesis/initial.hpp"
 #include "synthesis/verifier.hpp"
@@ -27,7 +31,6 @@
 
 namespace {
 
-namespace sh = mui::muml::shuttle;
 using namespace mui;
 
 void banner(const char* title) {
@@ -38,10 +41,11 @@ void banner(const char* title) {
 
 synthesis::IntegrationResult runScenario(const char* title,
                                          testing::LegacyComponent& legacy,
-                                         const automata::Automaton& front) {
+                                         const automata::Automaton& front,
+                                         const std::string& constraint) {
   banner(title);
   synthesis::IntegrationConfig cfg;
-  cfg.property = sh::kPatternConstraint;
+  cfg.property = constraint;
   cfg.keepTraces = true;
   synthesis::IntegrationVerifier verifier(front, legacy, cfg);
   const auto result = verifier.run();
@@ -94,7 +98,9 @@ synthesis::IntegrationResult runScenario(const char* title,
 int main() {
   // ---- Fig. 1: the DistanceCoordination pattern. ---------------------------
   banner("DistanceCoordination pattern (Fig. 1)");
-  const auto pattern = sh::distanceCoordinationPattern();
+  const muml::Model model =
+      muml::loadModelFile(std::string(MUI_MODELS_DIR) + "/railcab.muml");
+  const auto& pattern = model.patterns.at("DistanceCoordination");
   std::printf("pattern    : %s\n", pattern.name.c_str());
   std::printf("constraint : %s\n", pattern.constraint.c_str());
   for (const auto& role : pattern.roles) {
@@ -114,10 +120,13 @@ int main() {
                 pv.composed.automaton.stateCount());
   }
 
-  // Shared tables for the integration scenarios.
-  automata::SignalTableRef signals = std::make_shared<automata::SignalTable>();
-  automata::SignalTableRef props = std::make_shared<automata::SignalTable>();
-  const automata::Automaton front = sh::frontRoleAutomaton(signals, props);
+  // The legacy plays the rear role; the front role is its context. Every
+  // scenario shares the model's tables.
+  const automata::SignalTableRef& signals = model.signals;
+  const automata::SignalTableRef& props = model.props;
+  const automata::Automaton front =
+      muml::bindIntegration(model, pattern.name, "rearRole", "rearShipped")
+          .scenario.context;
 
   // ---- Fig. 5: the context. ------------------------------------------------
   banner("Known context behavior: frontRole (Fig. 5, DOT)");
@@ -145,13 +154,13 @@ int main() {
   testing::FirmwareShuttleLegacy faulty(signals, /*faultyRevision=*/true);
   const auto bad = runScenario(
       "Integrating the FAULTY legacy firmware (Fig. 6, Listings 1.1-1.4)",
-      faulty, front);
+      faulty, front, pattern.constraint);
 
   // ---- The shipped firmware: proven correct. --------------------------------
   testing::FirmwareShuttleLegacy correct(signals, /*faultyRevision=*/false);
   const auto good = runScenario(
       "Integrating the CORRECT legacy firmware (Fig. 7, Listing 1.5)", correct,
-      front);
+      front, pattern.constraint);
 
   return (bad.verdict == synthesis::Verdict::RealError &&
           good.verdict == synthesis::Verdict::ProvenCorrect)

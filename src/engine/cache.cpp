@@ -110,26 +110,17 @@ void ResultCache::evictIfNeeded() {
   bytes.set(static_cast<std::int64_t>(bytes_));
 }
 
-std::optional<CachedOutcome> ResultCache::lookup(const JobKey& key) {
-  static obs::Counter& hits = obs::Registry::global().counter(
-      "mui_engine_cache_hits_total", "Result-cache hits");
-  static obs::Counter& misses = obs::Registry::global().counter(
-      "mui_engine_cache_misses_total", "Result-cache misses");
+std::optional<CachedOutcome> ResultCache::findLocked(const JobKey& key) {
   static obs::Counter& collisions = obs::Registry::global().counter(
       "mui_engine_cache_collisions_total",
       "Result-cache lookups whose hash matched but key material differed");
-  std::unique_lock lock(mu_);
   if (const auto it = map_.find(key.hash); it != map_.end()) {
     if (it->second->material == key.material) {
       lru_.splice(lru_.begin(), lru_, it->second);  // mark most recently used
-      ++hits_;
-      hits.inc();
       return it->second->outcome;
     }
     ++collisions_;
     collisions.inc();
-    ++misses_;
-    misses.inc();
     return std::nullopt;
   }
   if (persistent_ != nullptr) {
@@ -139,18 +130,75 @@ std::optional<CachedOutcome> ResultCache::lookup(const JobKey& key) {
       map_[key.hash] = lru_.begin();
       bytes_ += entryBytes(lru_.front());
       evictIfNeeded();
-      ++hits_;
-      hits.inc();
       return hit;
     }
   }
-  ++misses_;
-  misses.inc();
   return std::nullopt;
+}
+
+void ResultCache::countLocked(bool hit) {
+  static obs::Counter& hits = obs::Registry::global().counter(
+      "mui_engine_cache_hits_total", "Result-cache hits");
+  static obs::Counter& misses = obs::Registry::global().counter(
+      "mui_engine_cache_misses_total", "Result-cache misses");
+  if (hit) {
+    ++hits_;
+    hits.inc();
+  } else {
+    ++misses_;
+    misses.inc();
+  }
+}
+
+std::optional<CachedOutcome> ResultCache::lookup(const JobKey& key) {
+  std::unique_lock lock(mu_);
+  auto hit = findLocked(key);
+  countLocked(hit.has_value());
+  return hit;
+}
+
+std::optional<CachedOutcome> ResultCache::claim(const JobKey& key,
+                                                Claim& out) {
+  static obs::Counter& waits = obs::Registry::global().counter(
+      "mui_engine_cache_claim_waits_total",
+      "Result-cache claims that waited for a duplicate in flight");
+  out.release();
+  std::unique_lock lock(mu_);
+  if (inFlight_.count(key.hash) != 0) {
+    ++waits_;
+    waits.inc();
+    landed_.wait(lock, [&] { return inFlight_.count(key.hash) == 0; });
+  }
+  auto hit = findLocked(key);
+  countLocked(hit.has_value());
+  if (!hit) {
+    inFlight_[key.hash] = ++lastToken_;
+    out.cache_ = this;
+    out.hash_ = key.hash;
+    out.token_ = lastToken_;
+  }
+  return hit;
+}
+
+void ResultCache::Claim::release() {
+  if (cache_ == nullptr) return;
+  cache_->releaseClaim(hash_, token_);
+  cache_ = nullptr;
+}
+
+void ResultCache::releaseClaim(std::uint64_t hash, std::uint64_t token) {
+  std::unique_lock lock(mu_);
+  // After a store() of the key the mark is gone, or belongs to a later
+  // claimant: either way it is not this claim's to release.
+  const auto it = inFlight_.find(hash);
+  if (it == inFlight_.end() || it->second != token) return;
+  inFlight_.erase(it);
+  landed_.notify_all();
 }
 
 void ResultCache::store(const JobKey& key, CachedOutcome outcome) {
   std::unique_lock lock(mu_);
+  if (inFlight_.erase(key.hash) != 0) landed_.notify_all();
   if (const auto it = map_.find(key.hash); it != map_.end()) {
     if (it->second->material != key.material) {
       ++collisions_;  // keep the resident entry; do not poison the log
@@ -189,6 +237,11 @@ std::size_t ResultCache::evictions() const {
 std::size_t ResultCache::collisions() const {
   std::unique_lock lock(mu_);
   return collisions_;
+}
+
+std::size_t ResultCache::waits() const {
+  std::unique_lock lock(mu_);
+  return waits_;
 }
 
 std::size_t ResultCache::size() const {

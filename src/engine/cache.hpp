@@ -23,6 +23,14 @@
 // identical model revisions still share. Timeout and engine-error outcomes
 // are never stored: they are not functions of the key alone.
 //
+// Concurrent duplicates run once. engine::runJob looks keys up through
+// claim(): the first miss marks the key in flight, and a duplicate that
+// starts while its twin runs waits for it and is reported as a hit. If the
+// twin ends without storing (timeout, engine error, adapter failure), the
+// waiter runs the job itself. Jobs on an external legacy release their
+// claim as soon as the binding says so: they are never stored, so their
+// duplicates never wait for a result and run side by side.
+//
 // A JobKey carries both the 64-bit fnv1a digest (the map key) and the full
 // length-prefixed key material it digests. Lookups compare the material on
 // a hash match, so a 64-bit collision is detected and reported as a miss
@@ -31,6 +39,7 @@
 // growth) and can be layered over a PersistentResultCache
 // (persistent_cache.hpp) so outcomes survive across runs and clients.
 
+#include <condition_variable>
 #include <cstdint>
 #include <filesystem>
 #include <list>
@@ -112,6 +121,24 @@ class ResultCache {
 
   explicit ResultCache(std::size_t maxEntries = kDefaultMaxEntries);
 
+  /// The in-flight mark on a key whose outcome one job is computing (see
+  /// claim()). Releasing it, explicitly or by destruction, without a
+  /// store() of the key hands the key to the next waiting claimant.
+  class Claim {
+   public:
+    Claim() = default;
+    Claim(const Claim&) = delete;
+    Claim& operator=(const Claim&) = delete;
+    ~Claim() { release(); }
+    void release();
+
+   private:
+    friend class ResultCache;
+    ResultCache* cache_ = nullptr;
+    std::uint64_t hash_ = 0;
+    std::uint64_t token_ = 0;
+  };
+
   /// Layers a durable cache underneath: memory misses consult it, stores
   /// append to it, and hits found there are promoted into memory. The
   /// backing must outlive this cache.
@@ -121,12 +148,22 @@ class ResultCache {
   /// hash match whose material differs is a detected collision: counted,
   /// reported as a miss, and the resident entry is left alone.
   std::optional<CachedOutcome> lookup(const JobKey& key);
+  /// Single-flight lookup. A hit returns the outcome as lookup() does. A
+  /// miss marks the key in flight, hands the mark to `out` and returns
+  /// nullopt; the caller computes the outcome and stores it, or lets the
+  /// claim go. If the key is already in flight, waits until its owner
+  /// stores it (then counts one hit and no miss) or releases it (then
+  /// becomes the owner). Each call counts exactly one hit or one miss.
+  std::optional<CachedOutcome> claim(const JobKey& key, Claim& out);
+  /// Stores the outcome and wakes every claimant waiting on the key.
   void store(const JobKey& key, CachedOutcome outcome);
 
   [[nodiscard]] std::size_t hits() const;
   [[nodiscard]] std::size_t misses() const;
   [[nodiscard]] std::size_t evictions() const;
   [[nodiscard]] std::size_t collisions() const;
+  /// Claims that had to wait for a duplicate in flight.
+  [[nodiscard]] std::size_t waits() const;
   [[nodiscard]] std::size_t size() const;
   /// Approximate resident bytes (key material + outcome payloads).
   [[nodiscard]] std::size_t bytes() const;
@@ -141,10 +178,19 @@ class ResultCache {
 
   static std::size_t entryBytes(const Entry& e);
   void evictIfNeeded();  // callers hold mu_
+  // Lookup without hit/miss counting, and the counting; callers hold mu_.
+  std::optional<CachedOutcome> findLocked(const JobKey& key);
+  void countLocked(bool hit);
+  void releaseClaim(std::uint64_t hash, std::uint64_t token);
 
   mutable std::mutex mu_;
   LruList lru_;  // front = most recently used
   std::unordered_map<std::uint64_t, LruList::iterator> map_;
+  // Keys in flight, by hash, with the owning claim's token. A colliding key
+  // only waits for the other one to land, then misses and claims.
+  std::unordered_map<std::uint64_t, std::uint64_t> inFlight_;
+  std::condition_variable landed_;
+  std::uint64_t lastToken_ = 0;
   PersistentResultCache* persistent_ = nullptr;
   std::size_t maxEntries_;
   std::size_t bytes_ = 0;
@@ -152,6 +198,7 @@ class ResultCache {
   std::size_t misses_ = 0;
   std::size_t evictions_ = 0;
   std::size_t collisions_ = 0;
+  std::size_t waits_ = 0;
 };
 
 }  // namespace mui::engine

@@ -31,7 +31,7 @@ struct Job {
   std::string hidden;      // automaton acting as the hidden legacy component
   std::string formula;     // optional property override; empty derives the
                            // property from the pattern constraint and the
-                           // role invariants (muml::makeIntegrationScenario)
+                           // role invariants (muml::bindIntegration)
   std::uint64_t timeoutMs = 0;    // per-job deadline; 0 = batch default
   std::size_t maxIterations = 0;  // iteration budget; 0 = verifier default
 };

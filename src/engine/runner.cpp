@@ -7,8 +7,6 @@
 
 #include "analysis/analyze.hpp"
 #include "analysis/semantic.hpp"
-#include "automata/rename.hpp"
-#include "muml/external.hpp"
 #include "obs/metrics.hpp"
 #include "engine/thread_pool.hpp"
 #include "muml/integration.hpp"
@@ -121,7 +119,8 @@ JobResult runJob(const Job& job, TextCache& texts, ResultCache& results,
     // Content key of everything that determines the job's outcome; see the
     // ResultCache contract in cache.hpp.
     const JobKey key = makeJobKey(text, job, timeoutMs);
-    if (auto hit = results.lookup(key)) {
+    ResultCache::Claim claim;  // released on every path that stores nothing
+    if (auto hit = results.claim(key, claim)) {
       out.status = hit->status;
       out.explanation = hit->explanation;
       out.iterations = hit->iterations;
@@ -174,87 +173,57 @@ JobResult runJob(const Job& job, TextCache& texts, ResultCache& results,
       }
     }
 
-    const auto pit = model.patterns.find(job.pattern);
-    if (pit == model.patterns.end()) {
-      throw std::runtime_error("no pattern named '" + job.pattern + "' in " +
-                               job.modelPath);
-    }
-    const auto& pattern = pit->second;
-    std::size_t roleIdx = pattern.roles.size();
-    for (std::size_t i = 0; i < pattern.roles.size(); ++i) {
-      if (pattern.roles[i].name == job.legacyRole) roleIdx = i;
-    }
-    if (roleIdx == pattern.roles.size()) {
-      throw std::runtime_error("pattern '" + job.pattern + "' has no role '" +
-                               job.legacyRole + "'");
-    }
-    const auto hit = model.automata.find(job.hidden);
-    const auto eit = model.externals.find(job.hidden);
-    const bool external = eit != model.externals.end();
-    if (hit == model.automata.end() && !external) {
-      throw std::runtime_error("no automaton or legacy external named '" +
-                               job.hidden + "' in " + job.modelPath);
-    }
-
-    const auto scenario = muml::makeIntegrationScenario(
-        pattern, roleIdx, model.signals, model.props);
+    muml::IntegrationBinding binding = muml::bindIntegration(
+        model, job.pattern, job.legacyRole, job.hidden);
+    const muml::IntegrationScenario& scenario = binding.scenario;
     const std::string property =
         job.formula.empty() ? scenario.property : job.formula;
 
-    std::unique_ptr<testing::LegacyComponent> legacy;
-    if (external) {
-      // An out-of-process legacy: the hidden behavior lives in an adapter
-      // binary (docs/ADAPTERS.md). The semantic pre-solve needs a concrete
-      // hidden automaton, so the job always goes through the refinement
-      // loop; results are never cached because the binary's content is not
-      // part of the JobKey (see the ResultCache contract in cache.hpp).
-      muml::checkExternalInterface(eit->second, pattern.roles[roleIdx],
-                                   model.source, model.signals);
-      testing::SubprocessConfig scfg = testing::configFromExternal(
-          model, eit->second, pattern.roles[roleIdx].name);
-      scfg.journal = options.journal;
-      scfg.ulid = job.ulid;
-      legacy = std::make_unique<testing::SubprocessLegacy>(std::move(scfg));
-    } else {
-      const automata::Automaton hiddenAsRole = automata::withInstanceName(
-          hit->second, pattern.roles[roleIdx].name);
+    // An out-of-process legacy: the hidden behavior lives in an adapter
+    // binary (docs/ADAPTERS.md). The semantic pre-solve needs a concrete
+    // hidden automaton, so the job always goes through the refinement loop;
+    // results are never cached because the binary's content is not part of
+    // the JobKey (see the ResultCache contract in cache.hpp), so its
+    // duplicates need not wait for it either.
+    const bool external = binding.legacy.external != nullptr;
+    if (external) claim.release();
 
-      // Semantic pre-solve: for properties inside the AG-safety fragment
-      // the verdict is decidable by plain forward reachability on the
-      // concrete composition — no closure, no learning, no testing.
-      // Definitive outcomes short-circuit the refinement loop and are
-      // cached under the same content key a loop result would use (fuzz
-      // oracle O6 checks that the two paths agree).
-      if (options.semanticPresolve) {
-        if (progress != nullptr) progress->setPhase("presolve");
-        const analysis::PresolveOutcome pre =
-            analysis::presolveIntegration(scenario.context, hiddenAsRole,
-                                          property);
-        countPresolve(pre.verdict);
-        if (options.journal != nullptr) {
-          obs::JsonObject fields;
-          fields.s("run", job.name);
-          if (!job.ulid.empty()) fields.s("ulid", job.ulid);
-          fields.s("verdict", analysis::presolveVerdictName(pre.verdict))
-              .s("rule", pre.ruleId)
-              .u("productStates", pre.productStates);
-          options.journal->event("presolve", fields);
-        }
-        if (pre.verdict != analysis::PresolveVerdict::Skipped) {
-          out.status = pre.verdict == analysis::PresolveVerdict::Proved
-                           ? JobStatus::Proven
-                           : JobStatus::RealError;
-          out.explanation = pre.explanation;
-          out.presolved = true;
-          results.store(key, CachedOutcome{out.status, out.explanation,
-                                           out.iterations, out.testPeriods,
-                                           out.learnedFacts});
-          return finish();
-        }
+    // Semantic pre-solve: for properties inside the AG-safety fragment the
+    // verdict is decidable by plain forward reachability on the concrete
+    // composition — no closure, no learning, no testing. Definitive outcomes
+    // short-circuit the refinement loop and are cached under the same
+    // content key a loop result would use (fuzz oracle O6 checks that the
+    // two paths agree).
+    if (!external && options.semanticPresolve) {
+      if (progress != nullptr) progress->setPhase("presolve");
+      const analysis::PresolveOutcome pre = analysis::presolveIntegration(
+          scenario.context, *binding.legacy.hidden, property);
+      countPresolve(pre.verdict);
+      if (options.journal != nullptr) {
+        obs::JsonObject fields;
+        fields.s("run", job.name);
+        if (!job.ulid.empty()) fields.s("ulid", job.ulid);
+        fields.s("verdict", analysis::presolveVerdictName(pre.verdict))
+            .s("rule", pre.ruleId)
+            .u("productStates", pre.productStates);
+        options.journal->event("presolve", fields);
       }
-
-      legacy = std::make_unique<testing::AutomatonLegacy>(hiddenAsRole);
+      if (pre.verdict != analysis::PresolveVerdict::Skipped) {
+        out.status = pre.verdict == analysis::PresolveVerdict::Proved
+                         ? JobStatus::Proven
+                         : JobStatus::RealError;
+        out.explanation = pre.explanation;
+        out.presolved = true;
+        results.store(key, CachedOutcome{out.status, out.explanation,
+                                         out.iterations, out.testPeriods,
+                                         out.learnedFacts});
+        return finish();
+      }
     }
+
+    const std::unique_ptr<testing::LegacyComponent> legacy =
+        testing::makeLegacy(model, std::move(binding.legacy), options.journal,
+                            job.ulid);
 
     synthesis::IntegrationConfig cfg;
     cfg.property = property;

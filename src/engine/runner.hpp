@@ -1,11 +1,11 @@
 #pragma once
 // Executes one Job end to end:
 //
-//   TextCache (model text) → muml::loadModel → muml::makeIntegrationScenario
+//   TextCache (model text) → muml::loadModel → muml::bindIntegration
 //   → cancellation-aware loop (synthesis::runIntegration) → JobResult
 //
-// with a ResultCache consultation keyed by the job's content hash before
-// the expensive part. All failure modes are folded into the result —
+// with a ResultCache claim keyed by the job's content hash before the
+// expensive part, so a concurrent duplicate waits for the first result. All failure modes are folded into the result —
 // deadline hits become JobStatus::Timeout, any escaping exception becomes
 // JobStatus::EngineError — so runJob never throws. That is the batch's
 // crash isolation: a broken job is a row in the report, not a dead batch.

@@ -418,6 +418,7 @@ Model loadModel(std::string_view text, std::string_view sourceName) {
   Model m;
   m.signals = std::make_shared<automata::SignalTable>();
   m.props = std::make_shared<automata::SignalTable>();
+  m.source.file = sourceName;
   loadModelInto(m, text, sourceName);
   return m;
 }

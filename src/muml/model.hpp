@@ -85,6 +85,10 @@ struct ExternalLegacy {
 /// `allow MUIxxx;` lint suppressions. Models built programmatically leave
 /// this empty; every consumer treats absent entries as "location unknown".
 struct ModelSource {
+  /// The name the text was loaded under (loadModel's `sourceName`, usually
+  /// the file path); names the model in binding errors.
+  std::string file;
+
   /// A transition that textually duplicated an existing identical one; the
   /// loader dropped the copy and recorded it here.
   struct DuplicateTransition {

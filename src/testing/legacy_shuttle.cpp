@@ -1,7 +1,5 @@
 #include "testing/legacy_shuttle.hpp"
 
-#include "muml/shuttle.hpp"
-
 namespace mui::testing {
 
 void ShuttleControllerFirmware::init() { mode_ = MODE_DEFAULT; }
@@ -81,13 +79,13 @@ const char* ShuttleControllerFirmware::debugModeName() const {
 FirmwareShuttleLegacy::FirmwareShuttleLegacy(
     const automata::SignalTableRef& signals, bool faultyRevision)
     : signals_(signals), fw_(faultyRevision) {
-  namespace sh = muml::shuttle;
-  inRejected_ = signals_->intern(sh::kConvoyProposalRejected);
-  inStart_ = signals_->intern(sh::kStartConvoy);
-  inBreakRejected_ = signals_->intern(sh::kBreakConvoyRejected);
-  inBreakAccepted_ = signals_->intern(sh::kBreakConvoyAccepted);
-  outProposal_ = signals_->intern(sh::kConvoyProposal);
-  outBreakProposal_ = signals_->intern(sh::kBreakConvoyProposal);
+  // The rear role's messages in models/railcab.muml.
+  inRejected_ = signals_->intern("convoyProposalRejected");
+  inStart_ = signals_->intern("startConvoy");
+  inBreakRejected_ = signals_->intern("breakConvoyRejected");
+  inBreakAccepted_ = signals_->intern("breakConvoyAccepted");
+  outProposal_ = signals_->intern("convoyProposal");
+  outBreakProposal_ = signals_->intern("breakConvoyProposal");
   inputs_.set(inRejected_);
   inputs_.set(inStart_);
   inputs_.set(inBreakRejected_);

@@ -12,6 +12,7 @@
 #include <sstream>
 
 #include "muml/external.hpp"
+#include "muml/integration.hpp"
 #include "muml/model.hpp"
 #include "obs/metrics.hpp"
 #include "util/json.hpp"
@@ -504,6 +505,20 @@ SubprocessConfig configFromExternal(const muml::Model& model,
     cfg.args.push_back(arg == "%model%" ? modelPath : arg);
   }
   return cfg;
+}
+
+std::unique_ptr<LegacyComponent> makeLegacy(const muml::Model& model,
+                                            muml::LegacyBinding legacy,
+                                            obs::Journal* journal,
+                                            std::string ulid) {
+  if (legacy.external == nullptr) {
+    return std::make_unique<AutomatonLegacy>(std::move(*legacy.hidden));
+  }
+  SubprocessConfig cfg =
+      configFromExternal(model, *legacy.external, legacy.instance);
+  cfg.journal = journal;
+  cfg.ulid = std::move(ulid);
+  return std::make_unique<SubprocessLegacy>(std::move(cfg));
 }
 
 }  // namespace mui::testing

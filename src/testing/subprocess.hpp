@@ -40,6 +40,7 @@
 
 namespace mui::muml {
 struct ExternalLegacy;
+struct LegacyBinding;
 struct Model;
 }  // namespace mui::muml
 
@@ -168,5 +169,14 @@ class SubprocessLegacy final : public LegacyComponent {
 SubprocessConfig configFromExternal(const muml::Model& model,
                                     const muml::ExternalLegacy& ext,
                                     const std::string& instance = {});
+
+/// The component of a binding made by muml::bindIntegration over `model`:
+/// an AutomatonLegacy that takes over the renamed hidden automaton, or a
+/// SubprocessLegacy for the external clause (configFromExternal under the
+/// role instance) whose lifecycle events go to `journal` under `ulid`.
+std::unique_ptr<LegacyComponent> makeLegacy(const muml::Model& model,
+                                            muml::LegacyBinding legacy,
+                                            obs::Journal* journal = nullptr,
+                                            std::string ulid = {});
 
 }  // namespace mui::testing

@@ -7,6 +7,8 @@
 
 #include "automata/automaton.hpp"
 #include "automata/signals.hpp"
+#include "muml/integration.hpp"
+#include "muml/loader.hpp"
 
 namespace mui::test {
 
@@ -32,5 +34,23 @@ inline automata::Interaction ia(automata::SignalTable& table,
 
 /// The idle step (∅, ∅).
 inline automata::Interaction idle() { return {}; }
+
+/// The paper's running example, models/railcab.muml. bind() puts a hidden
+/// rear shuttle (rearShipped, the correct firmware; rearFaulty, the faulty
+/// revision) into rearRole of DistanceCoordination, whose context is the
+/// front role.
+struct Railcab {
+  muml::Model model =
+      muml::loadModelFile(std::string(MUI_MODELS_DIR) + "/railcab.muml");
+
+  [[nodiscard]] muml::IntegrationBinding bind(const std::string& hidden) const {
+    return muml::bindIntegration(model, "DistanceCoordination", "rearRole",
+                                 hidden);
+  }
+  /// The pattern constraint of Fig. 1.
+  [[nodiscard]] const std::string& constraint() const {
+    return model.patterns.at("DistanceCoordination").constraint;
+  }
+};
 
 }  // namespace mui::test

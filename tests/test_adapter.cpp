@@ -81,21 +81,16 @@ struct RunStats {
 };
 
 RunStats runScenario(const muml::Model& model, const std::string& patternName,
-                     const std::string& roleName,
-                     mui::testing::LegacyComponent& legacy) {
-  const auto& pattern = model.patterns.at(patternName);
-  std::size_t roleIdx = pattern.roles.size();
-  for (std::size_t i = 0; i < pattern.roles.size(); ++i) {
-    if (pattern.roles[i].name == roleName) roleIdx = i;
-  }
-  EXPECT_LT(roleIdx, pattern.roles.size()) << "no role " << roleName;
-  const auto scenario = muml::makeIntegrationScenario(
-      pattern, roleIdx, model.signals, model.props);
+                     const std::string& roleName, const std::string& hidden) {
+  muml::IntegrationBinding binding =
+      muml::bindIntegration(model, patternName, roleName, hidden);
+  const auto legacy =
+      mui::testing::makeLegacy(model, std::move(binding.legacy));
   synthesis::IntegrationConfig cfg;
-  cfg.property = scenario.property;
+  cfg.property = binding.scenario.property;
   cfg.runId = "adapter-test";
-  const auto res =
-      synthesis::runIntegration(scenario.context, legacy, std::move(cfg));
+  const auto res = synthesis::runIntegration(binding.scenario.context,
+                                             *legacy, std::move(cfg));
   return {res.verdict, res.iterations, res.totalTestPeriods,
           res.totalLearnedFacts, res.explanation};
 }
@@ -487,11 +482,8 @@ TEST(DifferentialConformance, IntegrationVerdictsAndIterationsMatch) {
   // Watchdog: deviceImpl in-process vs the same automaton out-of-process.
   {
     const muml::Model m = loadFixture();
-    mui::testing::AutomatonLegacy ref(automata::withInstanceName(
-        m.automata.at("deviceImpl"), "device"));
-    mui::testing::SubprocessLegacy ext(cfgFor(m, "deviceOk"));
-    const RunStats a = runScenario(m, "Watchdog", "device", ref);
-    const RunStats b = runScenario(m, "Watchdog", "device", ext);
+    const RunStats a = runScenario(m, "Watchdog", "device", "deviceImpl");
+    const RunStats b = runScenario(m, "Watchdog", "device", "deviceOk");
     EXPECT_EQ(a.verdict, b.verdict);
     EXPECT_EQ(a.iterations, b.iterations);
     EXPECT_EQ(a.testPeriods, b.testPeriods);
@@ -501,11 +493,8 @@ TEST(DifferentialConformance, IntegrationVerdictsAndIterationsMatch) {
   // Bci: the mirror automaton vs the hand-written C firmware shim.
   {
     const muml::Model m = loadBci();
-    mui::testing::AutomatonLegacy ref(automata::withInstanceName(
-        m.automata.at("firmwareRef"), "firmware"));
-    mui::testing::SubprocessLegacy ext(cfgFor(m, "bciFirmware"));
-    const RunStats a = runScenario(m, "BciSession", "firmware", ref);
-    const RunStats b = runScenario(m, "BciSession", "firmware", ext);
+    const RunStats a = runScenario(m, "BciSession", "firmware", "firmwareRef");
+    const RunStats b = runScenario(m, "BciSession", "firmware", "bciFirmware");
     EXPECT_EQ(a.verdict, b.verdict);
     EXPECT_EQ(a.iterations, b.iterations);
     EXPECT_EQ(a.testPeriods, b.testPeriods);
@@ -518,8 +507,7 @@ TEST(DifferentialConformance, IntegrationVerdictsAndIterationsMatch) {
 
 TEST(GoldenAdapter, BciFirmwareProvenInFiveIterations) {
   const muml::Model m = loadBci();
-  mui::testing::SubprocessLegacy fw(cfgFor(m, "bciFirmware"));
-  const RunStats g = runScenario(m, "BciSession", "firmware", fw);
+  const RunStats g = runScenario(m, "BciSession", "firmware", "bciFirmware");
   EXPECT_EQ(g.verdict, synthesis::Verdict::ProvenCorrect);
   EXPECT_EQ(g.iterations, 5u);
   EXPECT_EQ(g.testPeriods, 40u);
@@ -530,9 +518,8 @@ TEST(GoldenAdapter, BciFirmwareProvenInFiveIterations) {
 
 TEST(VerifierContainment, HangYieldsTheDistinctAdapterFailureVerdict) {
   const muml::Model m = loadFixture();
-  mui::testing::SubprocessLegacy dev(cfgFor(m, "deviceHang"));
   const auto t0 = std::chrono::steady_clock::now();
-  const RunStats g = runScenario(m, "Watchdog", "device", dev);
+  const RunStats g = runScenario(m, "Watchdog", "device", "deviceHang");
   const auto elapsedMs = std::chrono::duration<double, std::milli>(
                              std::chrono::steady_clock::now() - t0)
                              .count();
@@ -550,8 +537,7 @@ TEST(VerifierContainment, CrashYieldsAdapterFailureAndCountsRespawns) {
                    "replay)")
           .value();
   const muml::Model m = loadFixture();
-  mui::testing::SubprocessLegacy dev(cfgFor(m, "deviceCrash"));
-  const RunStats g = runScenario(m, "Watchdog", "device", dev);
+  const RunStats g = runScenario(m, "Watchdog", "device", "deviceCrash");
   EXPECT_EQ(g.verdict, synthesis::Verdict::AdapterFailure);
   EXPECT_NE(g.explanation.find("respawn budget"), std::string::npos)
       << g.explanation;

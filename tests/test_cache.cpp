@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -134,6 +135,52 @@ TEST(ResultCacheCollision, SameHashDifferentMaterialIsAMissNotAHit) {
   const auto hit = cache.lookup(a);
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(hit->explanation, "A's verdict");
+}
+
+// ------------------------------------------------------------ single flight
+
+TEST(ResultCacheClaim, WaitersGetTheStoredOutcomeOrInheritAReleasedKey) {
+  ResultCache cache;
+  const auto blockOn = [&cache](const JobKey& key,
+                                std::optional<CachedOutcome>& seen) {
+    return std::thread([&cache, &key, &seen] {
+      ResultCache::Claim claim;
+      seen = cache.claim(key, claim);
+      if (!seen) cache.store(key, proven("the waiter's run"));
+    });
+  };
+  const auto waitUntilBlocked = [&cache](std::size_t waits) {
+    while (cache.waits() < waits) std::this_thread::yield();
+  };
+
+  // The owner stores: the waiter is served its outcome as one hit.
+  const JobKey stored = engine::makeJobKey("stored", job("P", "r", "h"), 0);
+  ResultCache::Claim owner;
+  EXPECT_FALSE(cache.claim(stored, owner).has_value());
+  std::optional<CachedOutcome> seen;
+  std::thread waiter = blockOn(stored, seen);
+  waitUntilBlocked(1);
+  cache.store(stored, proven("the owner's run"));
+  waiter.join();
+  ASSERT_TRUE(seen.has_value());
+  EXPECT_EQ(seen->explanation, "the owner's run");
+  EXPECT_EQ(cache.hits(), 1u);
+  EXPECT_EQ(cache.misses(), 1u);
+
+  // The owner lets go without storing (a timeout, say): the waiter becomes
+  // the owner and runs the job itself.
+  const JobKey released = engine::makeJobKey("released", job("P", "r", "h"), 0);
+  EXPECT_FALSE(cache.claim(released, owner).has_value());
+  waiter = blockOn(released, seen);
+  waitUntilBlocked(2);
+  owner.release();
+  waiter.join();
+  EXPECT_FALSE(seen.has_value());
+  EXPECT_EQ(cache.hits(), 1u);
+  EXPECT_EQ(cache.misses(), 3u);
+  const auto hit = cache.lookup(released);
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(hit->explanation, "the waiter's run");
 }
 
 // --------------------------------------------------------------- TextCache

@@ -11,7 +11,6 @@
 #include <string>
 #include <vector>
 
-#include "automata/rename.hpp"
 #include "engine/cache.hpp"
 #include "engine/engine.hpp"
 #include "engine/manifest.hpp"
@@ -22,7 +21,7 @@
 #include "obs/journal.hpp"
 #include "obs/stats.hpp"
 #include "synthesis/verifier.hpp"
-#include "testing/legacy.hpp"
+#include "testing/subprocess.hpp"
 #include "util/parse.hpp"
 
 namespace {
@@ -224,16 +223,15 @@ TEST(ResultCache, CountsHitsAndMisses) {
 
 TEST(Cancellation, AlwaysTrueHookYieldsCancelledVerdict) {
   const auto model = muml::loadModelFile(kWatchdog);
-  const auto& pattern = model.patterns.at("Watchdog");
-  const auto scenario = muml::makeIntegrationScenario(pattern, /*roleIdx=*/1,
-                                                      model.signals,
-                                                      model.props);
-  mui::testing::AutomatonLegacy legacy(automata::withInstanceName(
-      model.automata.at("deviceCompliant"), "device"));
+  auto binding =
+      muml::bindIntegration(model, "Watchdog", "device", "deviceCompliant");
+  const auto legacy =
+      mui::testing::makeLegacy(model, std::move(binding.legacy));
   synthesis::IntegrationConfig cfg;
-  cfg.property = scenario.property;
+  cfg.property = binding.scenario.property;
   cfg.cancelRequested = [] { return true; };
-  const auto res = synthesis::runIntegration(scenario.context, legacy, cfg);
+  const auto res =
+      synthesis::runIntegration(binding.scenario.context, *legacy, cfg);
   EXPECT_EQ(res.verdict, synthesis::Verdict::Cancelled);
 }
 
@@ -305,6 +303,21 @@ TEST(Batch, ConcurrentVerdictsMatchSequential) {
   EXPECT_EQ(seq.cacheHits + seq.cacheMisses, jobs.size());
 }
 
+TEST(Batch, ConcurrentDuplicatesRunTheLoopOnce) {
+  // The twin starts while the first job runs, so it misses the cache; it
+  // must wait for the first result instead of running the loop again.
+  const std::vector<Job> jobs = {railcabJob("first", "rearShipped"),
+                                 railcabJob("twin", "rearShipped")};
+  engine::BatchOptions options;
+  options.threads = 2;
+  const auto report = engine::runBatch(jobs, options);
+  ASSERT_EQ(report.results.size(), 2u);
+  EXPECT_EQ(report.results[0].status, JobStatus::Proven);
+  EXPECT_EQ(report.results[1].status, JobStatus::Proven);
+  EXPECT_EQ(report.cacheHits, 1u);
+  EXPECT_EQ(report.cacheMisses, 1u);
+}
+
 TEST(Batch, DeadlineJobTimesOutWithoutHurtingTheBatch) {
   std::vector<Job> jobs;
   Job impatient = railcabJob("impatient", "rearShipped");
@@ -335,11 +348,14 @@ TEST(Batch, BrokenJobsBecomeEngineErrorRows) {
   Job badHidden = watchdogJob("bad-hidden", "deviceGhost");
   jobs.push_back(badHidden);
   jobs.push_back(watchdogJob("fine", "deviceCompliant"));
+  Job badRole = watchdogJob("bad-role", "deviceCompliant");
+  badRole.legacyRole = "noSuchRole";
+  jobs.push_back(badRole);
 
   engine::BatchOptions options;
   options.threads = 2;
   const auto report = engine::runBatch(jobs, options);
-  ASSERT_EQ(report.results.size(), 4u);
+  ASSERT_EQ(report.results.size(), 5u);
   EXPECT_EQ(report.results[0].status, JobStatus::EngineError);
   EXPECT_NE(report.results[0].explanation.find("cannot open"),
             std::string::npos);
@@ -348,7 +364,10 @@ TEST(Batch, BrokenJobsBecomeEngineErrorRows) {
             std::string::npos);
   EXPECT_EQ(report.results[2].status, JobStatus::EngineError);
   EXPECT_EQ(report.results[3].status, JobStatus::Proven);
-  EXPECT_EQ(report.count(JobStatus::EngineError), 3u);
+  EXPECT_EQ(report.results[4].status, JobStatus::EngineError);
+  EXPECT_NE(report.results[4].explanation.find("noSuchRole"),
+            std::string::npos);
+  EXPECT_EQ(report.count(JobStatus::EngineError), 4u);
 }
 
 TEST(Batch, ReportRenderingAndSummarySerialization) {

@@ -9,11 +9,10 @@
 
 #include <string>
 
-#include "automata/rename.hpp"
 #include "muml/integration.hpp"
 #include "muml/loader.hpp"
 #include "synthesis/verifier.hpp"
-#include "testing/legacy.hpp"
+#include "testing/subprocess.hpp"
 
 namespace mui {
 namespace {
@@ -29,23 +28,15 @@ Golden runGolden(const std::string& modelFile, const std::string& patternName,
                  const std::string& roleName, const std::string& hiddenName) {
   const muml::Model model =
       muml::loadModelFile(std::string(MUI_MODELS_DIR) + "/" + modelFile);
-  const auto& pattern = model.patterns.at(patternName);
-  std::size_t roleIdx = pattern.roles.size();
-  for (std::size_t i = 0; i < pattern.roles.size(); ++i) {
-    if (pattern.roles[i].name == roleName) roleIdx = i;
-  }
-  EXPECT_LT(roleIdx, pattern.roles.size()) << "no role " << roleName;
-
-  const auto scenario = muml::makeIntegrationScenario(
-      pattern, roleIdx, model.signals, model.props);
-  testing::AutomatonLegacy legacy(
-      automata::withInstanceName(model.automata.at(hiddenName), roleName));
+  muml::IntegrationBinding binding =
+      muml::bindIntegration(model, patternName, roleName, hiddenName);
+  const auto legacy = testing::makeLegacy(model, std::move(binding.legacy));
 
   synthesis::IntegrationConfig cfg;
-  cfg.property = scenario.property;
+  cfg.property = binding.scenario.property;
   cfg.runId = modelFile + ":" + hiddenName;
-  const auto res =
-      synthesis::runIntegration(scenario.context, legacy, std::move(cfg));
+  const auto res = synthesis::runIntegration(binding.scenario.context, *legacy,
+                                             std::move(cfg));
   return {res.verdict, res.iterations, res.totalTestPeriods,
           res.totalLearnedFacts};
 }

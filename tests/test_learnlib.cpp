@@ -12,14 +12,12 @@
 #include "helpers.hpp"
 #include "learnlib/bbc.hpp"
 #include "learnlib/lstar.hpp"
-#include "muml/shuttle.hpp"
 #include "testing/legacy.hpp"
 #include "util/rng.hpp"
 
 namespace mui::learnlib {
 namespace {
 
-namespace sh = muml::shuttle;
 using test::Tables;
 
 TEST(Dfa, BasicsAndAccessWords) {
@@ -86,8 +84,8 @@ TEST(Dfa, Equivalence) {
 }
 
 TEST(MembershipOracleTest, QueriesExecutableTracesAndCaches) {
-  Tables t;
-  testing::AutomatonLegacy legacy(sh::correctRearLegacy(t.signals, t.props));
+  const test::Railcab rc;
+  testing::AutomatonLegacy legacy(*rc.bind("rearShipped").legacy.hidden);
   const auto alphabet = automata::makeAlphabet(
       legacy.inputs(), legacy.outputs(),
       automata::InteractionMode::AtMostOneSignal);
@@ -102,10 +100,10 @@ TEST(MembershipOracleTest, QueriesExecutableTracesAndCaches) {
   };
   const Symbol idle = symOf({});
   automata::Interaction propose;
-  propose.out.set(t.signals->intern(sh::kConvoyProposal));
+  propose.out.set(rc.model.signals->intern("convoyProposal"));
   const Symbol prop = symOf(propose);
   automata::Interaction start;
-  start.in.set(t.signals->intern(sh::kStartConvoy));
+  start.in.set(rc.model.signals->intern("startConvoy"));
   const Symbol st = symOf(start);
 
   EXPECT_TRUE(oracle.member({}));
@@ -194,8 +192,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RivestSchapire,
                          ::testing::Range<std::uint64_t>(1, 7));
 
 TEST(WMethod, DrivesLStarToTheCorrectModel) {
-  Tables t;
-  const auto hidden = sh::correctRearLegacy(t.signals, t.props);
+  const test::Railcab rc;
+  const auto hidden = *rc.bind("rearShipped").legacy.hidden;
   const auto alphabet = automata::makeAlphabet(
       hidden.inputs(), hidden.outputs(),
       automata::InteractionMode::AtMostOneSignal);
@@ -264,18 +262,19 @@ TEST(WMethod, InsufficientStateBoundMissesDeepDifferences) {
 }
 
 TEST(Bbc, ShuttleVerdicts) {
-  Tables t;
-  const auto front = sh::frontRoleAutomaton(t.signals, t.props);
+  const test::Railcab rc;
+  const auto shipped = rc.bind("rearShipped");
+  const auto& front = shipped.scenario.context;
 
   BbcConfig cfg;
   cfg.stateBound = 7;
-  testing::AutomatonLegacy good(sh::correctRearLegacy(t.signals, t.props));
+  testing::AutomatonLegacy good(*shipped.legacy.hidden);
   const auto okRes = BlackBoxChecker(front, good, cfg).run();
   EXPECT_EQ(okRes.verdict, BbcVerdict::ProvenCorrectUpToBound)
       << okRes.explanation;
   EXPECT_GT(okRes.membershipQueries, 0u);
 
-  testing::AutomatonLegacy bad(sh::faultyRearLegacy(t.signals, t.props));
+  testing::AutomatonLegacy bad(*rc.bind("rearFaulty").legacy.hidden);
   BbcConfig cfgBad;
   cfgBad.stateBound = 4;
   const auto badRes = BlackBoxChecker(front, bad, cfgBad).run();

@@ -7,7 +7,6 @@
 #include "automata/minimize.hpp"
 #include "automata/random.hpp"
 #include "helpers.hpp"
-#include "muml/shuttle.hpp"
 #include "synthesis/verifier.hpp"
 #include "testing/legacy.hpp"
 #include "testing/legacy_shuttle.hpp"
@@ -15,16 +14,15 @@
 namespace mui::synthesis {
 namespace {
 
-namespace sh = muml::shuttle;
 using test::Tables;
 
 TEST(MinimizeContext, ShuttleVerdictsUnchanged) {
   for (const bool faulty : {false, true}) {
-    Tables t;
-    const auto front = sh::frontRoleAutomaton(t.signals, t.props);
-    testing::FirmwareShuttleLegacy legacy(t.signals, faulty);
+    const test::Railcab rc;
+    const auto front = rc.bind("rearShipped").scenario.context;
+    testing::FirmwareShuttleLegacy legacy(rc.model.signals, faulty);
     IntegrationConfig cfg;
-    cfg.property = sh::kPatternConstraint;
+    cfg.property = rc.constraint();
     cfg.minimizeContext = true;
     const auto res = IntegrationVerifier(front, legacy, cfg).run();
     EXPECT_EQ(res.verdict, faulty ? Verdict::RealError

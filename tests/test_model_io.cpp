@@ -9,7 +9,6 @@
 #include "helpers.hpp"
 #include "muml/integration.hpp"
 #include "muml/loader.hpp"
-#include "muml/shuttle.hpp"
 #include "muml/writer.hpp"
 #include "synthesis/verifier.hpp"
 #include "testing/legacy.hpp"
@@ -17,7 +16,6 @@
 namespace mui::muml {
 namespace {
 
-namespace sh = shuttle;
 using test::Tables;
 using test::ia;
 
@@ -180,34 +178,35 @@ TEST(Writer, RejectsNonRepresentableNames) {
 }
 
 TEST(IntegrationScenarioTest, ShuttleFromPattern) {
-  Tables t;
-  const auto pattern = sh::distanceCoordinationPattern();
+  const test::Railcab rc;
+  const auto& pattern = rc.model.patterns.at("DistanceCoordination");
   // The legacy component plays the rear role (index 1).
   const auto scenario =
-      makeIntegrationScenario(pattern, 1, t.signals, t.props);
+      makeIntegrationScenario(pattern, 1, rc.model.signals, rc.model.props);
   // The context is the front role; the property conjoins the constraint and
   // both role invariants.
   EXPECT_NE(scenario.property.find("rearRole.convoy"), std::string::npos);
   EXPECT_NE(scenario.property.find("AF[1,3]"), std::string::npos);
   EXPECT_NE(scenario.property.find("AF[1,6]"), std::string::npos);
 
-  testing::AutomatonLegacy good(sh::correctRearLegacy(t.signals, t.props));
+  testing::AutomatonLegacy good(*rc.bind("rearShipped").legacy.hidden);
   synthesis::IntegrationConfig cfg;
   cfg.property = scenario.property;
   const auto ok =
       synthesis::IntegrationVerifier(scenario.context, good, cfg).run();
   EXPECT_EQ(ok.verdict, synthesis::Verdict::ProvenCorrect) << ok.explanation;
 
-  testing::AutomatonLegacy bad(sh::faultyRearLegacy(t.signals, t.props));
+  testing::AutomatonLegacy bad(*rc.bind("rearFaulty").legacy.hidden);
   const auto err =
       synthesis::IntegrationVerifier(scenario.context, bad, cfg).run();
   EXPECT_EQ(err.verdict, synthesis::Verdict::RealError) << err.explanation;
 }
 
 TEST(IntegrationScenarioTest, Validation) {
-  Tables t;
-  const auto pattern = sh::distanceCoordinationPattern();
-  EXPECT_THROW(makeIntegrationScenario(pattern, 7, t.signals, t.props),
+  const test::Railcab rc;
+  EXPECT_THROW(makeIntegrationScenario(
+                   rc.model.patterns.at("DistanceCoordination"), 7,
+                   rc.model.signals, rc.model.props),
                std::out_of_range);
 }
 

@@ -12,7 +12,6 @@
 #include "helpers.hpp"
 #include "muml/channel.hpp"
 #include "muml/loader.hpp"
-#include "muml/shuttle.hpp"
 #include "muml/verify.hpp"
 #include "util/parse.hpp"
 
@@ -280,9 +279,10 @@ TEST(Loader, DefinitionLocationsAreRecorded) {
 TEST(Shuttle, PatternVerifies) {
   // Fig. 1: the DistanceCoordination pattern itself is correct — constraint,
   // both role invariants, and deadlock freedom hold for the role protocols.
-  Tables t;
+  const test::Railcab rc;
   const auto result =
-      verifyPattern(shuttle::distanceCoordinationPattern(), t.signals, t.props);
+      verifyPattern(rc.model.patterns.at("DistanceCoordination"),
+                    rc.model.signals, rc.model.props);
   EXPECT_TRUE(result.constraintHolds);
   EXPECT_TRUE(result.deadlockFree);
   ASSERT_EQ(result.roleInvariants.size(), 2u);
@@ -298,14 +298,15 @@ TEST(Shuttle, CorrectLegacyGroundTruth) {
   // Composing the *hidden* correct legacy behavior directly with the context
   // satisfies constraint and deadlock freedom — the integration loop must
   // end in ProvenCorrect for it (Thm. 2).
-  Tables t;
-  const auto front = shuttle::frontRoleAutomaton(t.signals, t.props);
-  const auto legacy = shuttle::correctRearLegacy(t.signals, t.props);
+  const test::Railcab rc;
+  const auto shipped = rc.bind("rearShipped");
+  const auto& front = shipped.scenario.context;
+  const auto& legacy = *shipped.legacy.hidden;
   ASSERT_TRUE(legacy.deterministic());
   const auto prod = automata::compose(front, legacy);
   ctl::VerifyOptions opts;
   const auto r = ctl::verify(
-      prod.automaton, ctl::parseFormula(shuttle::kPatternConstraint), opts);
+      prod.automaton, ctl::parseFormula(rc.constraint()), opts);
   EXPECT_TRUE(r.holds) << (r.counterexamples.empty()
                                ? ""
                                : prod.renderRun(r.cex().run));
@@ -314,15 +315,16 @@ TEST(Shuttle, CorrectLegacyGroundTruth) {
 TEST(Shuttle, FaultyLegacyGroundTruth) {
   // The faulty legacy violates the pattern constraint when composed with the
   // context: rear in convoy mode while front rejected the proposal.
-  Tables t;
-  const auto front = shuttle::frontRoleAutomaton(t.signals, t.props);
-  const auto legacy = shuttle::faultyRearLegacy(t.signals, t.props);
+  const test::Railcab rc;
+  const auto faulty = rc.bind("rearFaulty");
+  const auto& front = faulty.scenario.context;
+  const auto& legacy = *faulty.legacy.hidden;
   ASSERT_TRUE(legacy.deterministic());
   const auto prod = automata::compose(front, legacy);
   ctl::VerifyOptions opts;
   opts.requireDeadlockFree = false;
   const auto r = ctl::verify(
-      prod.automaton, ctl::parseFormula(shuttle::kPatternConstraint), opts);
+      prod.automaton, ctl::parseFormula(rc.constraint()), opts);
   ASSERT_FALSE(r.holds);
   EXPECT_EQ(r.cex().kind, ctl::Counterexample::Kind::Property);
   // Listing 1.4: the violating state pairs rear convoy with front noConvoy.
@@ -331,17 +333,16 @@ TEST(Shuttle, FaultyLegacyGroundTruth) {
 }
 
 TEST(Shuttle, PortRefinement) {
-  Tables t;
-  const auto pattern = shuttle::distanceCoordinationPattern();
-  const auto& rearRole = pattern.roles[1];
+  const test::Railcab rc;
+  const auto& rearRole = rc.model.patterns.at("DistanceCoordination").roles[1];
 
   // The faulty legacy is not even a trace refinement of the rear role: it
   // reaches convoy mode on a trace where the role is still in noConvoy
   // (condition 1), independent of refusals.
   Port faulty{"rearPort", "rearRole",
-              shuttle::faultyRearLegacy(t.signals, t.props)};
+              *rc.bind("rearFaulty").legacy.hidden};
   const auto bad =
-      checkPortRefinement(faulty, rearRole, t.signals, t.props,
+      checkPortRefinement(faulty, rearRole, rc.model.signals, rc.model.props,
                           automata::InteractionMode::AtMostOneSignal, true);
   EXPECT_FALSE(bad.holds);
   EXPECT_NE(bad.reason.find("condition 1"), std::string::npos) << bad.reason;
@@ -350,12 +351,13 @@ TEST(Shuttle, PortRefinement) {
   // only Def.-4 deviation is the committed internal schedule (it refuses
   // interactions the role merely *may* take), surfacing as condition 2.
   Port good{"rearPort", "rearRole",
-            shuttle::correctRearLegacy(t.signals, t.props)};
+            *rc.bind("rearShipped").legacy.hidden};
   const auto traceOnly =
-      checkPortRefinement(good, rearRole, t.signals, t.props,
+      checkPortRefinement(good, rearRole, rc.model.signals, rc.model.props,
                           automata::InteractionMode::AtMostOneSignal, true);
   EXPECT_TRUE(traceOnly.holds) << traceOnly.reason;
-  const auto full = checkPortRefinement(good, rearRole, t.signals, t.props);
+  const auto full =
+      checkPortRefinement(good, rearRole, rc.model.signals, rc.model.props);
   EXPECT_FALSE(full.holds);
   EXPECT_NE(full.reason.find("condition 2"), std::string::npos) << full.reason;
 }

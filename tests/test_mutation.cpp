@@ -9,7 +9,6 @@
 #include "ctl/counterexample.hpp"
 #include "ctl/parser.hpp"
 #include "helpers.hpp"
-#include "muml/shuttle.hpp"
 #include "synthesis/verifier.hpp"
 #include "testing/legacy.hpp"
 #include "testing/mutation.hpp"
@@ -17,12 +16,14 @@
 namespace mui::testing {
 namespace {
 
-namespace sh = muml::shuttle;
 using test::Tables;
 
+automata::Automaton shippedRear() {
+  return *test::Railcab().bind("rearShipped").legacy.hidden;
+}
+
 TEST(Mutation, OperatorsProduceTheAdvertisedChange) {
-  Tables t;
-  const auto original = sh::correctRearLegacy(t.signals, t.props);
+  const auto original = shippedRear();
 
   const auto del = mutateAutomaton(original, MutationOp::DeleteTransition, 3);
   ASSERT_TRUE(del.has_value());
@@ -50,8 +51,7 @@ TEST(Mutation, OperatorsProduceTheAdvertisedChange) {
 }
 
 TEST(Mutation, MutantsStayInputDeterministic) {
-  Tables t;
-  const auto original = sh::correctRearLegacy(t.signals, t.props);
+  const auto original = shippedRear();
   for (const auto op : {MutationOp::DeleteTransition, MutationOp::DropOutputs,
                         MutationOp::RedirectTarget}) {
     for (std::uint64_t seed = 1; seed <= 10; ++seed) {
@@ -64,8 +64,7 @@ TEST(Mutation, MutantsStayInputDeterministic) {
 }
 
 TEST(Mutation, DeterministicInSeed) {
-  Tables t;
-  const auto original = sh::correctRearLegacy(t.signals, t.props);
+  const auto original = shippedRear();
   const auto a = mutateAutomaton(original, MutationOp::RedirectTarget, 5);
   const auto b = mutateAutomaton(original, MutationOp::RedirectTarget, 5);
   ASSERT_TRUE(a && b);
@@ -91,9 +90,10 @@ TEST(Mutation, NoApplicableSiteReturnsNullopt) {
 class MutantAgreement : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(MutantAgreement, LoopVerdictMatchesGroundTruthOnEveryMutant) {
-  Tables t;
-  const auto front = sh::frontRoleAutomaton(t.signals, t.props);
-  const auto original = sh::correctRearLegacy(t.signals, t.props);
+  const test::Railcab rc;
+  const auto shipped = rc.bind("rearShipped");
+  const auto& front = shipped.scenario.context;
+  const auto& original = *shipped.legacy.hidden;
   const std::uint64_t seed = GetParam();
   for (const auto op : {MutationOp::DeleteTransition, MutationOp::DropOutputs,
                         MutationOp::RedirectTarget}) {
@@ -101,11 +101,11 @@ TEST_P(MutantAgreement, LoopVerdictMatchesGroundTruthOnEveryMutant) {
     ASSERT_TRUE(mutant.has_value());
     const bool truth =
         ctl::verify(automata::compose(front, mutant->first).automaton,
-                    ctl::parseFormula(sh::kPatternConstraint), {})
+                    ctl::parseFormula(rc.constraint()), {})
             .holds;
     AutomatonLegacy legacy(mutant->first);
     synthesis::IntegrationConfig cfg;
-    cfg.property = sh::kPatternConstraint;
+    cfg.property = rc.constraint();
     const auto res =
         synthesis::IntegrationVerifier(front, legacy, cfg).run();
     ASSERT_TRUE(res.verdict == synthesis::Verdict::ProvenCorrect ||

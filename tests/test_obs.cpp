@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "helpers.hpp"
-#include "muml/shuttle.hpp"
 #include "obs/journal.hpp"
 #include "obs/metrics.hpp"
 #include "obs/process.hpp"
@@ -329,17 +328,17 @@ TEST(Stats, WhitespaceOnlyLinesAreNotCountedAsMalformed) {
 }
 
 TEST(Stats, RealIntegrationRunProducesAggregatableJournal) {
-  namespace sh = muml::shuttle;
-  test::Tables t;
-  const auto front = sh::frontRoleAutomaton(t.signals, t.props);
-  testing::AutomatonLegacy legacy(sh::correctRearLegacy(t.signals, t.props));
+  const test::Railcab rc;
+  const auto shipped = rc.bind("rearShipped");
+  testing::AutomatonLegacy legacy(*shipped.legacy.hidden);
   Journal journal;
   synthesis::IntegrationConfig cfg;
-  cfg.property = sh::kPatternConstraint;
+  cfg.property = rc.constraint();
   cfg.journal = &journal;
   cfg.runId = "shuttle/rearRole/correct";
   const auto res =
-      synthesis::IntegrationVerifier(front, legacy, cfg).run();
+      synthesis::IntegrationVerifier(shipped.scenario.context, legacy, cfg)
+          .run();
   ASSERT_EQ(res.verdict, synthesis::Verdict::ProvenCorrect);
 
   // run_start + one event per iteration + verdict.

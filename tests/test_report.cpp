@@ -6,12 +6,11 @@
 
 #include <string>
 
-#include "automata/rename.hpp"
 #include "muml/integration.hpp"
 #include "muml/loader.hpp"
 #include "synthesis/report.hpp"
 #include "synthesis/verifier.hpp"
-#include "testing/legacy.hpp"
+#include "testing/subprocess.hpp"
 
 namespace {
 
@@ -111,15 +110,14 @@ TEST(RenderJournal, PropertyCexRowSaysProperty) {
 TEST(Report, RealWatchdogRunRendersProven) {
   const auto model =
       muml::loadModelFile(std::string(MUI_MODELS_DIR) + "/watchdog.muml");
-  const auto& pattern = model.patterns.at("Watchdog");
-  const auto scenario = muml::makeIntegrationScenario(pattern, /*roleIdx=*/1,
-                                                      model.signals,
-                                                      model.props);
-  mui::testing::AutomatonLegacy legacy(automata::withInstanceName(
-      model.automata.at("deviceCompliant"), "device"));
+  auto binding =
+      muml::bindIntegration(model, "Watchdog", "device", "deviceCompliant");
+  const auto legacy =
+      mui::testing::makeLegacy(model, std::move(binding.legacy));
   synthesis::IntegrationConfig cfg;
-  cfg.property = scenario.property;
-  const auto res = synthesis::runIntegration(scenario.context, legacy, cfg);
+  cfg.property = binding.scenario.property;
+  const auto res =
+      synthesis::runIntegration(binding.scenario.context, *legacy, cfg);
   ASSERT_EQ(res.verdict, Verdict::ProvenCorrect);
   EXPECT_EQ(synthesis::renderJournal(res).rfind("iter  model S/T/F", 0), 0u);
   EXPECT_EQ(synthesis::renderSummary(res).rfind("verdict: proven (", 0), 0u);

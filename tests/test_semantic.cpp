@@ -69,14 +69,12 @@ struct PresolveCase {
 analysis::PresolveOutcome presolveWatchdogDevice(const muml::Model& model,
                                                  const char* hidden,
                                                  const char* propertyOverride) {
-  const auto& pattern = model.patterns.at("Watchdog");
-  const auto scenario =
-      muml::makeIntegrationScenario(pattern, 1, model.signals, model.props);
-  const automata::Automaton stub =
-      automata::withInstanceName(model.automata.at(hidden), "device");
+  const auto binding =
+      muml::bindIntegration(model, "Watchdog", "device", hidden);
   return analysis::presolveIntegration(
-      scenario.context, stub,
-      propertyOverride != nullptr ? propertyOverride : scenario.property);
+      binding.scenario.context, *binding.legacy.hidden,
+      propertyOverride != nullptr ? propertyOverride
+                                  : binding.scenario.property);
 }
 
 TEST(Presolve, DecidesTheWatchdogCampaignStatically) {

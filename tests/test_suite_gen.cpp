@@ -6,7 +6,6 @@
 
 #include "helpers.hpp"
 #include "util/parse.hpp"
-#include "muml/shuttle.hpp"
 #include "synthesis/test_suite.hpp"
 #include "synthesis/verifier.hpp"
 #include "testing/legacy.hpp"
@@ -15,39 +14,37 @@
 namespace mui::synthesis {
 namespace {
 
-namespace sh = muml::shuttle;
 using test::Tables;
 
-ComponentTestSuite recordFromCorrectRun(const Tables& t,
-                                        const automata::Automaton& front) {
-  testing::FirmwareShuttleLegacy firmware(t.signals, false);
+ComponentTestSuite recordFromCorrectRun(const test::Railcab& rc) {
+  testing::FirmwareShuttleLegacy firmware(rc.model.signals, false);
   IntegrationConfig cfg;
-  cfg.property = sh::kPatternConstraint;
+  cfg.property = rc.constraint();
   cfg.recordTests = true;
-  const auto res = IntegrationVerifier(front, firmware, cfg).run();
+  const auto res = IntegrationVerifier(rc.bind("rearShipped").scenario.context,
+                                       firmware, cfg)
+                       .run();
   EXPECT_EQ(res.verdict, Verdict::ProvenCorrect);
   EXPECT_EQ(res.recordedTests.size(), 1u);
   return res.recordedTests[0];
 }
 
 TEST(TestSuiteGen, RecordsEveryExecutedTest) {
-  Tables t;
-  const auto front = sh::frontRoleAutomaton(t.signals, t.props);
-  const auto suite = recordFromCorrectRun(t, front);
+  const test::Railcab rc;
+  const auto suite = recordFromCorrectRun(rc);
   ASSERT_GT(suite.size(), 0u);
   // Names carry the iteration and the counterexample kind.
   EXPECT_NE(suite.tests[0].name.find("iter"), std::string::npos);
   // Rendering mentions the monitored states.
-  const std::string text = renderSuite(suite, *t.signals);
+  const std::string text = renderSuite(suite, *rc.model.signals);
   EXPECT_NE(text.find("noConvoy"), std::string::npos);
 }
 
 TEST(TestSuiteGen, SameRevisionPassesTheSuite) {
-  Tables t;
-  const auto front = sh::frontRoleAutomaton(t.signals, t.props);
-  const auto suite = recordFromCorrectRun(t, front);
-  testing::FirmwareShuttleLegacy again(t.signals, false);
-  const auto run = runSuite(suite, again, *t.signals);
+  const test::Railcab rc;
+  const auto suite = recordFromCorrectRun(rc);
+  testing::FirmwareShuttleLegacy again(rc.model.signals, false);
+  const auto run = runSuite(suite, again, *rc.model.signals);
   EXPECT_TRUE(run.allPassed())
       << (run.failures.empty() ? "" : run.failures[0]);
   EXPECT_EQ(run.passed, suite.size());
@@ -56,11 +53,10 @@ TEST(TestSuiteGen, SameRevisionPassesTheSuite) {
 TEST(TestSuiteGen, RegressionIsDetected) {
   // The faulty revision must fail the suite recorded from the shipped one —
   // without re-running verification.
-  Tables t;
-  const auto front = sh::frontRoleAutomaton(t.signals, t.props);
-  const auto suite = recordFromCorrectRun(t, front);
-  testing::FirmwareShuttleLegacy regressed(t.signals, true);
-  const auto run = runSuite(suite, regressed, *t.signals);
+  const test::Railcab rc;
+  const auto suite = recordFromCorrectRun(rc);
+  testing::FirmwareShuttleLegacy regressed(rc.model.signals, true);
+  const auto run = runSuite(suite, regressed, *rc.model.signals);
   EXPECT_FALSE(run.allPassed());
   EXPECT_LT(run.passed, suite.size());
   // The failure message points at the first divergence.
@@ -69,30 +65,30 @@ TEST(TestSuiteGen, RegressionIsDetected) {
 }
 
 TEST(TestSuiteGen, AutomatonBackedComponentsWorkToo) {
-  Tables t;
-  const auto front = sh::frontRoleAutomaton(t.signals, t.props);
-  testing::AutomatonLegacy legacy(sh::correctRearLegacy(t.signals, t.props));
+  const test::Railcab rc;
+  const auto shipped = rc.bind("rearShipped");
+  testing::AutomatonLegacy legacy(*shipped.legacy.hidden);
   IntegrationConfig cfg;
-  cfg.property = sh::kPatternConstraint;
+  cfg.property = rc.constraint();
   cfg.recordTests = true;
-  const auto res = IntegrationVerifier(front, legacy, cfg).run();
+  const auto res =
+      IntegrationVerifier(shipped.scenario.context, legacy, cfg).run();
   ASSERT_EQ(res.verdict, Verdict::ProvenCorrect);
   const auto& suite = res.recordedTests[0];
   // The reference automaton implements the same behavior as the firmware:
   // it passes the suite recorded from its own run...
-  testing::AutomatonLegacy again(sh::correctRearLegacy(t.signals, t.props));
-  EXPECT_TRUE(runSuite(suite, again, *t.signals).allPassed());
+  testing::AutomatonLegacy again(*shipped.legacy.hidden);
+  EXPECT_TRUE(runSuite(suite, again, *rc.model.signals).allPassed());
   // ... and the firmware (behaviorally identical) passes it as well.
-  testing::FirmwareShuttleLegacy fw(t.signals, false);
-  EXPECT_TRUE(runSuite(suite, fw, *t.signals).allPassed());
+  testing::FirmwareShuttleLegacy fw(rc.model.signals, false);
+  EXPECT_TRUE(runSuite(suite, fw, *rc.model.signals).allPassed());
 }
 
 TEST(TestSuiteGen, SerializationRoundTrip) {
-  Tables t;
-  const auto front = sh::frontRoleAutomaton(t.signals, t.props);
-  const auto suite = recordFromCorrectRun(t, front);
-  const std::string text = writeSuite(suite, *t.signals);
-  const auto parsed = parseSuite(text, *t.signals);
+  const test::Railcab rc;
+  const auto suite = recordFromCorrectRun(rc);
+  const std::string text = writeSuite(suite, *rc.model.signals);
+  const auto parsed = parseSuite(text, *rc.model.signals);
   ASSERT_EQ(parsed.size(), suite.size());
   // Structural identity...
   for (std::size_t i = 0; i < suite.size(); ++i) {
@@ -108,12 +104,12 @@ TEST(TestSuiteGen, SerializationRoundTrip) {
               suite.tests[i].expected.blocked);
   }
   // ... and idempotence of the writer.
-  EXPECT_EQ(writeSuite(parsed, *t.signals), text);
+  EXPECT_EQ(writeSuite(parsed, *rc.model.signals), text);
   // The reloaded suite is as discriminating as the original.
-  testing::FirmwareShuttleLegacy good(t.signals, false);
-  EXPECT_TRUE(runSuite(parsed, good, *t.signals).allPassed());
-  testing::FirmwareShuttleLegacy bad(t.signals, true);
-  EXPECT_FALSE(runSuite(parsed, bad, *t.signals).allPassed());
+  testing::FirmwareShuttleLegacy good(rc.model.signals, false);
+  EXPECT_TRUE(runSuite(parsed, good, *rc.model.signals).allPassed());
+  testing::FirmwareShuttleLegacy bad(rc.model.signals, true);
+  EXPECT_FALSE(runSuite(parsed, bad, *rc.model.signals).allPassed());
 }
 
 TEST(TestSuiteGen, ParseErrors) {

@@ -11,7 +11,6 @@
 #include "automata/random.hpp"
 #include "ctl/parser.hpp"
 #include "helpers.hpp"
-#include "muml/shuttle.hpp"
 #include "synthesis/initial.hpp"
 #include "synthesis/verifier.hpp"
 #include "testing/legacy.hpp"
@@ -20,13 +19,12 @@
 namespace mui::synthesis {
 namespace {
 
-namespace sh = muml::shuttle;
 using test::Tables;
 
 TEST(InitialSynthesis, BuildsTrivialModel) {
-  Tables t;
-  testing::AutomatonLegacy legacy(sh::correctRearLegacy(t.signals, t.props));
-  const auto m = initialModel(legacy, t.signals, t.props);
+  const test::Railcab rc;
+  testing::AutomatonLegacy legacy(*rc.bind("rearShipped").legacy.hidden);
+  const auto m = initialModel(legacy, rc.model.signals, rc.model.props);
   EXPECT_EQ(m.base().stateCount(), 1u);
   EXPECT_EQ(m.base().transitionCount(), 0u);
   EXPECT_EQ(m.forbiddenCount(), 0u);
@@ -35,21 +33,23 @@ TEST(InitialSynthesis, BuildsTrivialModel) {
   EXPECT_TRUE(m.base().inputs() == legacy.inputs());
   EXPECT_TRUE(m.base().outputs() == legacy.outputs());
   // Labeled hierarchically for the pattern constraint.
-  EXPECT_TRUE(t.props->lookup("rearRole.noConvoy").has_value());
+  EXPECT_TRUE(rc.model.props->lookup("rearRole.noConvoy").has_value());
 }
 
-IntegrationConfig shuttleConfig(bool keepTraces = false) {
+IntegrationConfig shuttleConfig(const test::Railcab& rc,
+                                bool keepTraces = false) {
   IntegrationConfig cfg;
-  cfg.property = sh::kPatternConstraint;
+  cfg.property = rc.constraint();
   cfg.keepTraces = keepTraces;
   return cfg;
 }
 
 TEST(Shuttle, CorrectLegacyProvenCorrect) {
-  Tables t;
-  const auto front = sh::frontRoleAutomaton(t.signals, t.props);
-  testing::AutomatonLegacy legacy(sh::correctRearLegacy(t.signals, t.props));
-  IntegrationVerifier verifier(front, legacy, shuttleConfig());
+  const test::Railcab rc;
+  const auto shipped = rc.bind("rearShipped");
+  const auto& front = shipped.scenario.context;
+  testing::AutomatonLegacy legacy(*shipped.legacy.hidden);
+  IntegrationVerifier verifier(front, legacy, shuttleConfig(rc));
   const auto res = verifier.run();
   EXPECT_EQ(res.verdict, Verdict::ProvenCorrect) << res.explanation;
   ASSERT_FALSE(res.journal.empty());
@@ -70,10 +70,11 @@ TEST(Shuttle, CorrectLegacyProvenCorrect) {
 }
 
 TEST(Shuttle, FaultyLegacyRealErrorViaFastConflictDetection) {
-  Tables t;
-  const auto front = sh::frontRoleAutomaton(t.signals, t.props);
-  testing::AutomatonLegacy legacy(sh::faultyRearLegacy(t.signals, t.props));
-  IntegrationVerifier verifier(front, legacy, shuttleConfig(true));
+  const test::Railcab rc;
+  const auto faulty = rc.bind("rearFaulty");
+  const auto& front = faulty.scenario.context;
+  testing::AutomatonLegacy legacy(*faulty.legacy.hidden);
+  IntegrationVerifier verifier(front, legacy, shuttleConfig(rc, true));
   const auto res = verifier.run();
   ASSERT_EQ(res.verdict, Verdict::RealError) << res.explanation;
   // Listing 1.4: the conflict is detected within the synthesized behavior.
@@ -95,30 +96,32 @@ TEST(Shuttle, FaultyLegacyRealErrorViaFastConflictDetection) {
 TEST(Shuttle, FirmwareLegacyBehavesLikeReference) {
   // The hand-written firmware drives to the same verdicts as the reference
   // automata (correct -> proven, faulty -> real error).
-  Tables t;
-  const auto front = sh::frontRoleAutomaton(t.signals, t.props);
-  testing::FirmwareShuttleLegacy good(t.signals, false);
-  EXPECT_EQ(IntegrationVerifier(front, good, shuttleConfig()).run().verdict,
+  const test::Railcab rc;
+  const auto front = rc.bind("rearShipped").scenario.context;
+  testing::FirmwareShuttleLegacy good(rc.model.signals, false);
+  EXPECT_EQ(IntegrationVerifier(front, good, shuttleConfig(rc)).run().verdict,
             Verdict::ProvenCorrect);
-  testing::FirmwareShuttleLegacy bad(t.signals, true);
-  EXPECT_EQ(IntegrationVerifier(front, bad, shuttleConfig()).run().verdict,
+  testing::FirmwareShuttleLegacy bad(rc.model.signals, true);
+  EXPECT_EQ(IntegrationVerifier(front, bad, shuttleConfig(rc)).run().verdict,
             Verdict::RealError);
 }
 
 TEST(Shuttle, IterationLimitVerdict) {
-  Tables t;
-  const auto front = sh::frontRoleAutomaton(t.signals, t.props);
-  testing::AutomatonLegacy legacy(sh::correctRearLegacy(t.signals, t.props));
-  auto cfg = shuttleConfig();
+  const test::Railcab rc;
+  const auto shipped = rc.bind("rearShipped");
+  const auto& front = shipped.scenario.context;
+  testing::AutomatonLegacy legacy(*shipped.legacy.hidden);
+  auto cfg = shuttleConfig(rc);
   cfg.maxIterations = 1;
   const auto res = IntegrationVerifier(front, legacy, cfg).run();
   EXPECT_EQ(res.verdict, Verdict::IterationLimit);
 }
 
 TEST(Shuttle, UnsupportedPropertyShape) {
-  Tables t;
-  const auto front = sh::frontRoleAutomaton(t.signals, t.props);
-  testing::AutomatonLegacy legacy(sh::correctRearLegacy(t.signals, t.props));
+  const test::Railcab rc;
+  const auto shipped = rc.bind("rearShipped");
+  const auto& front = shipped.scenario.context;
+  testing::AutomatonLegacy legacy(*shipped.legacy.hidden);
   IntegrationConfig cfg;
   cfg.property = "EF ghost_state";  // fails; EF has no exact witness
   const auto res = IntegrationVerifier(front, legacy, cfg).run();
@@ -262,25 +265,25 @@ TEST(MultiLegacy, TwoComponentsAgainstAJointContext) {
 TEST(Strategies, SearchAndBatchVariantsAgreeOnTheVerdict) {
   // E7: depth-first search and multiple counterexamples per check are
   // performance knobs, not semantics — verdicts must not change.
-  Tables t;
-  const auto front = sh::frontRoleAutomaton(t.signals, t.props);
+  const test::Railcab rc;
   for (const bool faulty : {false, true}) {
-    const auto hidden = faulty ? sh::faultyRearLegacy(t.signals, t.props)
-                               : sh::correctRearLegacy(t.signals, t.props);
+    const auto binding = rc.bind(faulty ? "rearFaulty" : "rearShipped");
+    const auto& front = binding.scenario.context;
+    const auto& hidden = *binding.legacy.hidden;
     const Verdict expected =
         faulty ? Verdict::RealError : Verdict::ProvenCorrect;
 
-    auto dfs = shuttleConfig();
+    auto dfs = shuttleConfig(rc);
     dfs.search = ctl::CexSearch::DepthFirst;
     testing::AutomatonLegacy l1(hidden);
     EXPECT_EQ(IntegrationVerifier(front, l1, dfs).run().verdict, expected);
 
-    auto batch = shuttleConfig();
+    auto batch = shuttleConfig(rc);
     batch.counterexamplesPerCheck = 4;
     testing::AutomatonLegacy l2(hidden);
     EXPECT_EQ(IntegrationVerifier(front, l2, batch).run().verdict, expected);
 
-    auto exact = shuttleConfig();
+    auto exact = shuttleConfig(rc);
     exact.closureStyle = automata::ClosureStyle::PaperExact;
     testing::AutomatonLegacy l3(hidden);
     const auto res = IntegrationVerifier(front, l3, exact).run();

@@ -7,7 +7,6 @@
 
 #include "automata/conformance.hpp"
 #include "helpers.hpp"
-#include "muml/shuttle.hpp"
 #include "testing/composite.hpp"
 #include "testing/driver.hpp"
 #include "testing/legacy.hpp"
@@ -18,7 +17,6 @@
 namespace mui::testing {
 namespace {
 
-namespace sh = muml::shuttle;
 using test::Tables;
 using test::ia;
 
@@ -39,8 +37,8 @@ TEST(AutomatonLegacy, RejectsInputNondeterminism) {
 }
 
 TEST(AutomatonLegacy, StepBlockResetClone) {
-  Tables t;
-  AutomatonLegacy legacy(sh::correctRearLegacy(t.signals, t.props));
+  const test::Railcab rc;
+  AutomatonLegacy legacy(*rc.bind("rearShipped").legacy.hidden);
   EXPECT_EQ(legacy.currentStateName(), "noConvoy::default");
   // Idle tick arms the proposal.
   auto out = legacy.step({});
@@ -48,20 +46,20 @@ TEST(AutomatonLegacy, StepBlockResetClone) {
   EXPECT_TRUE(out->empty());
   out = legacy.step({});
   ASSERT_TRUE(out.has_value());
-  EXPECT_EQ(*out, one(t.signals, sh::kConvoyProposal));
+  EXPECT_EQ(*out, one(rc.model.signals, "convoyProposal"));
   EXPECT_EQ(legacy.currentStateName(), "noConvoy::wait");
 
   // Unsolicited startConvoy at wait is fine; but at default it is refused
   // and the state does not change.
   auto probe = legacy.clone();
-  EXPECT_TRUE(probe->step(one(t.signals, sh::kStartConvoy)).has_value());
+  EXPECT_TRUE(probe->step(one(rc.model.signals, "startConvoy")).has_value());
   EXPECT_EQ(probe->currentStateName(), "convoy::default");
   EXPECT_EQ(legacy.currentStateName(), "noConvoy::wait");  // clone detached
 
   legacy.reset();
   EXPECT_EQ(legacy.currentStateName(), "noConvoy::default");
   EXPECT_FALSE(
-      legacy.step(one(t.signals, sh::kStartConvoy)).has_value());
+      legacy.step(one(rc.model.signals, "startConvoy")).has_value());
   EXPECT_EQ(legacy.currentStateName(), "noConvoy::default");
 }
 
@@ -72,10 +70,10 @@ TEST_P(FirmwareEquivalence, FirmwareMatchesReferenceAutomaton) {
   // behaviorally identical: same outputs, same refusals, same state names,
   // under thousands of random input sequences.
   const bool faulty = GetParam();
-  Tables t;
-  AutomatonLegacy ref(faulty ? sh::faultyRearLegacy(t.signals, t.props)
-                             : sh::correctRearLegacy(t.signals, t.props));
-  FirmwareShuttleLegacy fw(t.signals, faulty);
+  const test::Railcab rc;
+  AutomatonLegacy ref(*rc.bind(faulty ? "rearFaulty" : "rearShipped")
+                           .legacy.hidden);
+  FirmwareShuttleLegacy fw(rc.model.signals, faulty);
   ASSERT_TRUE(ref.inputs() == fw.inputs());
   ASSERT_TRUE(ref.outputs() == fw.outputs());
 
@@ -127,7 +125,7 @@ TEST(Recorder, ProbeLevelsAndRendering) {
 }
 
 struct DriverFixture {
-  Tables t;
+  test::Railcab rc;
   AutomatonLegacy legacy;
   automata::Interaction idle;
   automata::Interaction propose;
@@ -135,16 +133,16 @@ struct DriverFixture {
   automata::Interaction start;
 
   DriverFixture()
-      : legacy(sh::correctRearLegacy(t.signals, t.props)),
+      : legacy(*rc.bind("rearShipped").legacy.hidden),
         idle{},
-        propose{{}, one(t.signals, sh::kConvoyProposal)},
-        reject{one(t.signals, sh::kConvoyProposalRejected), {}},
-        start{one(t.signals, sh::kStartConvoy), {}} {}
+        propose{{}, one(rc.model.signals, "convoyProposal")},
+        reject{one(rc.model.signals, "convoyProposalRejected"), {}},
+        start{one(rc.model.signals, "startConvoy"), {}} {}
 };
 
 TEST(Driver, ConfirmedRun) {
   DriverFixture f;
-  CounterexampleTestDriver driver(f.legacy, *f.t.signals);
+  CounterexampleTestDriver driver(f.legacy, *f.rc.model.signals);
   const auto outcome =
       driver.execute({f.idle, f.propose, f.start});
   EXPECT_EQ(outcome.kind, TestOutcome::Kind::Confirmed);
@@ -154,7 +152,8 @@ TEST(Driver, ConfirmedRun) {
   EXPECT_EQ(outcome.observed.stateNames.back(), "convoy::default");
   EXPECT_FALSE(outcome.refusalRun.has_value());
   // The observed run is a real run of the hidden automaton.
-  automata::IncompleteAutomaton learned(f.t.signals, f.t.props, "rearRole");
+  automata::IncompleteAutomaton learned(f.rc.model.signals, f.rc.model.props,
+                                        "rearRole");
   learned.declareSignals(f.legacy.inputs(), f.legacy.outputs());
   learned.learn(outcome.observed);
   EXPECT_TRUE(automata::checkObservationConformance(learned, f.legacy.hidden())
@@ -173,7 +172,7 @@ TEST(Driver, ConfirmedRun) {
 
 TEST(Driver, DivergedRunLearnsActualAndRefused) {
   DriverFixture f;
-  CounterexampleTestDriver driver(f.legacy, *f.t.signals);
+  CounterexampleTestDriver driver(f.legacy, *f.rc.model.signals);
   // Expect the component to propose immediately; it actually idles first.
   const auto outcome = driver.execute({f.propose});
   EXPECT_EQ(outcome.kind, TestOutcome::Kind::Diverged);
@@ -191,7 +190,7 @@ TEST(Driver, DivergedRunLearnsActualAndRefused) {
 
 TEST(Driver, BlockedRun) {
   DriverFixture f;
-  CounterexampleTestDriver driver(f.legacy, *f.t.signals);
+  CounterexampleTestDriver driver(f.legacy, *f.rc.model.signals);
   // startConvoy at the initial state is refused outright.
   const auto outcome = driver.execute({f.start});
   EXPECT_EQ(outcome.kind, TestOutcome::Kind::Blocked);
@@ -206,16 +205,16 @@ TEST(Driver, BlockedRun) {
 
 TEST(Driver, CountsPeriods) {
   DriverFixture f;
-  CounterexampleTestDriver driver(f.legacy, *f.t.signals);
+  CounterexampleTestDriver driver(f.legacy, *f.rc.model.signals);
   driver.execute({f.idle, f.propose, f.reject});
   // Phase 1: 3 steps; phase 2 replays them.
   EXPECT_EQ(driver.periodsDriven(), 6u);
 }
 
 TEST(Runtime, CorrectFirmwareRunsWithoutDeadlock) {
-  Tables t;
-  const auto front = sh::frontRoleAutomaton(t.signals, t.props);
-  FirmwareShuttleLegacy fw(t.signals, /*faultyRevision=*/false);
+  const test::Railcab rc;
+  const auto front = rc.bind("rearShipped").scenario.context;
+  FirmwareShuttleLegacy fw(rc.model.signals, /*faultyRevision=*/false);
   PeriodicRuntime rt(front, fw, 7);
   Recorder rec(ProbeLevel::Full);
   EXPECT_EQ(rt.run(60, rec), 60u);
@@ -224,9 +223,9 @@ TEST(Runtime, CorrectFirmwareRunsWithoutDeadlock) {
 }
 
 TEST(Runtime, FaultyFirmwareDeadlocksAgainstTheContext) {
-  Tables t;
-  const auto front = sh::frontRoleAutomaton(t.signals, t.props);
-  FirmwareShuttleLegacy fw(t.signals, /*faultyRevision=*/true);
+  const test::Railcab rc;
+  const auto front = rc.bind("rearShipped").scenario.context;
+  FirmwareShuttleLegacy fw(rc.model.signals, /*faultyRevision=*/true);
   PeriodicRuntime rt(front, fw, 7);
   Recorder rec(ProbeLevel::ReplayOnly);
   // The faulty controller jumps to convoy mode and refuses the answer; the
@@ -235,17 +234,17 @@ TEST(Runtime, FaultyFirmwareDeadlocksAgainstTheContext) {
 }
 
 TEST(Composite, JointStepAndRefusal) {
-  Tables t;
+  const test::Railcab rc;
   auto l1 = std::make_unique<AutomatonLegacy>(
-      sh::correctRearLegacy(t.signals, t.props));
+      *rc.bind("rearShipped").legacy.hidden);
   // A second, I/O-disjoint component.
-  automata::Automaton b(t.signals, t.props, "aux");
+  automata::Automaton b(rc.model.signals, rc.model.props, "aux");
   b.addInput("aux_in");
   b.addOutput("aux_out");
   b.addState("u0");
   b.addState("u1");
   b.markInitial(0);
-  b.addTransition(0, ia(*t.signals, {"aux_in"}, {"aux_out"}), 1);
+  b.addTransition(0, ia(*rc.model.signals, {"aux_in"}, {"aux_out"}), 1);
   b.addTransition(1, {}, 1);
   auto l2 = std::make_unique<AutomatonLegacy>(b);
 
@@ -256,22 +255,23 @@ TEST(Composite, JointStepAndRefusal) {
 
   EXPECT_EQ(comp.currentStateName(), "noConvoy::default|u0");
   // Joint step: shuttle idles, aux consumes its input and answers.
-  const auto out = comp.step(one(t.signals, "aux_in"));
+  const auto out = comp.step(one(rc.model.signals, "aux_in"));
   ASSERT_TRUE(out.has_value());
-  EXPECT_EQ(*out, one(t.signals, "aux_out"));
+  EXPECT_EQ(*out, one(rc.model.signals, "aux_out"));
   EXPECT_EQ(comp.currentStateName(), "noConvoy::ready|u1");
   // If any part refuses, the joint step refuses and nothing moves.
-  const auto blocked = comp.step(one(t.signals, sh::kStartConvoy));
+  const auto blocked = comp.step(one(rc.model.signals, "startConvoy"));
   EXPECT_FALSE(blocked.has_value());
   EXPECT_EQ(comp.currentStateName(), "noConvoy::ready|u1");
 }
 
 TEST(Composite, RequiresDisjointInterfaces) {
-  Tables t;
+  const test::Railcab rc;
   std::vector<std::unique_ptr<LegacyComponent>> parts;
   parts.push_back(std::make_unique<AutomatonLegacy>(
-      sh::correctRearLegacy(t.signals, t.props)));
-  parts.push_back(std::make_unique<FirmwareShuttleLegacy>(t.signals, false));
+      *rc.bind("rearShipped").legacy.hidden));
+  parts.push_back(
+      std::make_unique<FirmwareShuttleLegacy>(rc.model.signals, false));
   EXPECT_THROW(CompositeLegacy{std::move(parts)}, std::invalid_argument);
 }
 

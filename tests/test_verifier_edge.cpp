@@ -9,7 +9,6 @@
 #include "automata/rename.hpp"
 #include "helpers.hpp"
 #include "muml/channel.hpp"
-#include "muml/shuttle.hpp"
 #include "synthesis/report.hpp"
 #include "synthesis/verifier.hpp"
 #include "testing/driver.hpp"
@@ -20,7 +19,6 @@
 namespace mui::synthesis {
 namespace {
 
-namespace sh = muml::shuttle;
 using test::Tables;
 using test::ia;
 
@@ -62,9 +60,10 @@ TEST(OptimisticClosure, BoundedLivenessNotBlamedOnIgnorance) {
   // reported as a real violation. The correct rear shuttle satisfies the
   // role invariant AG(wait -> AF[1,6] (default || convoy)); early learned
   // models end exactly at the `wait` frontier.
-  Tables t;
-  const auto front = sh::frontRoleAutomaton(t.signals, t.props);
-  testing::AutomatonLegacy legacy(sh::correctRearLegacy(t.signals, t.props));
+  const test::Railcab rc;
+  const auto shipped = rc.bind("rearShipped");
+  const auto& front = shipped.scenario.context;
+  testing::AutomatonLegacy legacy(*shipped.legacy.hidden);
   IntegrationConfig cfg;
   cfg.property =
       "AG (rearRole.noConvoy::wait -> AF[1,6] "
@@ -78,29 +77,30 @@ TEST(OptimisticClosure, RealBoundedLivenessViolationStillFound) {
   // response-time invariant: the front shuttle never answers because this
   // hidden behavior never proposes — instead we construct a rear that
   // proposes and then ignores the answer beyond the window via a detour.
-  Tables t;
-  automata::Automaton hidden(t.signals, t.props, "rearRole");
-  hidden.addInput(sh::kConvoyProposalRejected);
-  hidden.addInput(sh::kStartConvoy);
-  hidden.addInput(sh::kBreakConvoyRejected);
-  hidden.addInput(sh::kBreakConvoyAccepted);
-  hidden.addOutput(sh::kConvoyProposal);
-  hidden.addOutput(sh::kBreakConvoyProposal);
+  const test::Railcab rc;
+  automata::Automaton hidden(rc.model.signals, rc.model.props, "rearRole");
+  hidden.addInput("convoyProposalRejected");
+  hidden.addInput("startConvoy");
+  hidden.addInput("breakConvoyRejected");
+  hidden.addInput("breakConvoyAccepted");
+  hidden.addOutput("convoyProposal");
+  hidden.addOutput("breakConvoyProposal");
   const auto def = hidden.addState("noConvoy::default");
   const auto wait = hidden.addState("noConvoy::wait");
   for (automata::StateId s = 0; s < hidden.stateCount(); ++s) {
     hidden.labelWithStateName(s);
   }
   hidden.markInitial(def);
-  hidden.addTransition(def, ia(*t.signals, {}, {sh::kConvoyProposal}), wait);
+  hidden.addTransition(def, ia(*rc.model.signals, {}, {"convoyProposal"}),
+                       wait);
   // The defect: replies are *accepted* but looped back into wait — the
   // component never reaches default or convoy mode again.
   hidden.addTransition(wait, {}, wait);
   hidden.addTransition(
-      wait, ia(*t.signals, {sh::kConvoyProposalRejected}, {}), wait);
-  hidden.addTransition(wait, ia(*t.signals, {sh::kStartConvoy}, {}), wait);
+      wait, ia(*rc.model.signals, {"convoyProposalRejected"}, {}), wait);
+  hidden.addTransition(wait, ia(*rc.model.signals, {"startConvoy"}, {}), wait);
 
-  const auto front = sh::frontRoleAutomaton(t.signals, t.props);
+  const auto front = rc.bind("rearShipped").scenario.context;
   testing::AutomatonLegacy legacy(hidden);
   IntegrationConfig cfg;
   cfg.property =
@@ -115,36 +115,36 @@ TEST(QosContext, DelayBreaksTheSynchronousHandover) {
   // direct connector but desynchronizes over a 1-tick radio link (the
   // breakConvoyAccepted message is in flight while the front shuttle is
   // already back in noConvoy mode).
-  Tables t;
-  const auto front = sh::frontRoleAutomaton(t.signals, t.props);
+  const test::Railcab rc;
+  const auto front = rc.bind("rearShipped").scenario.context;
   const auto frontR = automata::renameSignals(
       front, {
-                 {sh::kConvoyProposal, "convoyProposal_d"},
-                 {sh::kBreakConvoyProposal, "breakConvoyProposal_d"},
-                 {sh::kConvoyProposalRejected, "convoyProposalRejected_u"},
-                 {sh::kStartConvoy, "startConvoy_u"},
-                 {sh::kBreakConvoyRejected, "breakConvoyRejected_u"},
-                 {sh::kBreakConvoyAccepted, "breakConvoyAccepted_u"},
+                 {"convoyProposal", "convoyProposal_d"},
+                 {"breakConvoyProposal", "breakConvoyProposal_d"},
+                 {"convoyProposalRejected", "convoyProposalRejected_u"},
+                 {"startConvoy", "startConvoy_u"},
+                 {"breakConvoyRejected", "breakConvoyRejected_u"},
+                 {"breakConvoyAccepted", "breakConvoyAccepted_u"},
              });
   const auto channel = muml::makeChannel(
-      t.signals, t.props,
+      rc.model.signals, rc.model.props,
       {"radio",
        {
-           {sh::kConvoyProposal, "convoyProposal_d"},
-           {sh::kBreakConvoyProposal, "breakConvoyProposal_d"},
-           {"convoyProposalRejected_u", sh::kConvoyProposalRejected},
-           {"startConvoy_u", sh::kStartConvoy},
-           {"breakConvoyRejected_u", sh::kBreakConvoyRejected},
-           {"breakConvoyAccepted_u", sh::kBreakConvoyAccepted},
+           {"convoyProposal", "convoyProposal_d"},
+           {"breakConvoyProposal", "breakConvoyProposal_d"},
+           {"convoyProposalRejected_u", "convoyProposalRejected"},
+           {"startConvoy_u", "startConvoy"},
+           {"breakConvoyRejected_u", "breakConvoyRejected"},
+           {"breakConvoyAccepted_u", "breakConvoyAccepted"},
        },
        /*delay=*/1,
        /*capacity=*/2,
        /*lossy=*/false});
   const auto context = automata::composeAll({&frontR, &channel}).automaton;
 
-  testing::FirmwareShuttleLegacy firmware(t.signals, false);
+  testing::FirmwareShuttleLegacy firmware(rc.model.signals, false);
   IntegrationConfig cfg;
-  cfg.property = sh::kPatternConstraint;
+  cfg.property = rc.constraint();
   const auto res = IntegrationVerifier(context, firmware, cfg).run();
   ASSERT_EQ(res.verdict, Verdict::RealError) << res.explanation;
   // The witness shows the rear still in convoy mode while the front left it.
@@ -153,20 +153,21 @@ TEST(QosContext, DelayBreaksTheSynchronousHandover) {
 }
 
 TEST(VerifierConfig, PropertyOnlyAndDeadlockOnly) {
-  Tables t;
-  const auto front = sh::frontRoleAutomaton(t.signals, t.props);
+  const test::Railcab rc;
+  const auto shipped = rc.bind("rearShipped");
+  const auto& front = shipped.scenario.context;
   // Deadlock check disabled: only the constraint is verified.
   {
-    testing::AutomatonLegacy legacy(sh::correctRearLegacy(t.signals, t.props));
+    testing::AutomatonLegacy legacy(*shipped.legacy.hidden);
     IntegrationConfig cfg;
-    cfg.property = sh::kPatternConstraint;
+    cfg.property = rc.constraint();
     cfg.requireDeadlockFree = false;
     const auto res = IntegrationVerifier(front, legacy, cfg).run();
     EXPECT_EQ(res.verdict, Verdict::ProvenCorrect) << res.explanation;
   }
   // Neither property nor deadlock requirement: vacuously proven at once.
   {
-    testing::AutomatonLegacy legacy(sh::correctRearLegacy(t.signals, t.props));
+    testing::AutomatonLegacy legacy(*shipped.legacy.hidden);
     IntegrationConfig cfg;
     cfg.requireDeadlockFree = false;
     const auto res = IntegrationVerifier(front, legacy, cfg).run();
@@ -179,23 +180,24 @@ TEST(VerifierConfig, PropertyOnlyAndDeadlockOnly) {
 TEST(VerifierConfig, StuckContextIsARealDeadlock) {
   // A context that refuses everything after one step: a real deadlock
   // regardless of the legacy behavior (the context model is authoritative).
-  Tables t;
-  automata::Automaton ctx(t.signals, t.props, "ctx");
-  ctx.addInput(sh::kConvoyProposal);  // reads but never enables it
+  const test::Railcab rc;
+  automata::Automaton ctx(rc.model.signals, rc.model.props, "ctx");
+  ctx.addInput("convoyProposal");  // reads but never enables it
   ctx.addState("only");
   ctx.markInitial(0);
-  testing::AutomatonLegacy legacy(sh::correctRearLegacy(t.signals, t.props));
+  testing::AutomatonLegacy legacy(*rc.bind("rearShipped").legacy.hidden);
   const auto res = IntegrationVerifier(ctx, legacy, {}).run();
   ASSERT_EQ(res.verdict, Verdict::RealError) << res.explanation;
   EXPECT_NE(res.explanation.find("deadlock"), std::string::npos);
 }
 
 TEST(Report, JournalAndSummary) {
-  Tables t;
-  const auto front = sh::frontRoleAutomaton(t.signals, t.props);
-  testing::AutomatonLegacy legacy(sh::correctRearLegacy(t.signals, t.props));
+  const test::Railcab rc;
+  const auto shipped = rc.bind("rearShipped");
+  const auto& front = shipped.scenario.context;
+  testing::AutomatonLegacy legacy(*shipped.legacy.hidden);
   IntegrationConfig cfg;
-  cfg.property = sh::kPatternConstraint;
+  cfg.property = rc.constraint();
   const auto res = IntegrationVerifier(front, legacy, cfg).run();
   const std::string journal = renderJournal(res);
   EXPECT_NE(journal.find("iter"), std::string::npos);
@@ -207,9 +209,9 @@ TEST(Report, JournalAndSummary) {
 }
 
 TEST(DriverEdge, EmptyTestIsTriviallyConfirmed) {
-  Tables t;
-  testing::AutomatonLegacy legacy(sh::correctRearLegacy(t.signals, t.props));
-  testing::CounterexampleTestDriver driver(legacy, *t.signals);
+  const test::Railcab rc;
+  testing::AutomatonLegacy legacy(*rc.bind("rearShipped").legacy.hidden);
+  testing::CounterexampleTestDriver driver(legacy, *rc.model.signals);
   const auto outcome = driver.execute({});
   EXPECT_EQ(outcome.kind, testing::TestOutcome::Kind::Confirmed);
   EXPECT_EQ(outcome.observed.stateNames.size(), 1u);
@@ -218,9 +220,9 @@ TEST(DriverEdge, EmptyTestIsTriviallyConfirmed) {
 }
 
 TEST(DriverEdge, ReusableAcrossTests) {
-  Tables t;
-  testing::AutomatonLegacy legacy(sh::correctRearLegacy(t.signals, t.props));
-  testing::CounterexampleTestDriver driver(legacy, *t.signals);
+  const test::Railcab rc;
+  testing::AutomatonLegacy legacy(*rc.bind("rearShipped").legacy.hidden);
+  testing::CounterexampleTestDriver driver(legacy, *rc.model.signals);
   const automata::Interaction idle{};
   const auto first = driver.execute({idle});
   const auto second = driver.execute({idle});  // reset() between runs
@@ -229,9 +231,10 @@ TEST(DriverEdge, ReusableAcrossTests) {
 }
 
 TEST(RuntimeEdge, ResetRestartsTheSystem) {
-  Tables t;
-  const auto front = sh::frontRoleAutomaton(t.signals, t.props);
-  testing::FirmwareShuttleLegacy fw(t.signals, true);  // deadlocks quickly
+  const test::Railcab rc;
+  const auto front = rc.bind("rearShipped").scenario.context;
+  // The faulty revision deadlocks quickly.
+  testing::FirmwareShuttleLegacy fw(rc.model.signals, true);
   testing::PeriodicRuntime rt(front, fw, 7);
   testing::Recorder rec(testing::ProbeLevel::ReplayOnly);
   const auto firstRun = rt.run(60, rec);

@@ -9,14 +9,13 @@
 #include <fstream>
 #include <sstream>
 
-#include "automata/rename.hpp"
 #include "ctl/checker.hpp"
 #include "ctl/parser.hpp"
 #include "muml/integration.hpp"
 #include "muml/loader.hpp"
 #include "muml/verify.hpp"
 #include "synthesis/verifier.hpp"
-#include "testing/legacy.hpp"
+#include "testing/subprocess.hpp"
 
 namespace mui {
 namespace {
@@ -76,16 +75,14 @@ class WatchdogIntegration : public ::testing::TestWithParam<WatchdogCase> {};
 TEST_P(WatchdogIntegration, VerdictsMatchTheDeviceQuality) {
   const auto [deviceName, expected] = GetParam();
   const auto model = loadWatchdogModel();
-  const auto& pattern = model.patterns.at("Watchdog");
-  const auto scenario =
-      muml::makeIntegrationScenario(pattern, 1, model.signals, model.props);
-
-  testing::AutomatonLegacy legacy(automata::withInstanceName(
-      model.automata.at(deviceName), pattern.roles[1].name));
+  auto binding =
+      muml::bindIntegration(model, "Watchdog", "device", deviceName);
+  const auto legacy = testing::makeLegacy(model, std::move(binding.legacy));
   synthesis::IntegrationConfig cfg;
-  cfg.property = scenario.property;
+  cfg.property = binding.scenario.property;
   const auto res =
-      synthesis::IntegrationVerifier(scenario.context, legacy, cfg).run();
+      synthesis::IntegrationVerifier(binding.scenario.context, *legacy, cfg)
+          .run();
   EXPECT_EQ(res.verdict, expected)
       << deviceName << ": " << res.explanation << "\n"
       << res.counterexampleText;
@@ -104,15 +101,14 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(Watchdog, CrawlDeviceWitnessShowsTheEscalation) {
   const auto model = loadWatchdogModel();
-  const auto& pattern = model.patterns.at("Watchdog");
-  const auto scenario =
-      muml::makeIntegrationScenario(pattern, 1, model.signals, model.props);
-  testing::AutomatonLegacy legacy(automata::withInstanceName(
-      model.automata.at("deviceCrawl"), "device"));
+  auto binding =
+      muml::bindIntegration(model, "Watchdog", "device", "deviceCrawl");
+  const auto legacy = testing::makeLegacy(model, std::move(binding.legacy));
   synthesis::IntegrationConfig cfg;
-  cfg.property = scenario.property;
+  cfg.property = binding.scenario.property;
   const auto res =
-      synthesis::IntegrationVerifier(scenario.context, legacy, cfg).run();
+      synthesis::IntegrationVerifier(binding.scenario.context, *legacy, cfg)
+          .run();
   ASSERT_EQ(res.verdict, synthesis::Verdict::RealError);
   // The counterexample reaches the degraded monitor mode or pinpoints the
   // missed response deadline.

@@ -24,9 +24,10 @@
 //       metrics snapshot (Prometheus text, or JSON for *.json paths) and
 //       a structured JSONL run journal.
 //
-//   mui suite-gen <model.muml> <pattern> <legacyRole> <hiddenAutomaton>
-//       Run the integration loop and write the generated component test
-//       suite (a regression oracle) to stdout.
+//   mui suite-gen <model.muml> <pattern> <legacyRole> <hidden>
+//       Run the integration loop on <hidden> (bound as for integrate) and
+//       write the generated component test suite (a regression oracle) to
+//       stdout.
 //
 //   mui suite-run <model.muml> <suite-file> <hiddenAutomaton> <roleName>
 //       Replay a saved suite against a component revision.
@@ -146,7 +147,6 @@
 #include "engine/report.hpp"
 #include "fuzz/campaign.hpp"
 #include "fuzz/reproducer.hpp"
-#include "muml/external.hpp"
 #include "muml/integration.hpp"
 #include "muml/loader.hpp"
 #include "muml/verify.hpp"
@@ -433,40 +433,15 @@ int cmdIntegrate(int argc, char** argv) {
         "[--journal-out F]");
   }
   const muml::Model model = loadFile(positional[0]);
-  const auto pit = model.patterns.find(positional[1]);
-  if (pit == model.patterns.end()) {
-    throw std::runtime_error(std::string("no pattern named '") +
-                             positional[1] + "'");
-  }
-  const auto& pattern = pit->second;
-  std::size_t roleIdx = pattern.roles.size();
-  for (std::size_t i = 0; i < pattern.roles.size(); ++i) {
-    if (pattern.roles[i].name == positional[2]) roleIdx = i;
-  }
-  if (roleIdx == pattern.roles.size()) {
-    throw std::runtime_error(std::string("pattern has no role '") +
-                             positional[2] + "'");
-  }
-  const auto scenario = muml::makeIntegrationScenario(
-      pattern, roleIdx, model.signals, model.props);
-  // The hidden component plays the role: it takes the role's instance name
-  // so the role invariants and the pattern constraint see its states. A
+  // The hidden component plays the role under the role's instance name, so
+  // the role invariants and the pattern constraint see its states. A
   // `legacy ... external` clause spawns the adapter binary out-of-process
   // (docs/ADAPTERS.md); an automaton runs in process.
-  std::unique_ptr<testing::LegacyComponent> legacy;
-  const auto eit = model.externals.find(positional[3]);
-  if (eit != model.externals.end()) {
-    muml::checkExternalInterface(eit->second, pattern.roles[roleIdx],
-                                 model.source, model.signals);
-    testing::SubprocessConfig scfg = testing::configFromExternal(
-        model, eit->second, pattern.roles[roleIdx].name);
-    scfg.journal = obsOpts.journalPtr();
-    legacy = std::make_unique<testing::SubprocessLegacy>(std::move(scfg));
-  } else {
-    legacy = std::make_unique<testing::AutomatonLegacy>(
-        automata::withInstanceName(findAutomaton(model, positional[3]),
-                                   pattern.roles[roleIdx].name));
-  }
+  muml::IntegrationBinding binding = muml::bindIntegration(
+      model, positional[1], positional[2], positional[3]);
+  const muml::IntegrationScenario& scenario = binding.scenario;
+  const auto legacy = testing::makeLegacy(model, std::move(binding.legacy),
+                                          obsOpts.journalPtr());
 
   synthesis::IntegrationConfig cfg;
   cfg.property = scenario.property;
@@ -504,28 +479,15 @@ int cmdSuiteGen(int argc, char** argv) {
         "suite-gen expects <model.muml> <pattern> <legacyRole> <hidden>");
   }
   const muml::Model model = loadFile(argv[0]);
-  const auto pit = model.patterns.find(argv[1]);
-  if (pit == model.patterns.end()) {
-    throw std::runtime_error(std::string("no pattern named '") + argv[1] +
-                             "'");
-  }
-  std::size_t roleIdx = pit->second.roles.size();
-  for (std::size_t i = 0; i < pit->second.roles.size(); ++i) {
-    if (pit->second.roles[i].name == argv[2]) roleIdx = i;
-  }
-  if (roleIdx == pit->second.roles.size()) {
-    throw std::runtime_error(std::string("pattern has no role '") + argv[2] +
-                             "'");
-  }
-  const auto scenario = muml::makeIntegrationScenario(
-      pit->second, roleIdx, model.signals, model.props);
-  testing::AutomatonLegacy legacy(automata::withInstanceName(
-      findAutomaton(model, argv[3]), pit->second.roles[roleIdx].name));
+  muml::IntegrationBinding binding =
+      muml::bindIntegration(model, argv[1], argv[2], argv[3]);
+  const muml::IntegrationScenario& scenario = binding.scenario;
+  const auto legacy = testing::makeLegacy(model, std::move(binding.legacy));
   synthesis::IntegrationConfig cfg;
   cfg.property = scenario.property;
   cfg.recordTests = true;
   const auto res =
-      synthesis::IntegrationVerifier(scenario.context, legacy, cfg).run();
+      synthesis::IntegrationVerifier(scenario.context, *legacy, cfg).run();
   std::fprintf(stderr, "# %s", synthesis::renderSummary(res).c_str());
   std::printf("%s", synthesis::writeSuite(res.recordedTests[0],
                                           *model.signals)

@@ -12,11 +12,13 @@
 # `mui stats --baseline` trend gate.
 #
 # usage: serve_smoke.sh <mui-binary> <manifest> <work-dir>
+# (the adapter_automaton binary must sit next to the mui binary)
 set -euo pipefail
 
 MUI=$1
 MANIFEST=$2
 WORK=$3
+ADAPTER=$(dirname "$MUI")/adapter_automaton
 
 rm -rf "$WORK"
 mkdir -p "$WORK"
@@ -125,6 +127,25 @@ grep -q "live record" "$WORK/compact.log" || fail "compaction printed no summary
 # through `mui stats --baseline` (and trip the gate once synthetically
 # regressed).
 MODELS_DIR=$(cd "$(dirname "$MANIFEST")/../models" && pwd)
+[ -x "$ADAPTER" ] || fail "no adapter_automaton next to $MUI"
+# The gated device is deviceCompliant behind the reference adapter, started
+# by a shell that first waits for $RELEASE: its job stays in flight until
+# the poll below has seen a job, however fast the other jobs drain.
+RELEASE="$WORK/release"
+trap 'touch "$RELEASE"' EXIT
+GATED="$WORK/gated.muml"
+{
+  cat "$MODELS_DIR/watchdog.muml"
+  cat <<EOF
+legacy deviceGated external "/bin/sh" {
+  input ping;
+  output pong;
+  arg "-c";
+  arg "while [ ! -e '$RELEASE' ]; do sleep 0.05; done; exec '$ADAPTER' '$MODELS_DIR/watchdog.muml' deviceCompliant --instance device";
+  deadline-ms 60000;
+}
+EOF
+} >"$GATED"
 SPIN="$WORK/spin.manifest"
 {
   echo "default model=$MODELS_DIR/watchdog.muml pattern=Watchdog role=device"
@@ -134,6 +155,7 @@ SPIN="$WORK/spin.manifest"
   for i in $(seq 1 40); do
     echo "job name=spin-$i hidden=deviceCompliant max-iterations=$((1000 + i))"
   done
+  echo "job name=gated model=$GATED hidden=deviceGated"
 } >"$SPIN"
 
 JOURNAL="$WORK/daemon-journal.jsonl"
@@ -156,6 +178,7 @@ for _ in $(seq 1 200); do
   kill -0 "$SUBMIT_PID" 2>/dev/null || break
   sleep 0.02
 done
+touch "$RELEASE"
 SUBMIT_RC=0
 wait "$SUBMIT_PID" || SUBMIT_RC=$?
 [ "$SUBMIT_RC" -eq 0 ] || \
