@@ -22,6 +22,7 @@
 #include "ctl/counterexample.hpp"
 #include "ctl/parser.hpp"
 #include "ctl/reference.hpp"
+#include "util/json.hpp"
 
 namespace {
 
@@ -129,7 +130,7 @@ bool runWorkload(const Workload& w, std::string& json) {
   json += "{\"name\":\"" + std::string(w.name) + "\",\"formulas\":[";
   for (std::size_t i = 0; i < w.formulaTexts.size(); ++i) {
     if (i) json += ',';
-    json += "\"" + bench::jsonEscape(w.formulaTexts[i]) + "\"";
+    json += util::json::quote(w.formulaTexts[i]);
   }
   json += "],\"sizes\":[";
 

@@ -13,7 +13,6 @@
 #include "muml/integration.hpp"
 #include "muml/loader.hpp"
 #include "synthesis/verifier.hpp"
-#include "util/json.hpp"
 #include "util/text_table.hpp"
 
 namespace mui::bench {
@@ -141,13 +140,6 @@ inline bool writeBenchJson(const std::string& filename,
   std::fclose(f);
   std::printf("bench: wrote %s\n", path.c_str());
   return true;
-}
-
-/// Escapes a string for embedding in the JSON artifacts (formula texts).
-/// Forwards to the tree's one escaper so bench artifacts get the same
-/// control-character and UTF-8 handling as every other writer.
-inline std::string jsonEscape(const std::string& s) {
-  return util::jsonEscape(s);
 }
 
 }  // namespace mui::bench

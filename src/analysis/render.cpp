@@ -9,7 +9,7 @@ namespace mui::analysis {
 
 namespace {
 
-using util::jsonEscape;
+using util::json::escape;
 
 /// SARIF "level" values happen to match our severity names.
 const char* sarifLevel(Severity s) { return severityName(s); }
@@ -60,10 +60,10 @@ std::string writeSarif(const Report& report) {
       "          \"rules\": [\n";
   const auto& rules = allRules();
   for (std::size_t i = 0; i < rules.size(); ++i) {
-    out += "            {\"id\": \"" + jsonEscape(rules[i].id) +
-           "\", \"name\": \"" + jsonEscape(rules[i].name) +
+    out += "            {\"id\": \"" + escape(rules[i].id) +
+           "\", \"name\": \"" + escape(rules[i].name) +
            "\", \"shortDescription\": {\"text\": \"" +
-           jsonEscape(rules[i].description) +
+           escape(rules[i].description) +
            "\"}, \"defaultConfiguration\": {\"level\": \"" +
            sarifLevel(rules[i].defaultSeverity) + "\"}}";
     out += i + 1 < rules.size() ? ",\n" : "\n";
@@ -75,13 +75,13 @@ std::string writeSarif(const Report& report) {
       "      \"results\": [\n";
   for (std::size_t i = 0; i < report.diagnostics.size(); ++i) {
     const Diagnostic& d = report.diagnostics[i];
-    out += "        {\"ruleId\": \"" + jsonEscape(d.ruleId) +
+    out += "        {\"ruleId\": \"" + escape(d.ruleId) +
            "\", \"level\": \"" + sarifLevel(d.severity) +
-           "\", \"message\": {\"text\": \"" + jsonEscape(d.message) + "\"}";
+           "\", \"message\": {\"text\": \"" + escape(d.message) + "\"}";
     if (d.loc.known()) {
       out += ", \"locations\": [{\"physicalLocation\": "
              "{\"artifactLocation\": {\"uri\": \"" +
-             jsonEscape(d.loc.file) + "\"}, \"region\": {\"startLine\": " +
+             escape(d.loc.file) + "\"}, \"region\": {\"startLine\": " +
              std::to_string(d.loc.line) +
              ", \"startColumn\": " + std::to_string(d.loc.col) + "}}}]";
     }
@@ -91,11 +91,11 @@ std::string writeSarif(const Report& report) {
       out += ", \"relatedLocations\": [";
       for (std::size_t j = 0; j < d.related.size(); ++j) {
         const RelatedNote& note = d.related[j];
-        out += "{\"message\": {\"text\": \"" + jsonEscape(note.message) + "\"}";
+        out += "{\"message\": {\"text\": \"" + escape(note.message) + "\"}";
         if (note.loc.known()) {
           out += ", \"physicalLocation\": {\"artifactLocation\": {\"uri\": "
                  "\"" +
-                 jsonEscape(note.loc.file) + "\"}, \"region\": {\"startLine\": " +
+                 escape(note.loc.file) + "\"}, \"region\": {\"startLine\": " +
                  std::to_string(note.loc.line) +
                  ", \"startColumn\": " + std::to_string(note.loc.col) + "}}";
         }

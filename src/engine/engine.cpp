@@ -58,7 +58,7 @@ BatchReport runBatch(const std::vector<Job>& jobs, const BatchOptions& options,
                       std::chrono::steady_clock::now() - start)
                       .count();
   if (options.journal != nullptr) {
-    obs::JsonObject fields;
+    util::json::Object fields;
     fields.u("jobs", jobs.size())
         .u("threads", report.threads)
         .f("wallMs", report.wallMs)

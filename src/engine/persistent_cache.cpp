@@ -11,8 +11,8 @@
 #include <stdexcept>
 #include <system_error>
 
-#include "obs/journal.hpp"
 #include "obs/metrics.hpp"
+#include "util/json.hpp"
 
 namespace mui::engine {
 
@@ -25,12 +25,13 @@ std::string hex64(std::uint64_t v) {
   return buf;
 }
 
-std::optional<std::uint64_t> parseHex64(const std::string& text) {
+std::optional<std::uint64_t> parseHex64(std::string_view text) {
   if (text.empty() || text.size() > 16) return std::nullopt;
+  const std::string digits(text);
   char* end = nullptr;
   errno = 0;
-  const unsigned long long v = std::strtoull(text.c_str(), &end, 16);
-  if (errno != 0 || end != text.c_str() + text.size()) return std::nullopt;
+  const unsigned long long v = std::strtoull(digits.c_str(), &end, 16);
+  if (errno != 0 || end != digits.c_str() + digits.size()) return std::nullopt;
   return v;
 }
 
@@ -46,7 +47,7 @@ obs::Counter& writeErrorCounter() {
 std::string PersistentResultCache::encodeRecord(std::uint64_t hash,
                                                 std::string_view material,
                                                 const CachedOutcome& outcome) {
-  obs::JsonObject fields;
+  util::json::Object fields;
   fields.u("schema", 1)
       .s("type", "result")
       .s("key", hex64(hash))
@@ -108,42 +109,44 @@ void PersistentResultCache::replayLog() {
       if (lastLine && !endsWithNewline) replay_.truncatedTail = true;
     };
 
-    const auto obj = obs::parseFlatJson(line);
+    const auto obj = util::json::parse(line);
     if (!obj) {
       reject();
       continue;
     }
-    const auto field = [&](const char* name) -> const obs::JsonValue* {
-      const auto it = obj->find(name);
-      return it == obj->end() ? nullptr : &it->second;
-    };
-    const auto* schema = field("schema");
-    const auto* type = field("type");
-    const auto* keyField = field("key");
-    const auto* material = field("material");
-    const auto* status = field("status");
-    if (schema == nullptr || schema->asUint() != 1 || type == nullptr ||
-        type->text != "result" || keyField == nullptr || material == nullptr ||
-        status == nullptr) {
+    const auto keyField = obj->str("key");
+    const auto material = obj->str("material");
+    const auto status = obj->str("status");
+    if (obj->u64("schema") != 1u || obj->str("type") != "result" ||
+        !keyField || !material || !status) {
       reject();
       continue;
     }
-    const auto hash = parseHex64(keyField->text);
-    const auto parsedStatus = jobStatusFromName(status->text);
-    if (!hash || !parsedStatus || fnv1a(material->text) != *hash) {
+    const auto hash = parseHex64(*keyField);
+    const auto parsedStatus = jobStatusFromName(*status);
+    if (!hash || !parsedStatus || fnv1a(*material) != *hash) {
       reject();  // torn write, hand edit, or key/material divergence
       continue;
     }
 
+    // The counters may be absent (read as 0); present, each must be a
+    // plain non-negative integer literal or the record is malformed.
+    bool badCounter = false;
+    const auto counter = [&](const char* name) -> std::uint64_t {
+      if (obj->find(name) == nullptr) return 0;
+      const auto v = obj->u64(name);
+      badCounter = badCounter || !v;
+      return v.value_or(0);
+    };
     CachedOutcome outcome;
     outcome.status = *parsedStatus;
-    if (const auto* e = field("explanation")) outcome.explanation = e->text;
-    if (const auto* v = field("iterations")) {
-      outcome.iterations = static_cast<std::size_t>(v->asUint());
-    }
-    if (const auto* v = field("testPeriods")) outcome.testPeriods = v->asUint();
-    if (const auto* v = field("learnedFacts")) {
-      outcome.learnedFacts = static_cast<std::size_t>(v->asUint());
+    outcome.explanation = obj->str("explanation").value_or("");
+    outcome.iterations = static_cast<std::size_t>(counter("iterations"));
+    outcome.testPeriods = counter("testPeriods");
+    outcome.learnedFacts = static_cast<std::size_t>(counter("learnedFacts"));
+    if (badCounter) {
+      reject();
+      continue;
     }
 
     if (poisoned_.count(*hash) != 0) {
@@ -152,7 +155,7 @@ void PersistentResultCache::replayLog() {
       continue;
     }
     if (const auto it = map_.find(*hash); it != map_.end()) {
-      if (it->second.material == material->text) {
+      if (it->second.material == *material) {
         it->second.outcome = std::move(outcome);  // newer record wins
         ++replay_.superseded;
         continue;
@@ -165,7 +168,7 @@ void PersistentResultCache::replayLog() {
       collisions.inc();
       continue;
     }
-    map_.emplace(*hash, Entry{material->text, std::move(outcome)});
+    map_.emplace(*hash, Entry{std::string(*material), std::move(outcome)});
     ++replay_.replayed;
     replayed.inc();
   }

@@ -7,8 +7,6 @@ namespace mui::engine {
 
 namespace {
 
-using util::jsonEscape;
-
 constexpr JobStatus kAllStatuses[] = {
     JobStatus::Proven,         JobStatus::RealError,
     JobStatus::IterationLimit, JobStatus::Unsupported,
@@ -57,41 +55,45 @@ std::string renderBatchReport(const BatchReport& report) {
 std::string writeBatchSummary(const BatchReport& report) {
   std::string out;
   for (const auto& r : report.results) {
-    out += "{\"type\":\"job\",\"name\":\"" + jsonEscape(r.job.name) +
-           "\",\"ulid\":\"" + jsonEscape(r.job.ulid) +
-           "\",\"model\":\"" + jsonEscape(r.job.modelPath) +
-           "\",\"pattern\":\"" + jsonEscape(r.job.pattern) +
-           "\",\"role\":\"" + jsonEscape(r.job.legacyRole) +
-           "\",\"hidden\":\"" + jsonEscape(r.job.hidden) + "\",\"status\":\"" +
-           jobStatusName(r.status) + "\",\"worker\":\"" +
-           jsonEscape(r.worker) + "\",\"explanation\":\"" +
-           jsonEscape(r.explanation) +
-           "\",\"iterations\":" + std::to_string(r.iterations) +
-           ",\"testPeriods\":" + std::to_string(r.testPeriods) +
-           ",\"learnedFacts\":" + std::to_string(r.learnedFacts) +
-           ",\"wallMs\":" + util::fmt(r.wallMs, 3) +
-           ",\"closureMs\":" + util::fmt(r.closureMs, 3) +
-           ",\"composeMs\":" + util::fmt(r.composeMs, 3) +
-           ",\"checkMs\":" + util::fmt(r.checkMs, 3) +
-           ",\"testMs\":" + util::fmt(r.testMs, 3) +
-           ",\"productStatesNew\":" + std::to_string(r.productStatesNew) +
-           // Always 0 (every product is composed from scratch); kept so the
-           // job line's fields stay the same.
-           ",\"productStatesReused\":0" +
-           ",\"cacheHit\":" + (r.cacheHit ? "true" : "false") +
-           ",\"presolved\":" + (r.presolved ? "true" : "false") + "}\n";
+    out += util::json::Object()
+               .s("type", "job")
+               .s("name", r.job.name)
+               .s("ulid", r.job.ulid)
+               .s("model", r.job.modelPath)
+               .s("pattern", r.job.pattern)
+               .s("role", r.job.legacyRole)
+               .s("hidden", r.job.hidden)
+               .s("status", jobStatusName(r.status))
+               .s("worker", r.worker)
+               .s("explanation", r.explanation)
+               .u("iterations", r.iterations)
+               .u("testPeriods", r.testPeriods)
+               .u("learnedFacts", r.learnedFacts)
+               .f("wallMs", r.wallMs)
+               .f("closureMs", r.closureMs)
+               .f("composeMs", r.composeMs)
+               .f("checkMs", r.checkMs)
+               .f("testMs", r.testMs)
+               .u("productStatesNew", r.productStatesNew)
+               // Always 0 (every product is composed from scratch); kept so
+               // the job line's fields stay the same.
+               .u("productStatesReused", 0)
+               .b("cacheHit", r.cacheHit)
+               .b("presolved", r.presolved)
+               .str();
+    out += "\n";
   }
-  out += "{\"type\":\"batch\",\"jobs\":" +
-         std::to_string(report.results.size()) +
-         ",\"threads\":" + std::to_string(report.threads) +
-         ",\"wallMs\":" + util::fmt(report.wallMs, 3) +
-         ",\"cacheHits\":" + std::to_string(report.cacheHits) +
-         ",\"cacheMisses\":" + std::to_string(report.cacheMisses);
+  util::json::Object batch;
+  batch.s("type", "batch")
+      .u("jobs", report.results.size())
+      .u("threads", report.threads)
+      .f("wallMs", report.wallMs)
+      .u("cacheHits", report.cacheHits)
+      .u("cacheMisses", report.cacheMisses);
   for (const JobStatus s : kAllStatuses) {
-    out += ",\"" + std::string(jobStatusName(s)) +
-           "\":" + std::to_string(report.count(s));
+    batch.u(jobStatusName(s), report.count(s));
   }
-  out += "}\n";
+  out += batch.str() + "\n";
   return out;
 }
 

@@ -94,7 +94,7 @@ JobResult runJob(const Job& job, TextCache& texts, ResultCache& results,
       }
     }
     if (options.journal != nullptr) {
-      obs::JsonObject fields;
+      util::json::Object fields;
       fields.s("run", job.name);
       if (!job.ulid.empty()) fields.s("ulid", job.ulid);
       fields.s("model", job.modelPath)
@@ -158,7 +158,7 @@ JobResult runJob(const Job& job, TextCache& texts, ResultCache& results,
     if (options.semanticDiagnostics) {
       const auto semantic = analysis::runSemantic(model);
       if (options.journal != nullptr) {
-        obs::JsonObject fields;
+        util::json::Object fields;
         fields.s("run", job.name);
         if (!job.ulid.empty()) fields.s("ulid", job.ulid);
         fields.u("findings", semantic.diagnostics.size())
@@ -200,7 +200,7 @@ JobResult runJob(const Job& job, TextCache& texts, ResultCache& results,
           scenario.context, *binding.legacy.hidden, property);
       countPresolve(pre.verdict);
       if (options.journal != nullptr) {
-        obs::JsonObject fields;
+        util::json::Object fields;
         fields.s("run", job.name);
         if (!job.ulid.empty()) fields.s("ulid", job.ulid);
         fields.s("verdict", analysis::presolveVerdictName(pre.verdict))

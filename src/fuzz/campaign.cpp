@@ -128,7 +128,7 @@ FuzzReport runCampaign(const FuzzOptions& opts) {
       if (!names.empty()) names += ",";
       names += toString(id);
     }
-    opts.journal->event("fuzz_start", obs::JsonObject{}
+    opts.journal->event("fuzz_start", util::json::Object{}
                                           .u("seed", opts.seed)
                                           .u("runs", opts.runs)
                                           .s("oracles", names));
@@ -198,7 +198,7 @@ FuzzReport runCampaign(const FuzzOptions& opts) {
   if (opts.journal) {
     for (const FuzzFinding& f : report.findings) {
       opts.journal->event("fuzz_finding",
-                          obs::JsonObject{}
+                          util::json::Object{}
                               .u("scenario_seed", f.scenarioSeed)
                               .s("oracle", toString(f.oracle))
                               .b("crashed", f.crashed)
@@ -206,7 +206,7 @@ FuzzReport runCampaign(const FuzzOptions& opts) {
                               .s("detail", f.detail));
     }
     opts.journal->event("fuzz_summary",
-                        obs::JsonObject{}
+                        util::json::Object{}
                             .u("seed", report.seed)
                             .u("runs", report.runs)
                             .u("executed", report.executed)

@@ -1,63 +1,11 @@
 #include "obs/journal.hpp"
 
-#include <cstdlib>
-
-#include "util/json.hpp"
-#include "util/text_table.hpp"
-
 namespace mui::obs {
 
-namespace {
-
-void appendKey(std::string& body, std::string_view key) {
-  if (!body.empty()) body += ",";
-  body += util::jsonQuote(key);
-  body += ":";
-}
-
-}  // namespace
-
-JsonObject& JsonObject::s(std::string_view key, std::string_view value) {
-  appendKey(body_, key);
-  body_ += util::jsonQuote(value);
-  return *this;
-}
-
-JsonObject& JsonObject::u(std::string_view key, std::uint64_t value) {
-  appendKey(body_, key);
-  body_ += std::to_string(value);
-  return *this;
-}
-
-JsonObject& JsonObject::i(std::string_view key, std::int64_t value) {
-  appendKey(body_, key);
-  body_ += std::to_string(value);
-  return *this;
-}
-
-JsonObject& JsonObject::f(std::string_view key, double value, int digits) {
-  appendKey(body_, key);
-  body_ += util::fmt(value, digits);
-  return *this;
-}
-
-JsonObject& JsonObject::b(std::string_view key, bool value) {
-  appendKey(body_, key);
-  body_ += value ? "true" : "false";
-  return *this;
-}
-
-JsonObject& JsonObject::raw(std::string_view key, std::string_view json) {
-  appendKey(body_, key);
-  body_ += json;
-  return *this;
-}
-
-std::string JsonObject::str() const { return "{" + body_ + "}"; }
-
-void Journal::event(std::string_view type, const JsonObject& fields) {
+void Journal::event(std::string_view type,
+                    const util::json::Object& fields) {
   std::string line = "{\"schema\":" + std::to_string(kJournalSchemaVersion) +
-                     ",\"type\":" + util::jsonQuote(type);
+                     ",\"type\":" + util::json::quote(type);
   const std::string rest = fields.str();
   if (rest.size() > 2) {  // non-empty object: splice its body in
     line += ",";
@@ -83,253 +31,6 @@ void Journal::clear() {
   std::lock_guard lock(mu_);
   text_.clear();
   events_ = 0;
-}
-
-// ---------------------------------------------------------------------------
-// Flat JSON parser
-// ---------------------------------------------------------------------------
-
-namespace {
-
-struct Parser {
-  std::string_view s;
-  std::size_t i = 0;
-
-  bool atEnd() const { return i >= s.size(); }
-  char peek() const { return s[i]; }
-
-  void skipWs() {
-    while (!atEnd() && (s[i] == ' ' || s[i] == '\t' || s[i] == '\n' ||
-                        s[i] == '\r')) {
-      ++i;
-    }
-  }
-
-  bool consume(char c) {
-    skipWs();
-    if (atEnd() || s[i] != c) return false;
-    ++i;
-    return true;
-  }
-
-  static void appendUtf8(std::string& out, unsigned cp) {
-    if (cp <= 0x7F) {
-      out += static_cast<char>(cp);
-    } else if (cp <= 0x7FF) {
-      out += static_cast<char>(0xC0 | (cp >> 6));
-      out += static_cast<char>(0x80 | (cp & 0x3F));
-    } else if (cp <= 0xFFFF) {
-      out += static_cast<char>(0xE0 | (cp >> 12));
-      out += static_cast<char>(0x80 | ((cp >> 6) & 0x3F));
-      out += static_cast<char>(0x80 | (cp & 0x3F));
-    } else {
-      out += static_cast<char>(0xF0 | (cp >> 18));
-      out += static_cast<char>(0x80 | ((cp >> 12) & 0x3F));
-      out += static_cast<char>(0x80 | ((cp >> 6) & 0x3F));
-      out += static_cast<char>(0x80 | (cp & 0x3F));
-    }
-  }
-
-  bool hex4(unsigned& out) {
-    if (i + 4 > s.size()) return false;
-    out = 0;
-    for (int k = 0; k < 4; ++k) {
-      const char c = s[i + static_cast<std::size_t>(k)];
-      unsigned d;
-      if (c >= '0' && c <= '9') {
-        d = static_cast<unsigned>(c - '0');
-      } else if (c >= 'a' && c <= 'f') {
-        d = static_cast<unsigned>(c - 'a') + 10;
-      } else if (c >= 'A' && c <= 'F') {
-        d = static_cast<unsigned>(c - 'A') + 10;
-      } else {
-        return false;
-      }
-      out = out * 16 + d;
-    }
-    i += 4;
-    return true;
-  }
-
-  bool parseString(std::string& out) {
-    if (!consume('"')) return false;
-    out.clear();
-    while (true) {
-      if (atEnd()) return false;
-      const char c = s[i++];
-      if (c == '"') return true;
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
-      if (atEnd()) return false;
-      const char e = s[i++];
-      switch (e) {
-        case '"': out += '"'; break;
-        case '\\': out += '\\'; break;
-        case '/': out += '/'; break;
-        case 'n': out += '\n'; break;
-        case 't': out += '\t'; break;
-        case 'r': out += '\r'; break;
-        case 'b': out += '\b'; break;
-        case 'f': out += '\f'; break;
-        case 'u': {
-          unsigned cp;
-          if (!hex4(cp)) return false;
-          if (cp >= 0xD800 && cp <= 0xDBFF) {  // high surrogate
-            if (i + 1 < s.size() && s[i] == '\\' && s[i + 1] == 'u') {
-              i += 2;
-              unsigned lo;
-              if (!hex4(lo) || lo < 0xDC00 || lo > 0xDFFF) return false;
-              cp = 0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00);
-            } else {
-              cp = 0xFFFD;  // unpaired surrogate
-            }
-          } else if (cp >= 0xDC00 && cp <= 0xDFFF) {
-            cp = 0xFFFD;
-          }
-          appendUtf8(out, cp);
-          break;
-        }
-        default:
-          return false;
-      }
-    }
-  }
-
-  /// Skips one balanced {...} or [...] and returns it verbatim.
-  bool skipNested(std::string& raw) {
-    skipWs();
-    const std::size_t start = i;
-    int depth = 0;
-    bool inString = false;
-    while (!atEnd()) {
-      const char c = s[i];
-      if (inString) {
-        if (c == '\\') {
-          i += 2;
-          continue;
-        }
-        if (c == '"') inString = false;
-        ++i;
-        continue;
-      }
-      if (c == '"') {
-        inString = true;
-      } else if (c == '{' || c == '[') {
-        ++depth;
-      } else if (c == '}' || c == ']') {
-        --depth;
-        if (depth == 0) {
-          ++i;
-          raw = std::string(s.substr(start, i - start));
-          return true;
-        }
-      }
-      ++i;
-    }
-    return false;
-  }
-
-  bool parseValue(JsonValue& out) {
-    skipWs();
-    if (atEnd()) return false;
-    const char c = peek();
-    if (c == '"') {
-      out.kind = JsonValue::Kind::String;
-      return parseString(out.text);
-    }
-    if (c == '{' || c == '[') {
-      out.kind = JsonValue::Kind::Raw;
-      return skipNested(out.text);
-    }
-    if (s.compare(i, 4, "true") == 0) {
-      out.kind = JsonValue::Kind::Bool;
-      out.boolean = true;
-      i += 4;
-      return true;
-    }
-    if (s.compare(i, 5, "false") == 0) {
-      out.kind = JsonValue::Kind::Bool;
-      out.boolean = false;
-      i += 5;
-      return true;
-    }
-    if (s.compare(i, 4, "null") == 0) {
-      out.kind = JsonValue::Kind::Null;
-      i += 4;
-      return true;
-    }
-    // Number.
-    const std::size_t start = i;
-    if (peek() == '-' || peek() == '+') ++i;
-    bool digits = false;
-    while (!atEnd() && ((s[i] >= '0' && s[i] <= '9') || s[i] == '.' ||
-                        s[i] == 'e' || s[i] == 'E' || s[i] == '-' ||
-                        s[i] == '+')) {
-      if (s[i] >= '0' && s[i] <= '9') digits = true;
-      ++i;
-    }
-    if (!digits) return false;
-    const std::string num(s.substr(start, i - start));
-    char* end = nullptr;
-    out.kind = JsonValue::Kind::Number;
-    out.number = std::strtod(num.c_str(), &end);
-    return end != nullptr && *end == '\0';
-  }
-  bool parseObject(FlatObject& obj) {
-    if (!consume('{')) return false;
-    skipWs();
-    if (consume('}')) return true;
-    while (true) {
-      skipWs();
-      std::string key;
-      if (!parseString(key)) return false;
-      if (!consume(':')) return false;
-      JsonValue value;
-      if (!parseValue(value)) return false;
-      obj[std::move(key)] = std::move(value);
-      if (consume(',')) continue;
-      if (consume('}')) return true;
-      return false;
-    }
-  }
-};
-
-}  // namespace
-
-std::optional<FlatObject> parseFlatJson(std::string_view line) {
-  Parser p{line};
-  FlatObject obj;
-  if (!p.parseObject(obj)) return std::nullopt;
-  p.skipWs();
-  if (!p.atEnd()) return std::nullopt;
-  return obj;
-}
-
-std::optional<std::vector<FlatObject>> parseFlatJsonArray(
-    std::string_view text) {
-  Parser p{text};
-  if (!p.consume('[')) return std::nullopt;
-  std::vector<FlatObject> out;
-  p.skipWs();
-  if (p.consume(']')) {
-    p.skipWs();
-    return p.atEnd() ? std::optional<std::vector<FlatObject>>(std::move(out))
-                     : std::nullopt;
-  }
-  while (true) {
-    p.skipWs();
-    FlatObject obj;
-    if (!p.parseObject(obj)) return std::nullopt;
-    out.push_back(std::move(obj));
-    if (p.consume(',')) continue;
-    if (p.consume(']')) break;
-    return std::nullopt;
-  }
-  p.skipWs();
-  if (!p.atEnd()) return std::nullopt;
-  return out;
 }
 
 }  // namespace mui::obs

@@ -1,7 +1,8 @@
 #pragma once
 // Structured run journal: one JSONL event per iteration/phase/verdict of
 // the verify–test–learn loop, written by runIntegration and the batch
-// engine and aggregated by `mui stats` (see obs/stats.hpp).
+// engine and aggregated by `mui stats` (see obs/stats.hpp). Events are
+// built with util::json::Object and read back with util::json::parse.
 //
 // Schema policy: every event carries `"schema": kJournalSchemaVersion` and
 // a `"type"` discriminator; existing fields of an event type are never
@@ -10,13 +11,12 @@
 // schema they do not understand. The event catalog lives in
 // docs/OBSERVABILITY.md.
 
-#include <cstdint>
-#include <map>
+#include <cstddef>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <string_view>
-#include <vector>
+
+#include "util/json.hpp"
 
 namespace mui::obs {
 
@@ -28,32 +28,12 @@ namespace mui::obs {
 inline constexpr int kJournalSchemaVersion = 2;
 inline constexpr int kJournalMinSchemaVersion = 1;
 
-/// Builder for one flat JSON object: `.s()` string, `.u()`/`.i()` integer,
-/// `.f()` fixed-point double, `.b()` bool, `.raw()` pre-serialized value.
-/// Insertion order is preserved.
-class JsonObject {
- public:
-  JsonObject& s(std::string_view key, std::string_view value);
-  JsonObject& u(std::string_view key, std::uint64_t value);
-  JsonObject& i(std::string_view key, std::int64_t value);
-  JsonObject& f(std::string_view key, double value, int digits = 3);
-  JsonObject& b(std::string_view key, bool value);
-  JsonObject& raw(std::string_view key, std::string_view json);
-
-  /// The object as `{...}`.
-  std::string str() const;
-  bool empty() const { return body_.empty(); }
-
- private:
-  std::string body_;
-};
-
 /// Thread-safe JSONL sink. Writers call event(); the owner serializes the
 /// whole journal with text() once the run is quiesced.
 class Journal {
  public:
   /// Appends `{"schema":N,"type":"<type>",<fields>}` as one line.
-  void event(std::string_view type, const JsonObject& fields);
+  void event(std::string_view type, const util::json::Object& fields);
 
   std::string text() const;
   std::size_t eventCount() const;
@@ -64,33 +44,5 @@ class Journal {
   std::string text_;
   std::size_t events_ = 0;
 };
-
-/// A scalar read back from a journal line.
-struct JsonValue {
-  enum class Kind { String, Number, Bool, Null, Raw };
-  Kind kind = Kind::Null;
-  std::string text;    // decoded string, or raw JSON for Kind::Raw
-  double number = 0;   // for Kind::Number
-  bool boolean = false;
-
-  std::uint64_t asUint() const {
-    return number < 0 ? 0 : static_cast<std::uint64_t>(number);
-  }
-};
-
-using FlatObject = std::map<std::string, JsonValue>;
-
-/// Parses one JSON object with scalar values (strings with full escape
-/// decoding including \uXXXX surrogate pairs, numbers, booleans, null);
-/// nested objects/arrays are kept verbatim as Kind::Raw. Returns nullopt
-/// on malformed input — callers count such lines as skipped rather than
-/// aborting an aggregation.
-std::optional<FlatObject> parseFlatJson(std::string_view line);
-
-/// Parses a JSON array of flat objects (same value rules as
-/// parseFlatJson). Used by consumers of the daemon's nested HTTP payloads
-/// (`mui top` reading /jobs). Returns nullopt on malformed input.
-std::optional<std::vector<FlatObject>> parseFlatJsonArray(
-    std::string_view text);
 
 }  // namespace mui::obs

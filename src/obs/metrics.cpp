@@ -215,47 +215,46 @@ std::string Registry::renderJson() const {
   for (const auto& [name, e] : impl_->entries) {
     if (!first) out += ",";
     first = false;
-    out += "\n{\"name\":" + util::jsonQuote(name) +
-           ",\"kind\":\"" + kindName(e.kind) +
-           "\",\"help\":" + util::jsonQuote(e.help) +
-           ",\"unit\":" + util::jsonQuote(e.unit);
+    util::json::Object o;
+    o.s("name", name)
+        .s("kind", kindName(e.kind))
+        .s("help", e.help)
+        .s("unit", e.unit);
     switch (e.kind) {
       case Kind::Counter:
-        out += ",\"value\":" + std::to_string(e.counter->value());
+        o.u("value", e.counter->value());
         break;
       case Kind::Gauge:
-        out += ",\"value\":" + std::to_string(e.gauge->value());
+        o.i("value", e.gauge->value());
         break;
       case Kind::Histogram: {
         const Histogram& h = *e.histogram;
-        out += ",\"count\":" + std::to_string(h.count()) +
-               ",\"sum\":" + std::to_string(h.sum()) + ",\"buckets\":[";
+        std::string buckets = "[";
         const std::size_t hi = highestNonEmptyBucket(h);
         std::uint64_t cum = 0;
         for (std::size_t i = 0; i <= hi; ++i) {
           cum += h.bucketCount(i);
-          if (i > 0) out += ",";
-          out += "{\"le\":\"" + std::to_string(Histogram::bucketBound(i)) +
-                 "\",\"count\":" + std::to_string(cum) + "}";
+          buckets += util::json::Object()
+                         .s("le", std::to_string(Histogram::bucketBound(i)))
+                         .u("count", cum)
+                         .str();
+          buckets += ",";
         }
-        if (hi > 0 || h.count() > 0) out += ",";
-        out += "{\"le\":\"+Inf\",\"count\":" + std::to_string(h.count()) +
-               "}]";
+        buckets +=
+            util::json::Object().s("le", "+Inf").u("count", h.count()).str();
+        o.u("count", h.count())
+            .u("sum", h.sum())
+            .raw("buckets", buckets + "]");
         break;
       }
       case Kind::Info: {
-        out += ",\"labels\":{";
-        bool firstLabel = true;
-        for (const auto& [k, v] : e.labels) {
-          if (!firstLabel) out += ",";
-          firstLabel = false;
-          out += util::jsonQuote(k) + ":" + util::jsonQuote(v);
-        }
-        out += "},\"value\":1";
+        util::json::Object labels;
+        for (const auto& [k, v] : e.labels) labels.s(k, v);
+        o.raw("labels", labels.str()).u("value", 1);
         break;
       }
     }
-    out += "}";
+    out += "\n" + o.str();
   }
   out += "\n]}\n";
   return out;

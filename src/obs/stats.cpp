@@ -11,33 +11,6 @@ namespace mui::obs {
 
 namespace {
 
-std::string getS(const FlatObject& o, const std::string& key) {
-  const auto it = o.find(key);
-  return it != o.end() && it->second.kind == JsonValue::Kind::String
-             ? it->second.text
-             : "";
-}
-
-std::uint64_t getU(const FlatObject& o, const std::string& key) {
-  const auto it = o.find(key);
-  return it != o.end() && it->second.kind == JsonValue::Kind::Number
-             ? it->second.asUint()
-             : 0;
-}
-
-double getF(const FlatObject& o, const std::string& key) {
-  const auto it = o.find(key);
-  return it != o.end() && it->second.kind == JsonValue::Kind::Number
-             ? it->second.number
-             : 0.0;
-}
-
-bool getB(const FlatObject& o, const std::string& key) {
-  const auto it = o.find(key);
-  return it != o.end() && it->second.kind == JsonValue::Kind::Bool &&
-         it->second.boolean;
-}
-
 RunStat& findOrAddRun(StatsReport& report,
                       std::map<std::string, std::size_t>& index,
                       const std::string& run) {
@@ -63,11 +36,13 @@ StatsReport aggregateJournals(const std::vector<std::string>& journals) {
       // or an empty file) are not events — skip them without counting them
       // as malformed.
       if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
-      const auto obj = parseFlatJson(line);
+      const auto obj = util::json::parse(line);
       // A journal may interleave lines from several schema versions (e.g.
       // a daemon restarted across an upgrade appending to one file); every
       // version in the supported range is additive, so aggregate them all.
-      const std::uint64_t schema = obj ? getU(*obj, "schema") : 0;
+      // A field of the wrong type, or an integer field that is not a plain
+      // non-negative integer literal, reads as absent.
+      const std::uint64_t schema = obj ? obj->u64("schema").value_or(0) : 0;
       if (!obj ||
           schema < static_cast<std::uint64_t>(kJournalMinSchemaVersion) ||
           schema > static_cast<std::uint64_t>(kJournalSchemaVersion)) {
@@ -75,60 +50,66 @@ StatsReport aggregateJournals(const std::vector<std::string>& journals) {
         continue;
       }
       ++report.events;
-      const std::string type = getS(*obj, "type");
-      const std::string run = getS(*obj, "run");
+      const std::string type(obj->str("type").value_or(""));
+      const std::string run(obj->str("run").value_or(""));
       if (type == "run_start") {
         findOrAddRun(report, runIndex, run);
       } else if (type == "iteration") {
         IterationStat it;
         it.run = run;
-        it.iteration = getU(*obj, "iter");
-        it.modelStates = getU(*obj, "modelStates");
-        it.modelTransitions = getU(*obj, "modelTransitions");
-        it.closureStates = getU(*obj, "closureStates");
-        it.productStates = getU(*obj, "productStates");
-        it.statesNew = getU(*obj, "statesNew");
-        it.statesReused = getU(*obj, "statesReused");
-        it.checkPassed = getB(*obj, "checkPassed");
-        it.cexKind = getS(*obj, "cexKind");
-        it.cexLength = getU(*obj, "cexLength");
-        it.learnedFacts = getU(*obj, "learnedFacts");
-        it.testPeriods = getU(*obj, "testPeriods");
-        it.closureMs = getF(*obj, "closureMs");
-        it.composeMs = getF(*obj, "composeMs");
-        it.checkMs = getF(*obj, "checkMs");
-        it.testMs = getF(*obj, "testMs");
+        it.iteration = obj->u64("iter").value_or(0);
+        it.modelStates = obj->u64("modelStates").value_or(0);
+        it.modelTransitions = obj->u64("modelTransitions").value_or(0);
+        it.closureStates = obj->u64("closureStates").value_or(0);
+        it.productStates = obj->u64("productStates").value_or(0);
+        it.statesNew = obj->u64("statesNew").value_or(0);
+        it.statesReused = obj->u64("statesReused").value_or(0);
+        it.checkPassed = obj->flag("checkPassed").value_or(false);
+        it.cexKind = obj->str("cexKind").value_or("");
+        it.cexLength = obj->u64("cexLength").value_or(0);
+        it.learnedFacts = obj->u64("learnedFacts").value_or(0);
+        it.testPeriods = obj->u64("testPeriods").value_or(0);
+        it.closureMs = obj->num("closureMs").value_or(0);
+        it.composeMs = obj->num("composeMs").value_or(0);
+        it.checkMs = obj->num("checkMs").value_or(0);
+        it.testMs = obj->num("testMs").value_or(0);
         findOrAddRun(report, runIndex, run);
         report.iterations.push_back(std::move(it));
       } else if (type == "verdict") {
         RunStat& r = findOrAddRun(report, runIndex, run);
-        r.verdict = getS(*obj, "verdict");
-        r.iterations = getU(*obj, "iterations");
-        r.learnedFacts = getU(*obj, "learnedFacts");
-        r.testPeriods = getU(*obj, "testPeriods");
-        r.closureMs = getF(*obj, "closureMs");
-        r.composeMs = getF(*obj, "composeMs");
-        r.checkMs = getF(*obj, "checkMs");
-        r.testMs = getF(*obj, "testMs");
+        r.verdict = obj->str("verdict").value_or("");
+        r.iterations = obj->u64("iterations").value_or(0);
+        r.learnedFacts = obj->u64("learnedFacts").value_or(0);
+        r.testPeriods = obj->u64("testPeriods").value_or(0);
+        r.closureMs = obj->num("closureMs").value_or(0);
+        r.composeMs = obj->num("composeMs").value_or(0);
+        r.checkMs = obj->num("checkMs").value_or(0);
+        r.testMs = obj->num("testMs").value_or(0);
       } else if (type == "job") {
         RunStat& r = findOrAddRun(report, runIndex, run);
-        if (r.verdict.empty()) r.verdict = getS(*obj, "status");
-        r.worker = getS(*obj, "worker");
-        r.wallMs = getF(*obj, "wallMs");
-        r.cacheHit = getB(*obj, "cacheHit");
-        r.presolved = getB(*obj, "presolved");
+        if (r.verdict.empty()) r.verdict = obj->str("status").value_or("");
+        r.worker = obj->str("worker").value_or("");
+        r.wallMs = obj->num("wallMs").value_or(0);
+        r.cacheHit = obj->flag("cacheHit").value_or(false);
+        r.presolved = obj->flag("presolved").value_or(false);
         // A daemon journal has job events but no verdict events, so the
         // job line is the only source of these per-run totals there.
-        if (r.iterations == 0) r.iterations = getU(*obj, "iterations");
-        if (r.learnedFacts == 0) r.learnedFacts = getU(*obj, "learnedFacts");
-        if (r.testPeriods == 0) r.testPeriods = getU(*obj, "testPeriods");
+        if (r.iterations == 0) {
+          r.iterations = obj->u64("iterations").value_or(0);
+        }
+        if (r.learnedFacts == 0) {
+          r.learnedFacts = obj->u64("learnedFacts").value_or(0);
+        }
+        if (r.testPeriods == 0) {
+          r.testPeriods = obj->u64("testPeriods").value_or(0);
+        }
         ++report.jobs;
         if (r.cacheHit) ++report.cacheHitJobs;
         if (r.presolved) ++report.presolvedJobs;
         report.jobWallMs.push_back(r.wallMs);
       }
       // Unknown event types of a known schema are ignored by design.
-      if (const std::string ulid = getS(*obj, "ulid"); !ulid.empty()) {
+      if (const auto ulid = obj->str("ulid").value_or(""); !ulid.empty()) {
         RunStat& r = findOrAddRun(report, runIndex, run);
         if (r.ulid.empty()) r.ulid = ulid;
       }
@@ -207,7 +188,7 @@ std::string renderStatsJson(const StatsReport& report) {
   for (const IterationStat& it : report.iterations) {
     if (!first) out += ",";
     first = false;
-    JsonObject o;
+    util::json::Object o;
     o.s("run", it.run)
         .u("iter", it.iteration)
         .u("modelStates", it.modelStates)
@@ -232,7 +213,7 @@ std::string renderStatsJson(const StatsReport& report) {
   for (const RunStat& r : report.runs) {
     if (!first) out += ",";
     first = false;
-    JsonObject o;
+    util::json::Object o;
     o.s("run", r.run)
         .s("ulid", r.ulid)
         .s("verdict", r.verdict)
@@ -249,7 +230,7 @@ std::string renderStatsJson(const StatsReport& report) {
         .b("presolved", r.presolved);
     out += "\n" + o.str();
   }
-  JsonObject totals;
+  util::json::Object totals;
   totals.u("runs", report.runs.size())
       .u("iterations", report.totalIterations)
       .u("learnedFacts", report.totalLearnedFacts)

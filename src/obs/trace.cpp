@@ -1,14 +1,13 @@
 #include "obs/trace.hpp"
 
 #include <chrono>
-#include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <mutex>
 #include <vector>
 
-#include "obs/journal.hpp"
 #include "util/json.hpp"
+#include "util/text_table.hpp"
 
 namespace mui::obs {
 
@@ -74,39 +73,43 @@ std::int64_t epochUnixNs() {
   return ns;
 }
 
-void serializeEvent(std::string& out, const TraceEvent& ev,
-                    std::uint32_t pid, std::uint32_t tid) {
-  char buf[96];
-  out += "{\"ph\":\"";
-  out += ev.ph;
-  out += "\",\"pid\":" + std::to_string(pid) +
-         ",\"tid\":" + std::to_string(tid) + ",\"cat\":\"mui\",\"name\":" +
-         util::jsonQuote(ev.name);
+std::string serializeEvent(const TraceEvent& ev, std::uint32_t pid,
+                           std::uint32_t tid) {
+  util::json::Object o;
+  o.s("ph", std::string_view(&ev.ph, 1))
+      .u("pid", pid)
+      .u("tid", tid)
+      .s("cat", "mui")
+      .s("name", ev.name)
+      // Chrome trace timestamps are microseconds; keep ns precision in the
+      // fraction so sub-microsecond spans survive.
+      .f("ts", static_cast<double>(ev.startNs) / 1000.0);
   if (ev.ph == 'X') {
-    // Chrome trace timestamps are microseconds; keep ns precision in the
-    // fraction so sub-microsecond spans survive.
-    std::snprintf(buf, sizeof buf, ",\"ts\":%.3f,\"dur\":%.3f",
-                  static_cast<double>(ev.startNs) / 1000.0,
-                  static_cast<double>(ev.durNs) / 1000.0);
-    out += buf;
+    o.f("dur", static_cast<double>(ev.durNs) / 1000.0);
     if (ev.hasArg || !ev.cid.empty()) {
-      out += ",\"args\":{";
-      if (ev.hasArg) out += "\"i\":" + std::to_string(ev.arg);
-      if (!ev.cid.empty()) {
-        if (ev.hasArg) out += ",";
-        out += "\"cid\":" + util::jsonQuote(ev.cid);
-      }
-      out += "}";
+      util::json::Object args;
+      if (ev.hasArg) args.u("i", ev.arg);
+      if (!ev.cid.empty()) args.s("cid", ev.cid);
+      o.raw("args", args.str());
     }
   } else {
     // Async begin/end: correlated by (cat, id, name) across threads and —
     // after a merge — across processes.
-    std::snprintf(buf, sizeof buf, ",\"ts\":%.3f",
-                  static_cast<double>(ev.startNs) / 1000.0);
-    out += buf;
-    out += ",\"id\":" + util::jsonQuote(ev.cid) + ",\"scope\":\"mui\"";
+    o.s("id", ev.cid).s("scope", "mui");
   }
-  out += "}";
+  return o.str();
+}
+
+/// A metadata event naming process `pid` or its thread `tid`.
+std::string metadataEvent(const char* kind, std::uint32_t pid,
+                          std::uint32_t tid, const std::string& name) {
+  return util::json::Object()
+      .s("ph", "M")
+      .u("pid", pid)
+      .u("tid", tid)
+      .s("name", kind)
+      .raw("args", util::json::Object().s("name", name).str())
+      .str();
 }
 
 }  // namespace
@@ -188,24 +191,17 @@ std::string Tracer::chromeTrace(std::uint32_t pid,
     out += s;
   };
   if (!processName.empty()) {
-    line("{\"ph\":\"M\",\"pid\":" + std::to_string(pid) +
-         ",\"tid\":0,\"name\":\"process_name\",\"args\":{\"name\":" +
-         util::jsonQuote(processName) + "}}");
+    line(metadataEvent("process_name", pid, 0, processName));
   }
   for (const auto& b : r.bufs) {
     std::lock_guard bufLock(b->mu);
     if (!b->name.empty()) {
-      line("{\"ph\":\"M\",\"pid\":" + std::to_string(pid) +
-           ",\"tid\":" + std::to_string(b->tid) +
-           ",\"name\":\"thread_name\",\"args\":{\"name\":" +
-           util::jsonQuote(b->name) + "}}");
+      line(metadataEvent("thread_name", pid, b->tid, b->name));
     }
     const std::uint64_t kept =
         std::min<std::uint64_t>(b->total, b->ring.size());
     for (std::uint64_t i = b->total - kept; i < b->total; ++i) {
-      std::string e;
-      serializeEvent(e, b->ring[i % b->capacity], pid, b->tid);
-      line(e);
+      line(serializeEvent(b->ring[i % b->capacity], pid, b->tid));
     }
   }
   out += "\n]}\n";
@@ -235,80 +231,10 @@ std::uint64_t Tracer::droppedEvents() {
   return n;
 }
 
-namespace {
-
-/// Splits a chromeTrace() document into its epoch and its event lines.
-/// Returns false when the document does not look like ours.
-bool splitTraceDoc(const std::string& doc, std::int64_t& epochNs,
-                   std::vector<std::string>& events) {
-  const auto epochKey = doc.find("\"muiEpochUnixNs\":");
-  if (epochKey == std::string::npos) return false;
-  epochNs = std::strtoll(doc.c_str() + epochKey + 17, nullptr, 10);
-  const auto open = doc.find("\"traceEvents\":[", epochKey);
-  if (open == std::string::npos) return false;
-  const auto close = doc.rfind(']');
-  if (close == std::string::npos || close < open) return false;
-  std::size_t pos = open + 15;
-  while (pos < close) {
-    // One event per line, comma-separated; blank segments are skipped.
-    std::size_t end = doc.find(",\n", pos);
-    if (end == std::string::npos || end > close) end = close;
-    std::size_t a = pos;
-    while (a < end && (doc[a] == '\n' || doc[a] == ' ')) ++a;
-    std::size_t z = end;
-    while (z > a && (doc[z - 1] == '\n' || doc[z - 1] == ' ')) --z;
-    if (z > a) events.push_back(doc.substr(a, z - a));
-    pos = end + 2;
-  }
-  return true;
-}
-
-/// Re-serializes one parsed event with its timestamp shifted by `deltaUs`.
-/// Metadata events have no timestamp and pass through unshifted.
-bool shiftEvent(const std::string& line, double deltaUs, std::string& out) {
-  const auto obj = parseFlatJson(line);
-  if (!obj) return false;
-  out = "{";
-  bool first = true;
-  for (const auto& [key, value] : *obj) {
-    if (!first) out += ",";
-    first = false;
-    out += util::jsonQuote(key) + ":";
-    if (key == "ts" && value.kind == JsonValue::Kind::Number) {
-      char buf[48];
-      std::snprintf(buf, sizeof buf, "%.3f", value.number + deltaUs);
-      out += buf;
-      continue;
-    }
-    switch (value.kind) {
-      case JsonValue::Kind::String:
-        out += util::jsonQuote(value.text);
-        break;
-      case JsonValue::Kind::Number: {
-        char buf[48];
-        std::snprintf(buf, sizeof buf, "%.3f", value.number);
-        out += buf;
-        break;
-      }
-      case JsonValue::Kind::Bool:
-        out += value.boolean ? "true" : "false";
-        break;
-      case JsonValue::Kind::Null:
-        out += "null";
-        break;
-      case JsonValue::Kind::Raw:
-        out += value.text;
-        break;
-    }
-  }
-  out += "}";
-  return true;
-}
-
-}  // namespace
-
 std::string mergeChromeTraces(const std::vector<std::string>& docs) {
-  if (docs.empty()) return "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n]}\n";
+  constexpr const char* kEmpty =
+      "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n]}\n";
+  if (docs.empty()) return kEmpty;
   if (docs.size() == 1) return docs.front();
 
   std::int64_t baseEpochNs = 0;
@@ -319,10 +245,17 @@ std::string mergeChromeTraces(const std::vector<std::string>& docs) {
     first = false;
     out += s;
   };
-  for (std::size_t d = 0; d < docs.size(); ++d) {
-    std::int64_t epochNs = 0;
-    std::vector<std::string> events;
-    if (!splitTraceDoc(docs[d], epochNs, events)) continue;
+  for (const std::string& text : docs) {
+    // A document that does not parse, or lacks the epoch or the event
+    // array chromeTrace() writes, is not ours: skip it.
+    const auto doc = util::json::parse(text);
+    const auto epoch = doc ? doc->u64("muiEpochUnixNs") : std::nullopt;
+    const util::json::Value* events = doc ? doc->find("traceEvents") : nullptr;
+    if (!epoch || events == nullptr ||
+        events->kind != util::json::Value::Kind::Array) {
+      continue;
+    }
+    const auto epochNs = static_cast<std::int64_t>(*epoch);
     if (out.empty()) {
       baseEpochNs = epochNs;
       out = "{\"displayTimeUnit\":\"ms\",\"muiEpochUnixNs\":" +
@@ -330,18 +263,20 @@ std::string mergeChromeTraces(const std::vector<std::string>& docs) {
     }
     const double deltaUs =
         static_cast<double>(epochNs - baseEpochNs) / 1000.0;
-    for (const auto& ev : events) {
-      if (d == 0 || deltaUs == 0.0) {
-        line(ev);
-        continue;
+    for (util::json::Value ev : events->items) {
+      // Only the timestamp moves; every other token and the key order
+      // stay as written. Metadata events have no timestamp.
+      for (auto& m : ev.members) {
+        if (m.key == "ts" && m.value.kind == util::json::Value::Kind::Number &&
+            deltaUs != 0.0) {
+          m.value.text = util::fmt(
+              std::strtod(m.value.text.c_str(), nullptr) + deltaUs, 3);
+        }
       }
-      std::string shifted;
-      if (shiftEvent(ev, deltaUs, shifted)) line(shifted);
+      line(util::json::write(ev));
     }
   }
-  if (out.empty()) {
-    return "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n]}\n";
-  }
+  if (out.empty()) return kEmpty;
   out += "\n]}\n";
   return out;
 }

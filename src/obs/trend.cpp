@@ -134,7 +134,7 @@ std::string renderTrendJson(const TrendReport& report) {
   for (const TrendMetric& m : report.metrics) {
     if (!first) out += ",";
     first = false;
-    JsonObject o;
+    util::json::Object o;
     o.s("name", m.name)
         .f("baseline", m.baseline)
         .f("current", m.current)

@@ -1,33 +1,42 @@
 #include "serve/protocol.hpp"
 
-#include "obs/journal.hpp"
+#include <optional>
+
+#include "util/json.hpp"
 
 namespace mui::serve {
 
 namespace {
 
-const obs::JsonValue* field(const obs::FlatObject& obj, const char* name) {
-  const auto it = obj.find(name);
-  return it == obj.end() ? nullptr : &it->second;
+namespace json = util::json;
+
+/// An integer field that may be absent (reads as 0). Present, it must be a
+/// plain non-negative integer literal: -1, 2.5, 1e999 or a string set
+/// `error` to a message naming the field.
+std::uint64_t uintField(const json::Value& obj, const char* key,
+                        std::string& error) {
+  if (obj.find(key) == nullptr) return 0;
+  if (const auto v = obj.u64(key)) return *v;
+  if (error.empty()) {
+    error = std::string("field '") + key +
+            "' is not a non-negative integer literal";
+  }
+  return 0;
 }
 
-std::string str(const obs::FlatObject& obj, const char* name) {
-  const auto* v = field(obj, name);
-  return v == nullptr ? std::string() : v->text;
+/// Parses a wire line into an object, or says why it is not one.
+std::optional<json::Value> parseLine(std::string_view line, const char* what,
+                                     std::string& error) {
+  std::string why;
+  auto obj = json::parse(line, &why);
+  if (obj && obj->kind == json::Value::Kind::Object) return obj;
+  error = std::string("malformed JSON ") + what + " line" +
+          (why.empty() ? std::string() : ": " + why);
+  return std::nullopt;
 }
 
-std::uint64_t uns(const obs::FlatObject& obj, const char* name) {
-  const auto* v = field(obj, name);
-  return v == nullptr ? 0 : v->asUint();
-}
-
-double num(const obs::FlatObject& obj, const char* name) {
-  const auto* v = field(obj, name);
-  return v == nullptr ? 0 : v->number;
-}
-
-obs::JsonObject header(const char* type) {
-  obs::JsonObject o;
+json::Object header(const char* type) {
+  json::Object o;
   o.u("schema", kProtocolSchemaVersion).s("type", type);
   return o;
 }
@@ -36,22 +45,21 @@ obs::JsonObject header(const char* type) {
 
 Request parseRequest(std::string_view line) {
   Request req;
-  const auto obj = obs::parseFlatJson(line);
-  if (!obj) {
-    req.error = "malformed JSON request line";
-    return req;
-  }
-  if (uns(*obj, "schema") != kProtocolSchemaVersion) {
+  const auto obj = parseLine(line, "request", req.error);
+  if (!obj) return req;
+  const std::uint64_t schema = uintField(*obj, "schema", req.error);
+  if (!req.error.empty()) return req;
+  if (schema != kProtocolSchemaVersion) {
     req.error = "unsupported or missing schema (expected " +
                 std::to_string(kProtocolSchemaVersion) + ")";
     return req;
   }
-  const std::string type = str(*obj, "type");
+  const std::string type(obj->str("type").value_or(""));
   if (type == "hello") {
-    req.type = Request::Type::Hello;
-    req.client = str(*obj, "client");
-    req.trace = str(*obj, "trace");
-    req.deadlineMs = uns(*obj, "deadline-ms");
+    req.client = obj->str("client").value_or("");
+    req.trace = obj->str("trace").value_or("");
+    req.deadlineMs = uintField(*obj, "deadline-ms", req.error);
+    if (req.error.empty()) req.type = Request::Type::Hello;
     return req;
   }
   if (type == "stats") {
@@ -66,16 +74,18 @@ Request parseRequest(std::string_view line) {
     req.error = "unknown request type '" + type + "'";
     return req;
   }
-  req.id = uns(*obj, "id");
-  req.job.name = str(*obj, "name");
-  req.job.ulid = str(*obj, "ulid");
-  req.job.modelPath = str(*obj, "model");
-  req.job.pattern = str(*obj, "pattern");
-  req.job.legacyRole = str(*obj, "role");
-  req.job.hidden = str(*obj, "hidden");
-  req.job.formula = str(*obj, "formula");
-  req.job.timeoutMs = uns(*obj, "timeout-ms");
-  req.job.maxIterations = static_cast<std::size_t>(uns(*obj, "max-iterations"));
+  req.id = uintField(*obj, "id", req.error);
+  req.job.name = obj->str("name").value_or("");
+  req.job.ulid = obj->str("ulid").value_or("");
+  req.job.modelPath = obj->str("model").value_or("");
+  req.job.pattern = obj->str("pattern").value_or("");
+  req.job.legacyRole = obj->str("role").value_or("");
+  req.job.hidden = obj->str("hidden").value_or("");
+  req.job.formula = obj->str("formula").value_or("");
+  req.job.timeoutMs = uintField(*obj, "timeout-ms", req.error);
+  req.job.maxIterations =
+      static_cast<std::size_t>(uintField(*obj, "max-iterations", req.error));
+  if (!req.error.empty()) return req;
   for (const auto& [key, value] : {std::pair<const char*, const std::string*>{
                                        "model", &req.job.modelPath},
                                    {"pattern", &req.job.pattern},
@@ -120,23 +130,22 @@ std::string writeEndLine() { return header("end").str(); }
 Response parseResponse(std::string_view line) {
   Response res;
   res.raw = std::string(line);
-  const auto obj = obs::parseFlatJson(line);
-  if (!obj) {
-    res.error = "malformed JSON response line";
-    return res;
-  }
-  if (uns(*obj, "schema") != kProtocolSchemaVersion) {
+  const auto obj = parseLine(line, "response", res.error);
+  if (!obj) return res;
+  const std::uint64_t schema = uintField(*obj, "schema", res.error);
+  if (!res.error.empty()) return res;
+  if (schema != kProtocolSchemaVersion) {
     res.error = "unsupported or missing schema";
     return res;
   }
-  const std::string type = str(*obj, "type");
+  const std::string type(obj->str("type").value_or(""));
   if (type == "welcome") {
     res.type = Response::Type::Welcome;
     return res;
   }
   if (type == "error") {
     res.type = Response::Type::Error;
-    res.error = str(*obj, "message");
+    res.error = obj->str("message").value_or("");
     return res;
   }
   if (type == "stats") {
@@ -144,45 +153,44 @@ Response parseResponse(std::string_view line) {
     return res;
   }
   if (type == "shed") {
-    res.type = Response::Type::Shed;
-    res.id = uns(*obj, "id");
-    res.retryAfterMs = uns(*obj, "retry-after-ms");
+    res.id = uintField(*obj, "id", res.error);
+    res.retryAfterMs = uintField(*obj, "retry-after-ms", res.error);
+    if (res.error.empty()) res.type = Response::Type::Shed;
     return res;
   }
   if (type == "done") {
-    res.type = Response::Type::Done;
-    res.jobs = uns(*obj, "jobs");
-    res.shed = uns(*obj, "shed");
-    res.cacheHits = uns(*obj, "cacheHits");
-    res.cacheMisses = uns(*obj, "cacheMisses");
+    res.jobs = uintField(*obj, "jobs", res.error);
+    res.shed = uintField(*obj, "shed", res.error);
+    res.cacheHits = uintField(*obj, "cacheHits", res.error);
+    res.cacheMisses = uintField(*obj, "cacheMisses", res.error);
+    if (res.error.empty()) res.type = Response::Type::Done;
     return res;
   }
   if (type != "result") {
     res.error = "unknown response type '" + type + "'";
     return res;
   }
-  res.id = uns(*obj, "id");
-  res.result.job.name = str(*obj, "name");
-  res.result.job.ulid = str(*obj, "ulid");
-  const auto status = engine::jobStatusFromName(str(*obj, "status"));
+  res.id = uintField(*obj, "id", res.error);
+  res.result.job.name = obj->str("name").value_or("");
+  res.result.job.ulid = obj->str("ulid").value_or("");
+  const std::string statusName(obj->str("status").value_or(""));
+  const auto status = engine::jobStatusFromName(statusName);
   if (!status) {
-    res.error = "result with unknown status '" + str(*obj, "status") + "'";
+    res.error = "result with unknown status '" + statusName + "'";
     return res;
   }
   res.result.status = *status;
-  res.result.explanation = str(*obj, "explanation");
-  res.result.iterations = static_cast<std::size_t>(uns(*obj, "iterations"));
-  res.result.testPeriods = uns(*obj, "testPeriods");
-  res.result.learnedFacts = static_cast<std::size_t>(uns(*obj, "learnedFacts"));
-  res.result.wallMs = num(*obj, "wallMs");
-  res.result.worker = str(*obj, "worker");
-  if (const auto* v = field(*obj, "cacheHit")) {
-    res.result.cacheHit = v->boolean;
-  }
-  if (const auto* v = field(*obj, "presolved")) {
-    res.result.presolved = v->boolean;
-  }
-  res.type = Response::Type::Result;
+  res.result.explanation = obj->str("explanation").value_or("");
+  res.result.iterations =
+      static_cast<std::size_t>(uintField(*obj, "iterations", res.error));
+  res.result.testPeriods = uintField(*obj, "testPeriods", res.error);
+  res.result.learnedFacts =
+      static_cast<std::size_t>(uintField(*obj, "learnedFacts", res.error));
+  res.result.wallMs = obj->num("wallMs").value_or(0);
+  res.result.worker = obj->str("worker").value_or("");
+  res.result.cacheHit = obj->flag("cacheHit").value_or(false);
+  res.result.presolved = obj->flag("presolved").value_or(false);
+  if (res.error.empty()) res.type = Response::Type::Result;
   return res;
 }
 

@@ -64,7 +64,8 @@ struct Request {
 };
 
 /// Parses one request line; never throws — malformed input yields
-/// Type::Invalid with a diagnostic.
+/// Type::Invalid with a diagnostic. An integer field that is present must
+/// be a non-negative integer literal; otherwise the diagnostic names it.
 Request parseRequest(std::string_view line);
 
 std::string writeHelloLine(const std::string& client, std::uint64_t deadlineMs,
@@ -92,7 +93,8 @@ struct Response {
   std::string raw;  // original line (Stats consumers read fields from it)
 };
 
-/// Parses one response line; never throws.
+/// Parses one response line; never throws. Integer fields are read as in
+/// parseRequest.
 Response parseResponse(std::string_view line);
 
 std::string writeWelcomeLine(const std::string& version, std::size_t threads);

@@ -108,7 +108,7 @@ void Server::start() {
   listen_ = listenTcp(options_.host, options_.port, port_);
   pool_ = std::make_unique<engine::ThreadPool>(options_.threads);
   if (options_.journal != nullptr) {
-    obs::JsonObject fields;
+    util::json::Object fields;
     fields.s("host", options_.host)
         .u("port", port_)
         .u("threads", pool_->threadCount())
@@ -151,7 +151,7 @@ void Server::wait() {
   pool_->wait();
   listen_.reset();
   if (options_.journal != nullptr) {
-    obs::JsonObject fields;
+    util::json::Object fields;
     fields.u("jobs", jobsAccepted_.load())
         .u("shed", jobsShed_.load())
         .u("connections", connections_.load())
@@ -463,7 +463,7 @@ std::string Server::jobsJson() const {
                         : std::chrono::duration<double, std::milli>(
                               now - queuedUntil)
                               .count();
-      obs::JsonObject o;
+      util::json::Object o;
       o.s("ulid", j->ulid)
           .s("name", j->name)
           .s("client", j->client)
@@ -484,7 +484,7 @@ std::string Server::jobsJson() const {
 
 std::string Server::statsJson() const {
   const ServeStats s = stats();
-  obs::JsonObject o;
+  util::json::Object o;
   o.u("schema", kProtocolSchemaVersion)
       .s("type", "stats")
       .f("uptimeMs", s.uptimeMs)

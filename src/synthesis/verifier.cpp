@@ -61,7 +61,7 @@ IntegrationResult IntegrationVerifier::run() {
   // Every event of this run opens with the run label and, when the run is
   // correlated, its job ulid (journal schema v2).
   const auto baseFields = [&] {
-    obs::JsonObject o;
+    util::json::Object o;
     o.s("run", runId);
     if (!config_.ulid.empty()) o.s("ulid", config_.ulid);
     return o;

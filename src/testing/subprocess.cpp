@@ -6,17 +6,15 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
-#include <sstream>
 
 #include "muml/external.hpp"
 #include "muml/integration.hpp"
 #include "muml/model.hpp"
 #include "obs/metrics.hpp"
-#include "util/json.hpp"
-
 namespace mui::testing {
 
 namespace {
@@ -60,16 +58,6 @@ obs::Counter& respawnsCounter() {
   return c;
 }
 
-/// Splits a space-separated signal-name list (the wire format keeps signal
-/// sets inside one flat JSON string so responses stay parseFlatJson-able).
-std::vector<std::string> splitNames(const std::string& text) {
-  std::vector<std::string> out;
-  std::istringstream in(text);
-  std::string word;
-  while (in >> word) out.push_back(word);
-  return out;
-}
-
 std::string truncated(std::string_view line) {
   constexpr std::size_t kMax = 160;
   std::string s(line.substr(0, kMax));
@@ -77,7 +65,73 @@ std::string truncated(std::string_view line) {
   return s;
 }
 
+enum class ReadResult { Data, Eof, Timeout, Error };
+
+/// Waits until `deadline` for output on `fd` and appends one chunk of it to
+/// `buf`. On Error, errno says why.
+ReadResult readSome(int fd, std::string& buf, Clock::time_point deadline) {
+  while (true) {
+    const auto remaining =
+        std::chrono::duration_cast<std::chrono::milliseconds>(deadline -
+                                                              Clock::now());
+    if (remaining.count() <= 0) return ReadResult::Timeout;
+    struct pollfd pfd {};
+    pfd.fd = fd;
+    pfd.events = POLLIN;
+    const int rc = ::poll(&pfd, 1, static_cast<int>(remaining.count()));
+    if (rc == 0 || (rc < 0 && errno == EINTR)) continue;
+    if (rc < 0) return ReadResult::Error;
+    char chunk[4096];
+    const ssize_t n = ::read(fd, chunk, sizeof(chunk));
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0) return ReadResult::Error;
+    if (n == 0) return ReadResult::Eof;
+    buf.append(chunk, static_cast<std::size_t>(n));
+    return ReadResult::Data;
+  }
+}
+
+/// One request line: `{"cmd":"<cmd>"}` plus a step's encoded inputs.
+std::string request(const char* cmd,
+                    std::optional<std::string_view> inputs = std::nullopt) {
+  util::json::Object o;
+  o.s("cmd", cmd);
+  if (inputs) o.s("inputs", *inputs);
+  return o.str() + "\n";
+}
+
 }  // namespace
+
+std::string encodeSignals(const SignalSet& set,
+                          const automata::SignalTable& table) {
+  std::string out;
+  set.forEach([&](std::size_t bit) {
+    if (!out.empty()) out += ' ';
+    out += table.name(static_cast<util::NameId>(bit));
+  });
+  return out;
+}
+
+std::optional<SignalSet> decodeSignals(std::string_view text,
+                                       const automata::SignalTable& table,
+                                       std::string& unknown) {
+  constexpr std::string_view kSpace = " \t\n\v\f\r";
+  SignalSet set;
+  std::size_t i = text.find_first_not_of(kSpace);
+  while (i != std::string_view::npos) {
+    const std::size_t end =
+        std::min(text.find_first_of(kSpace, i), text.size());
+    const std::string_view name = text.substr(i, end - i);
+    const auto id = table.lookup(name);
+    if (!id) {
+      unknown = std::string(name);
+      return std::nullopt;
+    }
+    set.set(*id);
+    i = text.find_first_not_of(kSpace, end);
+  }
+  return set;
+}
 
 const char* adapterFailureKindName(AdapterFailure::Kind kind) {
   switch (kind) {
@@ -109,35 +163,30 @@ SubprocessLegacy::SubprocessLegacy(SubprocessConfig config)
 
 SubprocessLegacy::~SubprocessLegacy() {
   if (pid_ < 0) return;
-  // Best effort polite shutdown: quit + stdin EOF, then a bounded wait
-  // before SIGKILL — a hung adapter must not hang the harness destructor.
-  const std::string quit = "{\"cmd\":\"quit\"}\n";
-  if (toChild_ >= 0) {
-    (void)!::write(toChild_, quit.data(), quit.size());
-    ::close(toChild_);
-    toChild_ = -1;
-  }
-  for (int i = 0; i < 20; ++i) {
-    if (::waitpid(pid_, nullptr, WNOHANG) == pid_) {
-      pid_ = -1;
-      break;
-    }
-    ::usleep(10 * 1000);
-  }
-  if (pid_ >= 0) {
-    ::kill(pid_, SIGKILL);
-    ::waitpid(pid_, nullptr, 0);
+  // Polite shutdown: quit + stdin EOF, then wait up to kQuitGraceMs for the
+  // adapter to exit (EOF on its stdout). One still running then — hung, or
+  // ignoring quit — is SIGKILLed; either way it is reaped.
+  const std::string quit = request("quit");
+  (void)!::write(toChild_, quit.data(), quit.size());
+  ::close(toChild_);
+  toChild_ = -1;
+  const auto deadline =
+      Clock::now() + std::chrono::milliseconds(kQuitGraceMs);
+  ReadResult r;
+  do {
+    r = readSome(fromChild_, readBuf_, deadline);
+  } while (r == ReadResult::Data);
+  if (r == ReadResult::Eof && ::waitpid(pid_, nullptr, WNOHANG) == pid_) {
     pid_ = -1;
   }
-  if (fromChild_ >= 0) ::close(fromChild_);
-  fromChild_ = -1;
+  killProcess();  // SIGKILLs and reaps a child still there; closes stdout
   journalEvent("exit");
 }
 
 void SubprocessLegacy::journalEvent(const char* event,
                                     const char* detail) const {
   if (config_.journal == nullptr) return;
-  obs::JsonObject fields;
+  util::json::Object fields;
   fields.s("adapter", config_.name);
   if (!config_.ulid.empty()) fields.s("ulid", config_.ulid);
   fields.s("event", event);
@@ -220,7 +269,7 @@ void SubprocessLegacy::reapProcess() {
   readBuf_.clear();
 }
 
-obs::FlatObject SubprocessLegacy::exchangeChecked(const std::string& line) {
+util::json::Value SubprocessLegacy::exchangeChecked(const std::string& line) {
   // Write the request. EPIPE means the child died under us.
   std::size_t off = 0;
   while (off < line.size()) {
@@ -247,69 +296,54 @@ obs::FlatObject SubprocessLegacy::exchangeChecked(const std::string& line) {
       readBuf_.erase(0, nl + 1);
       break;
     }
-    const auto remaining = std::chrono::duration_cast<std::chrono::milliseconds>(
-        deadline - Clock::now());
-    if (remaining.count() <= 0) {
-      timeoutsCounter().inc();
-      journalEvent("timeout");
-      killProcess();
-      throw AdapterFailure(
-          AdapterFailure::Kind::Timeout,
-          "adapter '" + config_.name + "' exceeded the step deadline of " +
-              std::to_string(config_.stepDeadlineMs) + " ms (killed)");
+    switch (readSome(fromChild_, readBuf_, deadline)) {
+      case ReadResult::Data:
+        continue;
+      case ReadResult::Timeout:
+        timeoutsCounter().inc();
+        journalEvent("timeout");
+        killProcess();
+        throw AdapterFailure(
+            AdapterFailure::Kind::Timeout,
+            "adapter '" + config_.name + "' exceeded the step deadline of " +
+                std::to_string(config_.stepDeadlineMs) + " ms (killed)");
+      case ReadResult::Eof:
+        reapProcess();
+        throw AdapterFailure(AdapterFailure::Kind::Crash,
+                             "adapter '" + config_.name +
+                                 "' died (EOF before a response)");
+      case ReadResult::Error: {
+        const std::string why = std::strerror(errno);
+        reapProcess();
+        throw AdapterFailure(AdapterFailure::Kind::Crash,
+                             "adapter '" + config_.name +
+                                 "': reading its output failed: " + why);
+      }
     }
-    struct pollfd pfd {};
-    pfd.fd = fromChild_;
-    pfd.events = POLLIN;
-    const int rc = ::poll(&pfd, 1, static_cast<int>(remaining.count()));
-    if (rc < 0) {
-      if (errno == EINTR) continue;
-      reapProcess();
-      throw AdapterFailure(AdapterFailure::Kind::Crash,
-                           "adapter '" + config_.name +
-                               "': poll() failed: " + std::strerror(errno));
-    }
-    if (rc == 0) continue;  // deadline re-checked at the top of the loop
-    char chunk[4096];
-    const ssize_t n = ::read(fromChild_, chunk, sizeof(chunk));
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      reapProcess();
-      throw AdapterFailure(AdapterFailure::Kind::Crash,
-                           "adapter '" + config_.name +
-                               "': read() failed: " + std::strerror(errno));
-    }
-    if (n == 0) {
-      reapProcess();
-      throw AdapterFailure(AdapterFailure::Kind::Crash,
-                           "adapter '" + config_.name +
-                               "' died (EOF before a response)");
-    }
-    readBuf_.append(chunk, static_cast<std::size_t>(n));
   }
 
-  const auto parsed = obs::parseFlatJson(response);
-  if (!parsed) {
+  std::string why;
+  auto parsed = util::json::parse(response, &why);
+  if (!parsed || parsed->kind != util::json::Value::Kind::Object) {
     throw AdapterFailure(AdapterFailure::Kind::Protocol,
-                         "adapter '" + config_.name +
-                             "' answered garbage (not a JSON object): " +
-                             truncated(response));
+                         "adapter '" + config_.name + "' answered garbage (" +
+                             (why.empty() ? "not a JSON object" : why) +
+                             "): " + truncated(response));
   }
-  const auto ok = parsed->find("ok");
-  if (ok == parsed->end() || ok->second.kind != obs::JsonValue::Kind::Bool ||
-      !ok->second.boolean) {
+  if (parsed->flag("ok") != true) {
     std::string what = "adapter '" + config_.name + "' reported an error";
-    const auto err = parsed->find("error");
-    if (err != parsed->end()) what += ": " + err->second.text;
+    if (const auto err = parsed->str("error")) {
+      what += ": " + std::string(*err);
+    }
     throw AdapterFailure(AdapterFailure::Kind::Protocol, what);
   }
-  return *parsed;
+  return std::move(*parsed);
 }
 
 void SubprocessLegacy::handshake() {
-  obs::FlatObject hello;
+  util::json::Value hello;
   try {
-    hello = exchangeChecked("{\"cmd\":\"hello\"}\n");
+    hello = exchangeChecked(request("hello"));
   } catch (const AdapterFailure& e) {
     if (e.kind() != AdapterFailure::Kind::Crash) throw;
     // A binary that exits before greeting never started as an adapter —
@@ -322,25 +356,23 @@ void SubprocessLegacy::handshake() {
   // integrating against the wrong binary should fail in the handshake, not
   // as a confusing refusal pattern deep inside the loop.
   const auto checkSide = [&](const char* key, const SignalSet& declared) {
-    const auto it = hello.find(key);
-    if (it == hello.end()) return;  // self-description is optional
-    SignalSet reported;
-    for (const auto& name : splitNames(it->second.text)) {
-      const auto id = config_.signals->lookup(name);
-      if (!id) {
-        throw AdapterFailure(AdapterFailure::Kind::Protocol,
-                             "adapter '" + config_.name + "' declares " +
-                                 std::string(key) + " signal '" + name +
-                                 "' which is not in the model's alphabet");
-      }
-      reported.set(*id);
+    const auto text = hello.str(key);
+    if (!text) return;  // self-description is optional
+    std::string unknown;
+    const auto reported = decodeSignals(*text, *config_.signals, unknown);
+    if (!reported) {
+      throw AdapterFailure(AdapterFailure::Kind::Protocol,
+                           "adapter '" + config_.name + "' declares " +
+                               std::string(key) + " signal '" + unknown +
+                               "' which is not in the model's alphabet");
     }
-    if (!(reported == declared)) {
+    if (!(*reported == declared)) {
       throw AdapterFailure(
           AdapterFailure::Kind::Protocol,
           "adapter '" + config_.name + "' declares " + std::string(key) +
-              " {" + renderSignals(reported) + "} but the model declares {" +
-              renderSignals(declared) + "}");
+              " {" + encodeSignals(*reported, *config_.signals) +
+              "} but the model declares {" +
+              encodeSignals(declared, *config_.signals) + "}");
     }
   };
   checkSide("inputs", config_.inputs);
@@ -352,26 +384,22 @@ void SubprocessLegacy::replayLog() {
   // function of the inputs only, so a fresh process fed the same inputs
   // lands in the same hidden state. Divergence disproves the premise.
   for (const LoggedStep& step : log_) {
-    const std::string line = "{\"cmd\":\"step\",\"inputs\":" +
-                             util::jsonQuote(renderSignals(step.inputs)) +
-                             "}\n";
-    const obs::FlatObject resp = exchangeChecked(line);
-    const auto refused = resp.find("refused");
-    if (refused != resp.end() && refused->second.boolean) {
+    const util::json::Value resp = exchangeChecked(
+        request("step", encodeSignals(step.inputs, *config_.signals)));
+    if (resp.flag("refused") == true) {
       throw AdapterFailure(AdapterFailure::Kind::Replay,
                            "adapter '" + config_.name +
                                "' refused a previously accepted step during "
                                "replay — not input-deterministic");
     }
-    const auto out = resp.find("outputs");
-    const SignalSet produced =
-        out != resp.end() ? parseOutputs(out->second.text) : SignalSet{};
+    const SignalSet produced = parseOutputs(resp);
     if (!(produced == step.outputs)) {
       throw AdapterFailure(AdapterFailure::Kind::Replay,
                            "adapter '" + config_.name +
-                               "' produced {" + renderSignals(produced) +
+                               "' produced {" +
+                               encodeSignals(produced, *config_.signals) +
                                "} instead of {" +
-                               renderSignals(step.outputs) +
+                               encodeSignals(step.outputs, *config_.signals) +
                                "} during replay — not input-deterministic");
     }
   }
@@ -384,7 +412,7 @@ void SubprocessLegacy::ensureProcess() {
   replayLog();
 }
 
-obs::FlatObject SubprocessLegacy::command(const std::string& line) {
+util::json::Value SubprocessLegacy::command(const std::string& line) {
   while (true) {
     try {
       ensureProcess();
@@ -411,37 +439,30 @@ obs::FlatObject SubprocessLegacy::command(const std::string& line) {
 void SubprocessLegacy::reset() {
   log_.clear();
   if (pid_ < 0) return;  // a lazily spawned fresh process starts reset
-  command("{\"cmd\":\"reset\"}\n");
+  command(request("reset"));
 }
 
 std::optional<SignalSet> SubprocessLegacy::step(const SignalSet& inputs) {
-  const std::string line = "{\"cmd\":\"step\",\"inputs\":" +
-                           util::jsonQuote(renderSignals(inputs)) + "}\n";
-  const obs::FlatObject resp = command(line);
-  const auto refused = resp.find("refused");
-  if (refused != resp.end() &&
-      refused->second.kind == obs::JsonValue::Kind::Bool &&
-      refused->second.boolean) {
+  const util::json::Value resp =
+      command(request("step", encodeSignals(inputs, *config_.signals)));
+  if (resp.flag("refused") == true) {
     return std::nullopt;  // refusals do not advance state: nothing to log
   }
-  const auto out = resp.find("outputs");
-  SignalSet produced =
-      out != resp.end() ? parseOutputs(out->second.text) : SignalSet{};
+  SignalSet produced = parseOutputs(resp);
   log_.push_back({inputs, produced});
   return produced;
 }
 
 std::string SubprocessLegacy::currentStateName() const {
   auto* self = const_cast<SubprocessLegacy*>(this);
-  const obs::FlatObject resp = self->command("{\"cmd\":\"probe\"}\n");
-  const auto state = resp.find("state");
-  if (state == resp.end() ||
-      state->second.kind != obs::JsonValue::Kind::String) {
+  const util::json::Value resp = self->command(request("probe"));
+  const auto state = resp.str("state");
+  if (!state) {
     throw AdapterFailure(AdapterFailure::Kind::Protocol,
                          "adapter '" + config_.name +
                              "' answered a probe without a \"state\" string");
   }
-  return state->second.text;
+  return std::string(*state);
 }
 
 const SignalSet& SubprocessLegacy::inputs() const { return config_.inputs; }
@@ -459,28 +480,22 @@ std::unique_ptr<LegacyComponent> SubprocessLegacy::clone() const {
   return copy;
 }
 
-std::string SubprocessLegacy::renderSignals(const SignalSet& set) const {
-  std::string out;
-  set.forEach([&](std::size_t bit) {
-    if (!out.empty()) out += ' ';
-    out += config_.signals->name(static_cast<util::NameId>(bit));
-  });
-  return out;
-}
-
-SignalSet SubprocessLegacy::parseOutputs(const std::string& text) const {
-  SignalSet set;
-  for (const auto& name : splitNames(text)) {
-    const auto id = config_.signals->lookup(name);
-    if (!id || !config_.outputs.test(*id)) {
-      throw AdapterFailure(AdapterFailure::Kind::Protocol,
-                           "adapter '" + config_.name +
-                               "' produced undeclared output signal '" +
-                               name + "'");
-    }
-    set.set(*id);
+SignalSet SubprocessLegacy::parseOutputs(const util::json::Value& resp) const {
+  std::string unknown;
+  const auto produced =
+      decodeSignals(resp.str("outputs").value_or(""), *config_.signals,
+                    unknown);
+  if (produced && !produced->isSubsetOf(config_.outputs)) {
+    unknown = config_.signals->name(
+        static_cast<util::NameId>((*produced - config_.outputs).lowest()));
   }
-  return set;
+  if (!produced || !unknown.empty()) {
+    throw AdapterFailure(AdapterFailure::Kind::Protocol,
+                         "adapter '" + config_.name +
+                             "' produced undeclared output signal '" +
+                             unknown + "'");
+  }
+  return *produced;
 }
 
 SubprocessConfig configFromExternal(const muml::Model& model,

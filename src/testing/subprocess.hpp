@@ -2,9 +2,9 @@
 // Out-of-process legacy components (the paper's actual premise: a black box
 // you do *not* control and cannot link). SubprocessLegacy spawns an adapter
 // binary and speaks a line-oriented JSONL protocol over the child's
-// stdin/stdout — one flat JSON object per line, written through the
-// centralized UTF-8-validating escaper (util/json.hpp) and read back with
-// obs::parseFlatJson:
+// stdin/stdout — one JSON object per line, written and read with the
+// util/json.hpp codec; signal sets travel as space-separated name strings
+// through encodeSignals/decodeSignals below:
 //
 //   -> {"cmd":"hello"}
 //   <- {"ok":true,"name":"bci","inputs":"hello cmd","outputs":"ack done"}
@@ -33,10 +33,12 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "obs/journal.hpp"
 #include "testing/legacy.hpp"
+#include "util/json.hpp"
 
 namespace mui::muml {
 struct ExternalLegacy;
@@ -69,6 +71,20 @@ class AdapterFailure : public std::runtime_error {
 /// One-word kind name ("spawn", "crash", "timeout", "protocol", "replay").
 const char* adapterFailureKindName(AdapterFailure::Kind kind);
 
+/// The adapter wire's signal-set codec (docs/ADAPTERS.md), used by the
+/// harness and the reference adapter alike: a set travels as one JSON
+/// string of signal names in signal-table order, separated by single
+/// spaces.
+std::string encodeSignals(const SignalSet& set,
+                          const automata::SignalTable& table);
+
+/// The inverse of encodeSignals; any run of whitespace separates names.
+/// Returns nullopt at the first name that is not in `table` and stores
+/// that name in `unknown`.
+std::optional<SignalSet> decodeSignals(std::string_view text,
+                                       const automata::SignalTable& table,
+                                       std::string& unknown);
+
 struct SubprocessConfig {
   /// Resolved path of the adapter binary (see muml::resolveExternalBinary).
   std::string binary;
@@ -98,7 +114,8 @@ struct SubprocessConfig {
 
 /// LegacyComponent implementation backed by an adapter subprocess. Not
 /// thread-safe (like every LegacyComponent); safe to destroy at any time —
-/// the destructor asks the child to quit and SIGKILLs it if it lingers.
+/// the destructor asks the child to quit, waits up to kQuitGraceMs for its
+/// stdout to reach EOF, and SIGKILLs it if it lingers.
 class SubprocessLegacy final : public LegacyComponent {
  public:
   explicit SubprocessLegacy(SubprocessConfig config);
@@ -106,6 +123,9 @@ class SubprocessLegacy final : public LegacyComponent {
 
   SubprocessLegacy(const SubprocessLegacy&) = delete;
   SubprocessLegacy& operator=(const SubprocessLegacy&) = delete;
+
+  /// How long the destructor waits for a quitting adapter to exit.
+  static constexpr int kQuitGraceMs = 200;
 
   void reset() override;
   std::optional<SignalSet> step(const SignalSet& inputs) override;
@@ -137,13 +157,12 @@ class SubprocessLegacy final : public LegacyComponent {
   void replayLog();
   /// One request/response exchange against the live process. Throws
   /// AdapterFailure(Crash/Timeout/Protocol); never respawns.
-  obs::FlatObject exchangeChecked(const std::string& line);
+  util::json::Value exchangeChecked(const std::string& line);
   /// exchangeChecked plus the bounded crash-respawn-replay-retry loop.
-  obs::FlatObject command(const std::string& line);
+  util::json::Value command(const std::string& line);
   void journalEvent(const char* event, const char* detail = nullptr) const;
 
-  [[nodiscard]] std::string renderSignals(const SignalSet& set) const;
-  [[nodiscard]] SignalSet parseOutputs(const std::string& text) const;
+  [[nodiscard]] SignalSet parseOutputs(const util::json::Value& resp) const;
 
   SubprocessConfig config_;
   mutable int pid_ = -1;

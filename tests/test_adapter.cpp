@@ -13,12 +13,15 @@
 #include <signal.h>
 #include <stdlib.h>
 
+#include <cerrno>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <random>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "automata/rename.hpp"
@@ -35,6 +38,7 @@
 #include "synthesis/verifier.hpp"
 #include "testing/legacy.hpp"
 #include "testing/subprocess.hpp"
+#include "util/json.hpp"
 #include "util/parse.hpp"
 
 namespace {
@@ -315,6 +319,115 @@ TEST(SubprocessLegacy, RecoversFromAKilledProcessByReplay) {
   EXPECT_EQ(fw.currentStateName(), "busy");
 }
 
+/// A /bin/sh adapter running `script`, with the interface of the watchdog
+/// model's device (input ping, output pong).
+mui::testing::SubprocessConfig shellAdapter(const muml::Model& watchdog,
+                                            const std::string& script) {
+  const mui::testing::AutomatonLegacy device(
+      watchdog.automata.at("deviceCompliant"));
+  mui::testing::SubprocessConfig cfg;
+  cfg.binary = "/bin/sh";
+  cfg.args = {"-c", script};
+  cfg.name = "sh";
+  cfg.signals = watchdog.signals;
+  cfg.inputs = device.inputs();
+  cfg.outputs = device.outputs();
+  return cfg;
+}
+
+std::vector<std::string> fileLines(const std::filesystem::path& path) {
+  std::vector<std::string> out;
+  std::ifstream in(path);
+  for (std::string line; std::getline(in, line);) out.push_back(line);
+  return out;
+}
+
+TEST(SubprocessLegacy, WireLinesMatchThePinnedProtocol) {
+  // The reference adapter behind two tees: the harness's requests and the
+  // adapter's responses are recorded byte for byte. The expected lines are
+  // the protocol as the harness and adapter_automaton have always spoken it.
+  const auto dir = testDir("wire");
+  const muml::Model m =
+      muml::loadModelFile(std::string(MUI_MODELS_DIR) + "/watchdog.muml");
+  const std::string requests = (dir / "requests").string();
+  const std::string responses = (dir / "responses").string();
+  {
+    mui::testing::SubprocessLegacy dev(shellAdapter(
+        m, "tee '" + requests + "' | '" MUI_ADAPTER_DIR
+           "/adapter_automaton' '" MUI_MODELS_DIR
+           "/watchdog.muml' deviceCompliant --instance device | tee '" +
+               responses + "'"));
+    ASSERT_TRUE(dev.step(sset(m, {"ping"})).has_value());
+    EXPECT_FALSE(dev.step(sset(m, {"ping"})).has_value());
+    EXPECT_EQ(dev.currentStateName(), "serving");
+    const auto out = dev.step({});
+    ASSERT_TRUE(out.has_value());
+    EXPECT_TRUE(*out == sset(m, {"pong"}));
+    dev.reset();
+  }
+  const std::vector<std::string> expectedRequests = {
+      R"({"cmd":"hello"})",          R"({"cmd":"step","inputs":"ping"})",
+      R"({"cmd":"step","inputs":"ping"})", R"({"cmd":"probe"})",
+      R"({"cmd":"step","inputs":""})", R"({"cmd":"reset"})",
+      R"({"cmd":"quit"})"};
+  const std::vector<std::string> expectedResponses = {
+      R"({"ok":true,"name":"device","inputs":"ping","outputs":"pong"})",
+      R"({"ok":true,"outputs":""})",  R"({"ok":true,"refused":true})",
+      R"({"ok":true,"state":"serving"})", R"({"ok":true,"outputs":"pong"})",
+      R"({"ok":true})"};
+  // The request tee may still be writing "quit" when the harness has
+  // already seen the adapter's EOF.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (fileLines(requests).size() < expectedRequests.size() &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(fileLines(requests), expectedRequests);
+  EXPECT_EQ(fileLines(responses), expectedResponses);
+}
+
+TEST(SubprocessLegacy, TeardownReapsAnAdapterThatIgnoresQuitWithinTheBound) {
+  // Answers the hello and one step, then ignores quit and holds stdout
+  // open: the destructor must give up after its grace period, SIGKILL the
+  // child and reap it.
+  const muml::Model m =
+      muml::loadModelFile(std::string(MUI_MODELS_DIR) + "/watchdog.muml");
+  auto dev = std::make_unique<mui::testing::SubprocessLegacy>(shellAdapter(
+      m, "read l; echo '{\"ok\":true}'; read l; "
+         "echo '{\"ok\":true,\"outputs\":\"\"}'; exec sleep 60"));
+  ASSERT_TRUE(dev->step({}).has_value());
+  const int pid = dev->pid();
+  ASSERT_GT(pid, 0);
+  const auto t0 = std::chrono::steady_clock::now();
+  dev.reset();
+  const auto elapsedMs = std::chrono::duration<double, std::milli>(
+                             std::chrono::steady_clock::now() - t0)
+                             .count();
+  EXPECT_GE(elapsedMs, mui::testing::SubprocessLegacy::kQuitGraceMs - 5.0);
+  EXPECT_LT(elapsedMs, mui::testing::SubprocessLegacy::kQuitGraceMs + 1000.0);
+  // Reaped: the pid no longer names a process (not even a zombie).
+  EXPECT_EQ(::kill(pid, 0), -1);
+  EXPECT_EQ(errno, ESRCH);
+}
+
+TEST(SubprocessLegacy, SignalSetCodecIsSharedAndSplitsOnAnyWhitespace) {
+  const muml::Model m = loadBci();
+  const automata::SignalSet set = sset(m, {"cmd", "hello"});
+  const std::string wire = mui::testing::encodeSignals(set, *m.signals);
+  // Table order, single spaces.
+  EXPECT_EQ(wire, "hello cmd");
+  std::string unknown;
+  const auto back = mui::testing::decodeSignals(" hello\t\ncmd  ", *m.signals,
+                                                unknown);
+  ASSERT_TRUE(back.has_value());
+  EXPECT_TRUE(*back == set);
+  EXPECT_TRUE(mui::testing::decodeSignals("", *m.signals, unknown)->empty());
+  EXPECT_FALSE(
+      mui::testing::decodeSignals("hello bogus", *m.signals, unknown));
+  EXPECT_EQ(unknown, "bogus");
+}
+
 // --------------------------------------------------------- fault injection
 
 TEST(AdapterFaults, HangHitsTheDeadlineWithinTheContainmentBudget) {
@@ -366,6 +479,26 @@ TEST(AdapterFaults, GarbageIsAProtocolErrorNotAParseAbort) {
     EXPECT_NE(std::string(e.what()).find("garbage"), std::string::npos);
   }
   EXPECT_EQ(dev.respawns(), 0u);  // protocol errors are never retried
+}
+
+TEST(AdapterFaults, DeeplyNestedResponseIsALocatedProtocolError) {
+  // A hostile response nesting 100,000 arrays deep is rejected by the
+  // reader's depth bound, never by a stack overflow.
+  const muml::Model m =
+      muml::loadModelFile(std::string(MUI_MODELS_DIR) + "/watchdog.muml");
+  mui::testing::SubprocessLegacy dev(shellAdapter(
+      m, "read l; printf '{\"ok\":true,\"x\":'; "
+         "head -c 100000 /dev/zero | tr '\\000' '['; echo; exec cat"));
+  try {
+    dev.step({});
+    FAIL() << "expected AdapterFailure";
+  } catch (const AdapterFailure& e) {
+    EXPECT_EQ(e.kind(), AdapterFailure::Kind::Protocol);
+    EXPECT_NE(std::string(e.what()).find("nesting"), std::string::npos)
+        << e.what();
+    EXPECT_NE(std::string(e.what()).find("offset "), std::string::npos);
+  }
+  EXPECT_EQ(dev.respawns(), 0u);
 }
 
 TEST(AdapterFaults, ExitAfterHandshakeIsContainedAsACrash) {
@@ -590,14 +723,9 @@ TEST(EngineAdapter, BatchRunsExternalJobsAndNeverCachesThem) {
   std::istringstream lines(journal.text());
   std::string line;
   while (std::getline(lines, line)) {
-    const auto obj = obs::parseFlatJson(line);
-    if (!obj) continue;
-    const auto type = obj->find("type");
-    if (type == obj->end() || type->second.text != "adapter") continue;
-    const auto event = obj->find("event");
-    const auto lineUlid = obj->find("ulid");
-    if (event != obj->end() && event->second.text == "spawn" &&
-        lineUlid != obj->end() && lineUlid->second.text == ulid) {
+    const auto obj = util::json::parse(line);
+    if (!obj || obj->str("type") != "adapter") continue;
+    if (obj->str("event") == "spawn" && obj->str("ulid") == ulid) {
       sawCorrelatedSpawn = true;
     }
   }
@@ -637,10 +765,10 @@ TEST(EngineAdapter, ExternalIsBoundToTheRoleInstanceLikeInProcess) {
   std::istringstream lines(journal.text());
   std::string line;
   while (std::getline(lines, line)) {
-    const auto obj = obs::parseFlatJson(line);
-    if (!obj || obj->at("type").text != "adapter") continue;
+    const auto obj = util::json::parse(line);
+    if (!obj || obj->str("type") != "adapter") continue;
     ++adapterEvents;
-    EXPECT_EQ(obj->at("adapter").text, "device") << line;
+    EXPECT_EQ(obj->str("adapter"), "device") << line;
   }
   EXPECT_GT(adapterEvents, 0u);
 }

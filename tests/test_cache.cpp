@@ -300,6 +300,49 @@ TEST(PersistentCache, ReplayRejectsRecordsWhoseKeyDoesNotDigestFromMaterial) {
   EXPECT_FALSE(cache.lookup(key.hash, key.material).has_value());
 }
 
+TEST(PersistentCache, ReplaySkipsRecordsWithInvalidIntegerFields) {
+  const auto dir = testDir("persist_badint");
+  const auto log = (dir / "cache.jsonl").string();
+  // Each record is well-formed apart from one integer field that is not a
+  // plain non-negative integer literal; only the untouched one replays.
+  const auto record = [](const std::string& model, const std::string& from,
+                         const std::string& to) {
+    const JobKey key = engine::makeJobKey(model, job("P", "r", "h"), 0);
+    std::string line =
+        PersistentResultCache::encodeRecord(key.hash, key.material,
+                                            proven("x"));
+    const auto at = line.find(from);
+    EXPECT_NE(at, std::string::npos) << line;
+    if (at != std::string::npos) line.replace(at, from.size(), to);
+    return line + "\n";
+  };
+  writeFile(log,
+            record("ok", "", "") +
+                record("neg", "\"iterations\":2", "\"iterations\":-1") +
+                record("huge", "\"testPeriods\":6", "\"testPeriods\":1e999") +
+                record("frac", "\"learnedFacts\":1", "\"learnedFacts\":2.5") +
+                record("schema", "\"schema\":1", "\"schema\":1.5"));
+  PersistentResultCache cache(log);
+  EXPECT_EQ(cache.replayStats().replayed, 1u);
+  EXPECT_EQ(cache.replayStats().skipped, 4u);
+  EXPECT_EQ(cache.size(), 1u);
+}
+
+TEST(PersistentCache, ReplaySkipsADeeplyNestedLine) {
+  const auto dir = testDir("persist_nested");
+  const auto log = (dir / "cache.jsonl").string();
+  const JobKey key = engine::makeJobKey("model", job("P", "r", "h"), 0);
+  writeFile(log, "{\"schema\":1,\"type\":\"result\",\"x\":" +
+                     std::string(100000, '[') + "\n" +
+                     PersistentResultCache::encodeRecord(
+                         key.hash, key.material, proven("after")) +
+                     "\n");
+  PersistentResultCache cache(log);
+  EXPECT_EQ(cache.replayStats().skipped, 1u);
+  EXPECT_EQ(cache.replayStats().replayed, 1u);
+  EXPECT_EQ(cache.lookup(key.hash, key.material)->explanation, "after");
+}
+
 TEST(PersistentCache, RuntimeCollisionPoisonsTheHash) {
   const auto dir = testDir("persist_poison");
   const auto log = (dir / "cache.jsonl").string();

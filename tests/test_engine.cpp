@@ -22,6 +22,7 @@
 #include "obs/stats.hpp"
 #include "synthesis/verifier.hpp"
 #include "testing/subprocess.hpp"
+#include "util/json.hpp"
 #include "util/parse.hpp"
 
 namespace {
@@ -400,7 +401,7 @@ TEST(Batch, SummaryEscapesControlCharactersInJobNames) {
   std::size_t lines = 0;
   while (std::getline(in, line)) {
     if (line.empty()) continue;
-    EXPECT_TRUE(obs::parseFlatJson(line).has_value())
+    EXPECT_TRUE(util::json::parse(line).has_value())
         << "unparseable summary line: " << line;
     ++lines;
   }

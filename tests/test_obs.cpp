@@ -29,6 +29,8 @@
 namespace mui::obs {
 namespace {
 
+namespace json = mui::util::json;
+
 /// Restores the tracer to its default (disabled, empty) state so tests
 /// never leak events into each other.
 struct TracerGuard {
@@ -173,11 +175,25 @@ TEST(Metrics, JsonRendererParsesAndCarriesValues) {
   Registry reg;
   reg.counter("c_total", "a counter").add(7);
   reg.histogram("h_sizes", "a histogram").observe(2);
+  // Registered but never observed: its +Inf bucket still follows the
+  // first bucket with a comma.
+  reg.histogram("h_unused", "an empty histogram");
   const std::string json = reg.renderJson();
   EXPECT_NE(json.find("\"name\":\"c_total\""), std::string::npos);
   EXPECT_NE(json.find("\"value\":7"), std::string::npos);
   EXPECT_NE(json.find("\"kind\":\"histogram\""), std::string::npos);
   EXPECT_NE(json.find("\"metrics\":["), std::string::npos);
+  const auto doc = json::parse(json);
+  ASSERT_TRUE(doc.has_value()) << json;
+  const json::Value* metrics = doc->find("metrics");
+  ASSERT_NE(metrics, nullptr);
+  ASSERT_EQ(metrics->items.size(), 3u);
+  // Rendered in name order: c_total, h_sizes, h_unused.
+  ASSERT_EQ(metrics->items[2].str("name"), "h_unused");
+  const json::Value* empty = metrics->items[2].find("buckets");
+  ASSERT_NE(empty, nullptr);
+  ASSERT_EQ(empty->items.size(), 2u);
+  EXPECT_EQ(empty->items[1].str("le"), "+Inf");
 }
 
 TEST(Metrics, RegistryIsIdempotentAndKindChecked) {
@@ -192,82 +208,46 @@ TEST(Metrics, RegistryIsIdempotentAndKindChecked) {
   EXPECT_EQ(a.value(), 0u);
 }
 
-TEST(Journal, EventRoundTripsThroughFlatParser) {
-  Journal journal;
-  journal.event("iteration", JsonObject()
-                                 .s("run", "p/r/h")
-                                 .u("iter", 3)
-                                 .i("delta", -1)
-                                 .f("checkMs", 1.25)
-                                 .b("checkPassed", true)
-                                 .s("note", "tab\there \"quoted\" \xE2\x9C\x93"));
-  ASSERT_EQ(journal.eventCount(), 1u);
-  const std::string line =
-      journal.text().substr(0, journal.text().size() - 1);  // drop '\n'
-  const auto obj = parseFlatJson(line);
-  ASSERT_TRUE(obj.has_value());
-  EXPECT_EQ(obj->at("schema").asUint(),
-            static_cast<std::uint64_t>(kJournalSchemaVersion));
-  EXPECT_EQ(obj->at("type").text, "iteration");
-  EXPECT_EQ(obj->at("run").text, "p/r/h");
-  EXPECT_EQ(obj->at("iter").asUint(), 3u);
-  EXPECT_EQ(obj->at("delta").number, -1.0);
-  EXPECT_EQ(obj->at("checkMs").number, 1.25);
-  EXPECT_TRUE(obj->at("checkPassed").boolean);
-  EXPECT_EQ(obj->at("note").text, "tab\there \"quoted\" \xE2\x9C\x93");
-}
-
-TEST(Journal, ParserRejectsMalformedAndKeepsNestedRaw) {
-  EXPECT_FALSE(parseFlatJson("not json").has_value());
-  EXPECT_FALSE(parseFlatJson("{\"a\":1} trailing").has_value());
-  EXPECT_FALSE(parseFlatJson("{\"a\":}").has_value());
-  const auto obj = parseFlatJson("{\"a\":{\"x\":[1,2]},\"b\":null}");
-  ASSERT_TRUE(obj.has_value());
-  EXPECT_EQ(obj->at("a").kind, JsonValue::Kind::Raw);
-  EXPECT_EQ(obj->at("a").text, "{\"x\":[1,2]}");
-  EXPECT_EQ(obj->at("b").kind, JsonValue::Kind::Null);
-}
-
 TEST(Journal, InvalidUtf8IsEscapedAsReplacement) {
   // A lone 0xFF byte is not valid UTF-8; the escaper must not emit it raw
   // (that would produce an unparseable JSON document).
-  const std::string escaped = util::jsonEscape("a\xFF"
+  const std::string escaped = util::json::escape("a\xFF"
                                                "b");
   EXPECT_EQ(escaped, "a\\ufffdb");
-  EXPECT_EQ(util::jsonEscape("ok \xE2\x9C\x93"), "ok \xE2\x9C\x93");
-  EXPECT_EQ(util::jsonEscape("\x01"), "\\u0001");
+  EXPECT_EQ(util::json::escape("ok \xE2\x9C\x93"), "ok \xE2\x9C\x93");
+  EXPECT_EQ(util::json::escape("\x01"), "\\u0001");
 }
 
 TEST(Stats, AggregatesHandCraftedJournals) {
   Journal j1;
-  j1.event("run_start", JsonObject().s("run", "a").u("legacies", 1));
-  j1.event("iteration", JsonObject()
+  j1.event("run_start", json::Object().s("run", "a").u("legacies", 1));
+  j1.event("iteration", json::Object()
+                              .s("run", "a")
+                              .u("iter", 0)
+                              .u("productStates", 10)
+                              .u("learnedFacts", 2)
+                              .u("testPeriods", 5)
+                              .f("checkMs", 1.5)
+                              .f("testMs", 0.5)
+                              .b("checkPassed", false)
+                              .s("cexKind", "deadlock")
+                              .u("cexLength", 3));
+  j1.event("verdict", json::Object()
                             .s("run", "a")
-                            .u("iter", 0)
-                            .u("productStates", 10)
+                            .s("verdict", "proven")
+                            .u("iterations", 1)
                             .u("learnedFacts", 2)
-                            .u("testPeriods", 5)
-                            .f("checkMs", 1.5)
-                            .f("testMs", 0.5)
-                            .b("checkPassed", false)
-                            .s("cexKind", "deadlock")
-                            .u("cexLength", 3));
-  j1.event("verdict", JsonObject()
-                          .s("run", "a")
-                          .s("verdict", "proven")
-                          .u("iterations", 1)
-                          .u("learnedFacts", 2)
-                          .u("testPeriods", 5));
+                            .u("testPeriods", 5));
   Journal j2;
-  j2.event("job", JsonObject()
-                      .s("run", "b")
-                      .s("status", "real-error")
-                      .s("worker", "worker-1")
-                      .b("cacheHit", false)
-                      .f("wallMs", 12.0)
-                      .u("iterations", 4)
-                      .u("learnedFacts", 0)
-                      .u("testPeriods", 9));
+  j2.event("job", json::Object()
+                        .s("run", "b")
+                        .s("status", "real-error")
+                        .s("worker", "worker-1")
+                        .b("cacheHit", false)
+                        .f("wallMs", 12.0)
+                        .u("iterations", 4)
+                        .u("learnedFacts", 0)
+                        .u("testPeriods", 9));
   const auto report =
       aggregateJournals({j1.text(), j2.text(), "garbage line\n"});
   EXPECT_EQ(report.events, 4u);
@@ -319,12 +299,26 @@ TEST(Stats, WhitespaceOnlyLinesAreNotCountedAsMalformed) {
   EXPECT_EQ(report.skipped, 0u);
   // A real event surrounded by such lines still parses.
   Journal j;
-  j.event("run_start", JsonObject().s("run", "r"));
+  j.event("run_start", json::Object().s("run", "r"));
   const auto mixed = aggregateJournals({"\n \n" + j.text() + "\r\n\t\n"});
   EXPECT_EQ(mixed.events, 1u);
   EXPECT_EQ(mixed.skipped, 0u);
   ASSERT_EQ(mixed.runs.size(), 1u);
   EXPECT_EQ(mixed.runs[0].run, "r");
+}
+
+TEST(Stats, IntegerFieldsThatAreNotPlainLiteralsReadAsAbsent) {
+  const auto report = aggregateJournals(
+      {"{\"schema\":2,\"type\":\"iteration\",\"run\":\"x\",\"iter\":-1,"
+       "\"cexLength\":2.5,\"learnedFacts\":1e999,\"testPeriods\":4}\n"
+       "{\"schema\":1.5,\"type\":\"run_start\",\"run\":\"y\"}\n"});
+  EXPECT_EQ(report.events, 1u);
+  EXPECT_EQ(report.skipped, 1u);  // a fractional schema is no schema
+  ASSERT_EQ(report.iterations.size(), 1u);
+  EXPECT_EQ(report.iterations[0].iteration, 0u);
+  EXPECT_EQ(report.iterations[0].cexLength, 0u);
+  EXPECT_EQ(report.iterations[0].learnedFacts, 0u);
+  EXPECT_EQ(report.iterations[0].testPeriods, 4u);
 }
 
 TEST(Stats, RealIntegrationRunProducesAggregatableJournal) {
@@ -386,25 +380,6 @@ TEST(Ulid, ConcurrentMintingStaysUnique) {
   std::set<std::string> all;
   for (const auto& batch : minted) all.insert(batch.begin(), batch.end());
   EXPECT_EQ(all.size(), static_cast<std::size_t>(kThreads * kPerThread));
-}
-
-TEST(Journal, ParseFlatJsonArray) {
-  const auto rows = parseFlatJsonArray(
-      "[\n{\"a\":1,\"s\":\"x\"},\n{\"a\":2,\"b\":true}\n]");
-  ASSERT_TRUE(rows.has_value());
-  ASSERT_EQ(rows->size(), 2u);
-  EXPECT_EQ(rows->at(0).at("a").asUint(), 1u);
-  EXPECT_EQ(rows->at(0).at("s").text, "x");
-  EXPECT_TRUE(rows->at(1).at("b").boolean);
-
-  const auto empty = parseFlatJsonArray("[\n]");
-  ASSERT_TRUE(empty.has_value());
-  EXPECT_TRUE(empty->empty());
-
-  EXPECT_FALSE(parseFlatJsonArray("").has_value());
-  EXPECT_FALSE(parseFlatJsonArray("{\"a\":1}").has_value());
-  EXPECT_FALSE(parseFlatJsonArray("[{\"a\":1},]").has_value());
-  EXPECT_FALSE(parseFlatJsonArray("[{\"a\":1}] trailing").has_value());
 }
 
 TEST(Progress, PhaseDispositionIterationAreLiveAcrossThreads) {

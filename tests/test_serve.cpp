@@ -7,17 +7,19 @@
 
 #include <chrono>
 #include <filesystem>
+#include <fstream>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "engine/job.hpp"
-#include "obs/journal.hpp"
 #include "obs/ulid.hpp"
 #include "serve/client.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
 #include "serve/socket.hpp"
+#include "util/json.hpp"
 
 namespace {
 
@@ -174,6 +176,73 @@ TEST(ServeProtocol, CorrelationFieldsRoundTrip) {
   EXPECT_TRUE(old.job.ulid.empty());
 }
 
+/// `line` with the first occurrence of `from` replaced by `to`.
+std::string edited(std::string line, const std::string& from,
+                   const std::string& to) {
+  const auto at = line.find(from);
+  EXPECT_NE(at, std::string::npos) << from << " not in " << line;
+  if (at != std::string::npos) line.replace(at, from.size(), to);
+  return line;
+}
+
+TEST(ServeProtocol, IntegerFieldsMustBePlainNonNegativeLiterals) {
+  Job job = watchdogJob("wd", "deviceCompliant");
+  job.timeoutMs = 1234;
+  job.maxIterations = 7;
+  const std::string line = serve::writeJobLine(42, job);
+  for (const auto& [field, from, to] :
+       std::vector<std::tuple<std::string, std::string, std::string>>{
+           {"id", "\"id\":42", "\"id\":-1"},
+           {"timeout-ms", "\"timeout-ms\":1234", "\"timeout-ms\":1e999"},
+           {"max-iterations", "\"max-iterations\":7",
+            "\"max-iterations\":2.5"},
+           {"schema", "\"schema\":1", "\"schema\":1.5"},
+           {"id", "\"id\":42", "\"id\":\"42\""},
+       }) {
+    const serve::Request req = serve::parseRequest(edited(line, from, to));
+    EXPECT_EQ(req.type, serve::Request::Type::Invalid) << to;
+    EXPECT_NE(req.error.find("'" + field + "'"), std::string::npos)
+        << to << ": " << req.error;
+  }
+  const serve::Request hello = serve::parseRequest(
+      edited(serve::writeHelloLine("ci", 5000), "5000", "-5000"));
+  EXPECT_EQ(hello.type, serve::Request::Type::Invalid);
+  EXPECT_NE(hello.error.find("'deadline-ms'"), std::string::npos);
+
+  engine::JobResult result;
+  result.job = job;
+  result.status = JobStatus::Proven;
+  result.iterations = 3;
+  for (const auto& [field, line, from, to] :
+       std::vector<std::tuple<std::string, std::string, std::string,
+                              std::string>>{
+           {"iterations", serve::writeResultLine(9, result),
+            "\"iterations\":3", "\"iterations\":-3"},
+           {"retry-after-ms", serve::writeShedLine(4, 250), "250", "1e999"},
+           {"cacheHits", serve::writeDoneLine(10, 1, 4, 6), "\"cacheHits\":4",
+            "\"cacheHits\":4.5"},
+           {"schema", serve::writeWelcomeLine("v", 2), "\"schema\":1",
+            "\"schema\":1.9"},
+       }) {
+    const serve::Response res = serve::parseResponse(edited(line, from, to));
+    EXPECT_EQ(res.type, serve::Response::Type::Invalid) << to;
+    EXPECT_NE(res.error.find("'" + field + "'"), std::string::npos)
+        << to << ": " << res.error;
+  }
+}
+
+TEST(ServeProtocol, DeeplyNestedLineIsInvalidWithALocatedError) {
+  const std::string hostile =
+      "{\"schema\":1,\"type\":\"job\",\"x\":" + std::string(100000, '[');
+  const serve::Request req = serve::parseRequest(hostile);
+  EXPECT_EQ(req.type, serve::Request::Type::Invalid);
+  EXPECT_NE(req.error.find("nesting"), std::string::npos) << req.error;
+  EXPECT_NE(req.error.find("offset "), std::string::npos) << req.error;
+  const serve::Response res = serve::parseResponse(hostile);
+  EXPECT_EQ(res.type, serve::Response::Type::Invalid);
+  EXPECT_NE(res.error.find("nesting"), std::string::npos) << res.error;
+}
+
 // ----------------------------------------------------------- daemon basics
 
 TEST(ServeServer, RoundTripsJobsAndServesDuplicatesFromCache) {
@@ -241,6 +310,28 @@ TEST(ServeServer, ServerMaxTimeoutCapsEveryJob) {
 }
 
 TEST(ServeServer, AdmissionControlShedsBeyondTheQueueLimit) {
+  // The first job holds the only queue slot by construction: its legacy is
+  // an external adapter started by a shell that waits for `release`, which
+  // is created only once the daemon has shed the second job. Externals are
+  // never cached, so the second job cannot be answered as a hit either.
+  const auto dir = testDir("admission");
+  const auto release = dir / "release";
+  const auto model = dir / "gated.muml";
+  {
+    std::ifstream base(kWatchdog);
+    std::ofstream out(model);
+    out << base.rdbuf()
+        << "legacy deviceGated external \"/bin/sh\" {\n"
+           "  input ping;\n"
+           "  output pong;\n"
+           "  arg \"-c\";\n"
+           "  arg \"while [ ! -e '" << release.string()
+        << "' ]; do sleep 0.01; done; exec '" MUI_ADAPTER_DIR
+           "/adapter_automaton' '" << kWatchdog
+        << "' deviceCompliant --instance device\";\n"
+           "  deadline-ms 60000;\n"
+           "}\n";
+  }
   serve::ServeOptions options = localOptions();
   options.threads = 1;
   options.queueLimit = 1;
@@ -248,14 +339,32 @@ TEST(ServeServer, AdmissionControlShedsBeyondTheQueueLimit) {
   serve::Server server(options);
   server.start();
 
-  // Both job lines land in one write and are parsed back-to-back, so the
-  // second arrives while the first is still pending: it must be shed, and
-  // with retries disabled the client reports it as a load-shed row.
+  // Both job lines land in one write and are parsed back-to-back; with
+  // retries disabled the client reports the shed one as a load-shed row.
   serve::SubmitOptions client = clientFor(server);
   client.maxRetryRounds = 0;
-  const std::vector<Job> jobs = {railcabJob("holds-the-queue", 2000),
-                                 railcabJob("gets-shed", 2000)};
-  const serve::SubmitOutcome outcome = serve::submitJobs(jobs, client);
+  std::vector<Job> jobs;
+  for (const char* name : {"holds-the-queue", "gets-shed"}) {
+    Job job = watchdogJob(name, "deviceGated");
+    job.modelPath = model.string();
+    jobs.push_back(std::move(job));
+  }
+  serve::SubmitOutcome outcome;
+  std::thread submitter([&] {
+    try {
+      outcome = serve::submitJobs(jobs, client);
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "submit failed: " << e.what();
+    }
+  });
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (server.stats().jobsShed == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  { std::ofstream touch(release); }
+  submitter.join();
 
   ASSERT_EQ(outcome.report.results.size(), 2u);
   EXPECT_EQ(outcome.report.results[0].job.name, "holds-the-queue");
@@ -395,12 +504,13 @@ TEST(ServeServer, JobsEndpointReportsInflightJobsWithPhase) {
   // Idle daemon: a parseable payload with an empty jobs array. (The raw
   // helper keeps the headers; the JSON body starts at the first brace.)
   const std::string idle = httpGet(server.port(), "/jobs");
-  const auto idleObj = obs::parseFlatJson(idle.substr(idle.find('{')));
+  const auto idleObj = util::json::parse(idle.substr(idle.find('{')));
   ASSERT_TRUE(idleObj.has_value()) << idle;
-  EXPECT_EQ(idleObj->at("inflight").asUint(), 0u);
-  const auto idleRows = obs::parseFlatJsonArray(idleObj->at("jobs").text);
-  ASSERT_TRUE(idleRows.has_value());
-  EXPECT_TRUE(idleRows->empty());
+  EXPECT_EQ(idleObj->u64("inflight"), 0u);
+  const util::json::Value* idleRows = idleObj->find("jobs");
+  ASSERT_NE(idleRows, nullptr);
+  EXPECT_EQ(idleRows->kind, util::json::Value::Kind::Array);
+  EXPECT_TRUE(idleRows->items.empty());
 
   // Pipeline several distinct jobs (distinct maxIterations defeats the
   // result cache) through one worker, then catch them on /jobs while the
@@ -420,18 +530,19 @@ TEST(ServeServer, JobsEndpointReportsInflightJobsWithPhase) {
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
   while (!sawRow && std::chrono::steady_clock::now() < deadline) {
     const std::string live = httpGet(server.port(), "/jobs");
-    const auto obj = obs::parseFlatJson(live.substr(live.find('{')));
+    const auto obj = util::json::parse(live.substr(live.find('{')));
     ASSERT_TRUE(obj.has_value()) << live;
-    const auto rows = obs::parseFlatJsonArray(obj->at("jobs").text);
-    ASSERT_TRUE(rows.has_value()) << live;
-    for (const auto& row : *rows) {
-      EXPECT_TRUE(obs::looksLikeUlid(row.at("ulid").text));
-      EXPECT_EQ(row.at("name").text.rfind("inflight-", 0), 0u);
-      EXPECT_EQ(row.at("client").text, "gtest");
-      EXPECT_FALSE(row.at("phase").text.empty());
-      EXPECT_FALSE(row.at("disposition").text.empty());
-      ASSERT_NE(row.find("queuedMs"), row.end());
-      ASSERT_NE(row.find("runMs"), row.end());
+    const util::json::Value* rows = obj->find("jobs");
+    ASSERT_NE(rows, nullptr) << live;
+    for (const auto& row : rows->items) {
+      EXPECT_TRUE(
+          obs::looksLikeUlid(std::string(row.str("ulid").value_or(""))));
+      EXPECT_EQ(row.str("name").value_or("").rfind("inflight-", 0), 0u);
+      EXPECT_EQ(row.str("client"), "gtest");
+      EXPECT_FALSE(row.str("phase").value_or("").empty());
+      EXPECT_FALSE(row.str("disposition").value_or("").empty());
+      ASSERT_TRUE(row.num("queuedMs").has_value());
+      ASSERT_TRUE(row.num("runMs").has_value());
       sawRow = true;
     }
     if (!sawRow) std::this_thread::sleep_for(std::chrono::milliseconds(2));
@@ -440,9 +551,9 @@ TEST(ServeServer, JobsEndpointReportsInflightJobsWithPhase) {
   EXPECT_TRUE(sawRow) << "no in-flight job ever appeared on /jobs";
   // After the batch drained, the registry is empty again.
   const std::string after = httpGet(server.port(), "/jobs");
-  const auto afterObj = obs::parseFlatJson(after.substr(after.find('{')));
+  const auto afterObj = util::json::parse(after.substr(after.find('{')));
   ASSERT_TRUE(afterObj.has_value());
-  EXPECT_EQ(afterObj->at("inflight").asUint(), 0u);
+  EXPECT_EQ(afterObj->u64("inflight"), 0u);
 }
 
 TEST(ServeServer, TraceEndpointServesTheDaemonRing) {

@@ -14,12 +14,14 @@
 #include <string>
 #include <vector>
 
-#include "obs/journal.hpp"
 #include "obs/trace.hpp"
 #include "obs/ulid.hpp"
+#include "util/json.hpp"
 
 namespace mui::obs {
 namespace {
+
+namespace json = util::json;
 
 struct TracerGuard {
   TracerGuard() { Tracer::enable(); }
@@ -31,9 +33,9 @@ struct TracerGuard {
 
 /// Extracts the event lines of a chromeTrace()/mergeChromeTraces document
 /// (one event per line, trailing commas stripped) and asserts every one of
-/// them parses as a flat JSON object.
-std::vector<FlatObject> parsedEvents(const std::string& doc) {
-  std::vector<FlatObject> events;
+/// them parses as a JSON object.
+std::vector<json::Value> parsedEvents(const std::string& doc) {
+  std::vector<json::Value> events;
   std::istringstream in(doc);
   std::string line;
   bool inEvents = false;
@@ -45,24 +47,23 @@ std::vector<FlatObject> parsedEvents(const std::string& doc) {
     }
     if (line == "]}" || line.empty()) continue;
     if (!line.empty() && line.back() == ',') line.pop_back();
-    const auto obj = parseFlatJson(line);
+    auto obj = json::parse(line);
     EXPECT_TRUE(obj.has_value()) << "unparseable event line: " << line;
-    if (obj) events.push_back(*obj);
+    if (obj) events.push_back(std::move(*obj));
   }
   return events;
 }
 
-std::string fieldText(const FlatObject& o, const char* key) {
-  const auto it = o.find(key);
-  return it == o.end() ? std::string() : it->second.text;
+std::string fieldText(const json::Value& o, const char* key) {
+  return std::string(o.str(key).value_or(""));
 }
 
 /// Asserts every "b" has exactly one matching "e" (same name and id) and
 /// that no "e" arrives without its "b". Begin and end may sit on different
 /// threads — and, in a merged doc, different pids — by design.
-void expectAsyncPairsBalanced(const std::vector<FlatObject>& events) {
+void expectAsyncPairsBalanced(const std::vector<json::Value>& events) {
   std::map<std::string, int> open;
-  for (const FlatObject& ev : events) {
+  for (const json::Value& ev : events) {
     const std::string ph = fieldText(ev, "ph");
     if (ph != "b" && ph != "e") continue;
     const std::string key = fieldText(ev, "name") + "\x1f" +
@@ -93,28 +94,26 @@ TEST(TraceValidity, EveryEmittedEventLineIsWellFormed) {
   const auto events = parsedEvents(Tracer::chromeTrace(1, "mui-test"));
   // b + 3 X + e; metadata lines vary with threads other tests registered.
   std::size_t nonMeta = 0;
-  for (const FlatObject& ev : events) {
+  for (const json::Value& ev : events) {
     if (fieldText(ev, "ph") != "M") ++nonMeta;
   }
   ASSERT_EQ(nonMeta, 5u);
   std::set<std::string> phases;
-  for (const FlatObject& ev : events) {
+  for (const json::Value& ev : events) {
     const std::string ph = fieldText(ev, "ph");
     phases.insert(ph);
     EXPECT_TRUE(ph == "X" || ph == "M" || ph == "b" || ph == "e") << ph;
-    ASSERT_NE(ev.find("pid"), ev.end());
-    ASSERT_NE(ev.find("tid"), ev.end());
+    ASSERT_NE(ev.find("pid"), nullptr);
+    ASSERT_NE(ev.find("tid"), nullptr);
     if (ph == "X") {
       // Complete events need a numeric timestamp and duration.
-      ASSERT_NE(ev.find("ts"), ev.end());
-      ASSERT_NE(ev.find("dur"), ev.end());
-      EXPECT_EQ(ev.at("ts").kind, JsonValue::Kind::Number);
-      EXPECT_EQ(ev.at("dur").kind, JsonValue::Kind::Number);
-      EXPECT_GE(ev.at("dur").number, 0.0);
+      ASSERT_TRUE(ev.num("ts").has_value());
+      ASSERT_TRUE(ev.num("dur").has_value());
+      EXPECT_GE(*ev.num("dur"), 0.0);
     }
     if (ph == "b" || ph == "e") {
       EXPECT_EQ(fieldText(ev, "id"), ulid);
-      ASSERT_NE(ev.find("ts"), ev.end());
+      ASSERT_NE(ev.find("ts"), nullptr);
     }
   }
   EXPECT_EQ(phases, (std::set<std::string>{"M", "X", "b", "e"}));
@@ -131,7 +130,7 @@ TEST(TraceValidity, AsyncPairsBalancePerIdAcrossManyJobs) {
   Tracer::disable();
   const auto events = parsedEvents(Tracer::chromeTrace());
   std::size_t asyncEvents = 0;
-  for (const FlatObject& ev : events) {
+  for (const json::Value& ev : events) {
     const std::string ph = fieldText(ev, "ph");
     if (ph == "b" || ph == "e") ++asyncEvents;
   }
@@ -167,10 +166,10 @@ TEST(TraceValidity, MergedClientAndDaemonRingsShareTheJobUlid) {
 
   std::set<double> pids;
   std::size_t taggedWithUlid = 0;
-  for (const FlatObject& ev : events) {
-    const auto pid = ev.find("pid");
-    ASSERT_NE(pid, ev.end());
-    pids.insert(pid->second.number);
+  for (const json::Value& ev : events) {
+    const auto pid = ev.num("pid");
+    ASSERT_TRUE(pid.has_value());
+    pids.insert(*pid);
     if (fieldText(ev, "id") == ulid) ++taggedWithUlid;
   }
   EXPECT_EQ(pids, (std::set<double>{1.0, 2.0}));
@@ -198,12 +197,56 @@ TEST(TraceValidity, MergeShiftsTheLaterDocumentOntoTheBaseTimeline) {
   ASSERT_EQ(events.size(), 2u);
   double tsA = 0;
   double tsB = 0;
-  for (const FlatObject& ev : events) {
-    if (fieldText(ev, "name") == "a") tsA = ev.at("ts").number;
-    if (fieldText(ev, "name") == "b") tsB = ev.at("ts").number;
+  for (const json::Value& ev : events) {
+    if (fieldText(ev, "name") == "a") tsA = ev.num("ts").value_or(0);
+    if (fieldText(ev, "name") == "b") tsB = ev.num("ts").value_or(0);
   }
   EXPECT_DOUBLE_EQ(tsA, 100.0);
   EXPECT_DOUBLE_EQ(tsB, 5100.0);
+}
+
+TEST(TraceValidity, MergeShiftsOnlyTimestampsAndKeepsTokensAndKeyOrder) {
+  // The daemon-side events of a merge move by the epoch delta (2500us);
+  // everything else — integer pid/tid tokens, nested args, key order —
+  // reads exactly as the daemon wrote it.
+  const std::string client =
+      "{\"displayTimeUnit\":\"ms\",\"muiEpochUnixNs\":1000000000,"
+      "\"traceEvents\":[\n"
+      "{\"ph\":\"X\",\"pid\":1,\"tid\":0,\"cat\":\"mui\",\"name\":\"a\","
+      "\"ts\":100.000,\"dur\":1.000}\n]}\n";
+  const std::vector<std::pair<std::string, std::string>> daemonEvents = {
+      {R"({"ph":"M","pid":2,"tid":0,"name":"process_name","args":{"name":"mui-serve"}})",
+       R"({"ph":"M","pid":2,"tid":0,"name":"process_name","args":{"name":"mui-serve"}})"},
+      {R"({"ph":"X","pid":2,"tid":3,"cat":"mui","name":"job:j1","ts":10.250,"dur":4.500,"args":{"i":7,"cid":"01ARZ3NDEKTSV4RRFFQ69G5FAV"}})",
+       R"({"ph":"X","pid":2,"tid":3,"cat":"mui","name":"job:j1","ts":2510.250,"dur":4.500,"args":{"i":7,"cid":"01ARZ3NDEKTSV4RRFFQ69G5FAV"}})"},
+      {R"({"ph":"b","pid":2,"tid":3,"cat":"mui","name":"job:j1","ts":9.000,"id":"01ARZ3NDEKTSV4RRFFQ69G5FAV","scope":"mui"})",
+       R"({"ph":"b","pid":2,"tid":3,"cat":"mui","name":"job:j1","ts":2509.000,"id":"01ARZ3NDEKTSV4RRFFQ69G5FAV","scope":"mui"})"},
+  };
+  std::string daemon =
+      "{\"displayTimeUnit\":\"ms\",\"muiEpochUnixNs\":1002500000,"
+      "\"traceEvents\":[\n";
+  for (std::size_t k = 0; k < daemonEvents.size(); ++k) {
+    daemon += (k > 0 ? ",\n" : "") + daemonEvents[k].first;
+  }
+  daemon += "\n]}\n";
+
+  const std::string merged = mergeChromeTraces({client, daemon});
+  std::set<std::string> mergedLines;
+  std::istringstream in(merged);
+  for (std::string line; std::getline(in, line);) {
+    if (!line.empty() && line.back() == ',') line.pop_back();
+    mergedLines.insert(line);
+  }
+  for (const auto& [written, shifted] : daemonEvents) {
+    EXPECT_EQ(mergedLines.count(shifted), 1u)
+        << "missing " << shifted << " in\n" << merged;
+  }
+  const auto events = parsedEvents(merged);
+  ASSERT_EQ(events.size(), 4u);
+  for (const json::Value& ev : events) {
+    ASSERT_NE(ev.find("pid"), nullptr);
+    EXPECT_EQ(ev.find("pid")->text, fieldText(ev, "name") == "a" ? "1" : "2");
+  }
 }
 
 }  // namespace

@@ -115,24 +115,24 @@ TEST(TextTable, AlignsColumns) {
 }
 
 TEST(JsonEscape, ShortEscapesAndControlChars) {
-  EXPECT_EQ(jsonEscape("plain"), "plain");
-  EXPECT_EQ(jsonEscape("a\"b\\c"), "a\\\"b\\\\c");
-  EXPECT_EQ(jsonEscape("\n\t\r\b\f"), "\\n\\t\\r\\b\\f");
+  EXPECT_EQ(json::escape("plain"), "plain");
+  EXPECT_EQ(json::escape("a\"b\\c"), "a\\\"b\\\\c");
+  EXPECT_EQ(json::escape("\n\t\r\b\f"), "\\n\\t\\r\\b\\f");
   // Control characters without a short form use \uXXXX.
-  EXPECT_EQ(jsonEscape(std::string("\x00\x1f", 2)), "\\u0000\\u001f");
-  EXPECT_EQ(jsonQuote("hi\n"), "\"hi\\n\"");
+  EXPECT_EQ(json::escape(std::string("\x00\x1f", 2)), "\\u0000\\u001f");
+  EXPECT_EQ(json::quote("hi\n"), "\"hi\\n\"");
 }
 
 TEST(JsonEscape, Utf8PassesThroughInvalidBytesReplaced) {
   // Valid multi-byte sequences are preserved byte for byte.
-  EXPECT_EQ(jsonEscape("caf\xC3\xA9 \xE2\x9C\x93 \xF0\x9F\x9A\x80"),
+  EXPECT_EQ(json::escape("caf\xC3\xA9 \xE2\x9C\x93 \xF0\x9F\x9A\x80"),
             "caf\xC3\xA9 \xE2\x9C\x93 \xF0\x9F\x9A\x80");
   // Invalid bytes become the replacement-character escape, never raw bytes.
-  EXPECT_EQ(jsonEscape("\xFF"), "\\ufffd");
-  EXPECT_EQ(jsonEscape("\xC3"), "\\ufffd");           // truncated 2-byte
-  EXPECT_EQ(jsonEscape("\xE2\x9C"), "\\ufffd\\ufffd");  // truncated 3-byte
+  EXPECT_EQ(json::escape("\xFF"), "\\ufffd");
+  EXPECT_EQ(json::escape("\xC3"), "\\ufffd");           // truncated 2-byte
+  EXPECT_EQ(json::escape("\xE2\x9C"), "\\ufffd\\ufffd");  // truncated 3-byte
   // CESU-8 style surrogate encodings are not valid UTF-8.
-  EXPECT_EQ(jsonEscape("\xED\xA0\x80"), "\\ufffd\\ufffd\\ufffd");
+  EXPECT_EQ(json::escape("\xED\xA0\x80"), "\\ufffd\\ufffd\\ufffd");
 }
 
 TEST(Cursor, TokensAndComments) {

@@ -4,8 +4,10 @@
 //                     [--chaos crash-at=N|hang-at=N|garbage-at=N|exit-early]
 //
 // Wraps any .muml automaton behind the JSONL adapter protocol
-// (docs/ADAPTERS.md): one flat JSON request per stdin line, one flat JSON
-// response per stdout line. This is both the differential-conformance
+// (docs/ADAPTERS.md): one JSON request object per stdin line, one JSON
+// response object per stdout line, read and written with the util/json.hpp
+// codec, signal sets through the harness's own encodeSignals/decodeSignals
+// (testing/subprocess.hpp). This is both the differential-conformance
 // oracle (the same hidden automaton driven in-process through
 // AutomatonLegacy and out-of-process through this binary must be
 // indistinguishable) and the fault-injection vehicle: --chaos makes the
@@ -35,8 +37,8 @@
 
 #include "automata/rename.hpp"
 #include "muml/loader.hpp"
-#include "obs/journal.hpp"
 #include "testing/legacy.hpp"
+#include "testing/subprocess.hpp"
 #include "util/json.hpp"
 
 namespace {
@@ -73,33 +75,16 @@ std::optional<Chaos> parseChaos(const std::string& spec) {
   return c;
 }
 
-void respond(const std::string& body) {
-  std::fputs(body.c_str(), stdout);
+void respond(const util::json::Object& body) {
+  std::fputs(body.str().c_str(), stdout);
   std::fputc('\n', stdout);
   std::fflush(stdout);
 }
 
-std::string renderSignals(const automata::SignalSet& set,
-                          const automata::SignalTable& table) {
-  std::string out;
-  set.forEach([&](std::size_t bit) {
-    if (!out.empty()) out += ' ';
-    out += table.name(static_cast<util::NameId>(bit));
-  });
-  return out;
-}
+util::json::Object ok() { return util::json::Object().b("ok", true); }
 
-std::vector<std::string> splitNames(const std::string& text) {
-  std::vector<std::string> out;
-  std::size_t i = 0;
-  while (i < text.size()) {
-    while (i < text.size() && text[i] == ' ') ++i;
-    std::size_t j = i;
-    while (j < text.size() && text[j] != ' ') ++j;
-    if (j > i) out.push_back(text.substr(i, j - i));
-    i = j;
-  }
-  return out;
+util::json::Object error(const std::string& message) {
+  return util::json::Object().b("ok", false).s("error", message);
 }
 
 int usage() {
@@ -164,32 +149,28 @@ int main(int argc, char** argv) {
   unsigned long steps = 0;
   std::string line;
   while (std::getline(std::cin, line)) {
-    const auto req = obs::parseFlatJson(line);
-    if (!req) {
-      respond("{\"ok\":false,\"error\":\"unparseable request\"}");
+    const auto req = util::json::parse(line);
+    if (!req || req->kind != util::json::Value::Kind::Object) {
+      respond(error("unparseable request"));
       continue;
     }
-    const auto cit = req->find("cmd");
-    const std::string cmd =
-        cit != req->end() ? cit->second.text : std::string();
+    const std::string cmd(req->str("cmd").value_or(""));
     if (cmd == "quit") break;
     if (cmd == "hello") {
-      respond("{\"ok\":true,\"name\":" + util::jsonQuote(legacy.name()) +
-              ",\"inputs\":" +
-              util::jsonQuote(renderSignals(legacy.inputs(), table)) +
-              ",\"outputs\":" +
-              util::jsonQuote(renderSignals(legacy.outputs(), table)) + "}");
+      respond(ok().s("name", legacy.name())
+                  .s("inputs", testing::encodeSignals(legacy.inputs(), table))
+                  .s("outputs",
+                     testing::encodeSignals(legacy.outputs(), table)));
       if (chaos.mode == Chaos::Mode::ExitEarly) return 0;
       continue;
     }
     if (cmd == "reset") {
       legacy.reset();
-      respond("{\"ok\":true}");
+      respond(ok());
       continue;
     }
     if (cmd == "probe") {
-      respond("{\"ok\":true,\"state\":" +
-              util::jsonQuote(legacy.currentStateName()) + "}");
+      respond(ok().s("state", legacy.currentStateName()));
       continue;
     }
     if (cmd == "step") {
@@ -201,37 +182,27 @@ int main(int argc, char** argv) {
         for (;;) ::pause();
       }
       if (chaos.mode == Chaos::Mode::GarbageAt && steps == chaos.at) {
-        respond("!! this is not json !!");
+        std::puts("!! this is not json !!");
+        std::fflush(stdout);
         continue;
       }
-      const auto iit = req->find("inputs");
-      automata::SignalSet inputs;
-      bool bad = false;
-      if (iit != req->end()) {
-        for (const auto& name : splitNames(iit->second.text)) {
-          const auto id = model.signals->lookup(name);
-          if (!id) {
-            respond("{\"ok\":false,\"error\":" +
-                    util::jsonQuote("unknown input signal '" + name + "'") +
-                    "}");
-            bad = true;
-            break;
-          }
-          inputs.set(*id);
-        }
+      std::string unknown;
+      const auto inputs =
+          testing::decodeSignals(req->str("inputs").value_or(""), table,
+                                 unknown);
+      if (!inputs) {
+        respond(error("unknown input signal '" + unknown + "'"));
+        continue;
       }
-      if (bad) continue;
-      const auto out = legacy.step(inputs);
+      const auto out = legacy.step(*inputs);
       if (!out) {
-        respond("{\"ok\":true,\"refused\":true}");
+        respond(ok().b("refused", true));
       } else {
-        respond("{\"ok\":true,\"outputs\":" +
-                util::jsonQuote(renderSignals(*out, table)) + "}");
+        respond(ok().s("outputs", testing::encodeSignals(*out, table)));
       }
       continue;
     }
-    respond("{\"ok\":false,\"error\":" +
-            util::jsonQuote("unknown command '" + cmd + "'") + "}");
+    respond(error("unknown command '" + cmd + "'"));
   }
   return 0;
 }

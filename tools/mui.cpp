@@ -163,6 +163,7 @@
 #include "synthesis/verifier.hpp"
 #include "testing/legacy.hpp"
 #include "testing/subprocess.hpp"
+#include "util/json.hpp"
 
 #ifndef MUI_VERSION
 #define MUI_VERSION "0.0.0-dev"
@@ -1086,45 +1087,34 @@ int cmdTop(int argc, char** argv) {
       std::fprintf(stderr, "mui top: %s\n", e.what());
       return 1;
     }
-    const auto obj = obs::parseFlatJson(body);
-    if (!obj) {
+    const auto doc = util::json::parse(body);
+    const util::json::Value* rows = doc ? doc->find("jobs") : nullptr;
+    if (rows == nullptr || rows->kind != util::json::Value::Kind::Array) {
       std::fprintf(stderr, "mui top: unparseable /jobs payload\n");
       return 1;
     }
-    std::vector<obs::FlatObject> rows;
-    if (const auto it = obj->find("jobs"); it != obj->end()) {
-      if (auto parsed = obs::parseFlatJsonArray(it->second.text)) {
-        rows = std::move(*parsed);
-      }
-    }
-    const auto str = [](const obs::FlatObject& o, const char* key) {
-      const auto it = o.find(key);
-      return it == o.end() ? std::string() : it->second.text;
-    };
-    const auto num = [](const obs::FlatObject& o, const char* key) {
-      const auto it = o.find(key);
-      return it == o.end() ? 0.0 : it->second.number;
-    };
 
     if (tty && frames != 1) std::printf("\x1b[H\x1b[2J");
-    const auto inflight = obj->find("inflight");
     std::printf("mui top — %s:%u — %llu job(s) in flight\n", host.c_str(),
                 port,
                 static_cast<unsigned long long>(
-                    inflight == obj->end() ? rows.size()
-                                           : inflight->second.asUint()));
+                    doc->u64("inflight").value_or(rows->items.size())));
     std::printf("%-26s  %-16s  %-8s  %-9s  %5s  %9s  %9s  %s\n", "ULID",
                 "NAME", "PHASE", "DISP", "ITER", "QUEUED-MS", "RUN-MS",
                 "CLIENT");
-    for (const auto& row : rows) {
-      const std::string trace = str(row, "trace");
+    for (const auto& row : rows->items) {
+      const auto str = [&](const char* key) {
+        return std::string(row.str(key).value_or(""));
+      };
+      const std::string trace = str("trace");
       std::printf("%-26s  %-16s  %-8s  %-9s  %5llu  %9.0f  %9.0f  %s%s%s\n",
-                  str(row, "ulid").c_str(), str(row, "name").c_str(),
-                  str(row, "phase").c_str(), str(row, "disposition").c_str(),
-                  static_cast<unsigned long long>(num(row, "iteration")),
-                  num(row, "queuedMs"), num(row, "runMs"),
-                  str(row, "client").c_str(),
-                  trace.empty() ? "" : " · ", trace.c_str());
+                  str("ulid").c_str(), str("name").c_str(),
+                  str("phase").c_str(), str("disposition").c_str(),
+                  static_cast<unsigned long long>(
+                      row.u64("iteration").value_or(0)),
+                  row.num("queuedMs").value_or(0), row.num("runMs").value_or(0),
+                  str("client").c_str(), trace.empty() ? "" : " · ",
+                  trace.c_str());
     }
     std::fflush(stdout);
   }
