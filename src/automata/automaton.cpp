@@ -83,6 +83,14 @@ void Automaton::labelWithStateName(StateId s) {
   addLabel(s, prefix + n);
 }
 
+void Automaton::renameInstance(std::string name) {
+  name_ = std::move(name);
+  for (StateId s = 0; s < stateCount(); ++s) {
+    labels_[s] = PropSet{};
+    labelWithStateName(s);
+  }
+}
+
 void Automaton::addTransition(StateId from, Interaction label, StateId to) {
   if (from >= stateCount() || to >= stateCount()) {
     throw std::out_of_range("addTransition: bad state");

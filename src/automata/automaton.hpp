@@ -71,6 +71,11 @@ class Automaton {
   /// `rearRole.convoy`) refer to component states.
   void labelWithStateName(StateId s);
 
+  /// Renames the instance and replaces every state's labels with its
+  /// hierarchical qualified name under the new instance (the old labels are
+  /// dropped). Transitions and states are kept as they are.
+  void renameInstance(std::string name);
+
   /// Adds transition (from, A, B, to); validates A ⊆ I and B ⊆ O.
   /// Duplicate transitions are ignored.
   void addTransition(StateId from, Interaction label, StateId to);

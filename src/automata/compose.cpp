@@ -48,7 +48,20 @@ Run Product::projectRun(const Run& run, std::size_t k) const {
 }
 
 std::string Product::renderRun(const Run& run) const {
-  const SignalTable& sig = *automaton.signalTable();
+  return renderProductRun(
+      run, *automaton.signalTable(), componentNames, componentInputs,
+      componentOutputs, [this](StateId p, std::size_t k, std::string& out) {
+        out += componentStateNames[k][origins[p][k]];
+      });
+}
+
+std::string renderProductRun(
+    const Run& run, const SignalTable& sig,
+    const std::vector<std::string>& componentNames,
+    const std::vector<SignalSet>& componentInputs,
+    const std::vector<SignalSet>& componentOutputs,
+    const std::function<void(StateId, std::size_t, std::string&)>&
+        appendState) {
   std::string out;
   // Two lines of roughly 16 chars per component and step is a good first
   // guess; appending in place below avoids the per-step temporaries.
@@ -58,7 +71,7 @@ std::string Product::renderRun(const Run& run) const {
       if (k) out += ", ";
       out += componentNames[k];
       out += '.';
-      out += componentStateNames[k][origins[p][k]];
+      appendState(p, k, out);
     }
   };
   const auto appendInteractionLine = [&](const Interaction& x) {
@@ -232,11 +245,15 @@ Product composeAll(const std::vector<const Automaton*>& components) {
   for (std::size_t i = 1; i < components.size(); ++i) {
     acc = composeStep(acc, *components[i]);
   }
+  countProduct(acc.automaton.stateCount());
+  return acc;
+}
+
+void countProduct(std::size_t states) {
   const ComposeMetrics& m = ComposeMetrics::get();
   m.products.inc();
-  m.statesNew.add(acc.automaton.stateCount());
-  m.productStates.observe(acc.automaton.stateCount());
-  return acc;
+  m.statesNew.add(states);
+  m.productStates.observe(states);
 }
 
 }  // namespace mui::automata

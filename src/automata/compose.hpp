@@ -6,6 +6,7 @@
 // synchronous communication (sending and receiving happen within the same
 // step). Only reachable product states are kept, as required by Def. 3.
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -48,5 +49,20 @@ Product compose(const Automaton& a, const Automaton& b);
 /// n-ary composition: fold of binary compositions with flattened origins.
 /// Requires at least one component.
 Product composeAll(const std::vector<const Automaton*>& components);
+
+/// Counts one composed product of `states` states in the mui_compose_*
+/// metrics (composeAll and composeFlat both report here).
+void countProduct(std::size_t states);
+
+/// The Listing 1.1 rendering behind Product::renderRun and
+/// FlatProduct::renderRun: `appendState(p, k, out)` appends the name of
+/// component k's state in product state p.
+std::string renderProductRun(
+    const Run& run, const SignalTable& signals,
+    const std::vector<std::string>& componentNames,
+    const std::vector<SignalSet>& componentInputs,
+    const std::vector<SignalSet>& componentOutputs,
+    const std::function<void(StateId, std::size_t, std::string&)>&
+        appendState);
 
 }  // namespace mui::automata

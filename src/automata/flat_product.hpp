@@ -1,0 +1,183 @@
+#pragma once
+// The lean product engine: a flat CSR product graph (paper Def. 3), the
+// N-ary breadth-first composer that builds it, and the one graph type the
+// CCTL checker and the counterexample search read (ctl/checker.hpp).
+//
+// composeAll (compose.hpp) builds a general Automaton per product: a name
+// string and a hash-map entry per state, a per-state interaction index, a
+// label union per state, and DynBitset temporaries for every matching test.
+// The refinement loop needs none of that. Here a product state is a row of
+// component states (the origins, one n×K array), an edge stores its target
+// and its joint label (A, B) as raw signal words at a per-product stride,
+// and atoms and state names are read through the origins on demand.
+//
+// Composable components have pairwise disjoint I and O sets, so the
+// matching condition of composeAll's binary fold splits into one condition
+// per component pair, and a lexicographic N-ary BFS numbers the states and
+// orders the edges exactly as the fold does. composeAll stays as the
+// reference; fuzz oracle O7 checks that the two agree.
+
+#include <cstdint>
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "automata/automaton.hpp"
+#include "util/bitset.hpp"
+
+namespace mui::automata {
+
+using Word = std::uint64_t;
+
+/// One outgoing edge of a component state. `label` points at 2·stride
+/// words: A ⊆ I in [0, stride), B ⊆ O in [stride, 2·stride).
+struct EdgeRef {
+  const Word* label;
+  StateId to;
+};
+
+/// Words needed to hold every input and output set of `interfaces` (at
+/// least one).
+std::size_t strideFor(const std::vector<const Automaton*>& interfaces);
+
+/// Packs `s` into `stride` words at `dst`.
+void packWords(const SignalSet& s, std::size_t stride, Word* dst);
+
+/// One component of a flat product: what composition, checking and
+/// rendering read of it. Its name, interface and tables are those of
+/// base(); states, names, labels and edges come from the subclass.
+class FlatComponent {
+ public:
+  virtual ~FlatComponent() = default;
+  FlatComponent& operator=(const FlatComponent&) = delete;
+  FlatComponent& operator=(FlatComponent&&) = delete;
+
+  [[nodiscard]] const Automaton& base() const { return base_; }
+  [[nodiscard]] std::size_t stride() const { return stride_; }
+
+  [[nodiscard]] virtual std::size_t stateCount() const = 0;
+  [[nodiscard]] virtual std::string stateName(StateId s) const = 0;
+  [[nodiscard]] virtual const PropSet& labels(StateId s) const = 0;
+  [[nodiscard]] virtual std::vector<StateId> initialStates() const = 0;
+  /// Replaces `out` with the edges of `s`, in insertion order.
+  virtual void edges(StateId s, std::vector<EdgeRef>& out) const = 0;
+
+ protected:
+  /// Throws std::invalid_argument if base()'s interface needs more than
+  /// `stride` words.
+  FlatComponent(const Automaton& base, std::size_t stride);
+  FlatComponent(const FlatComponent&) = default;
+  FlatComponent(FlatComponent&&) = default;
+
+ private:
+  const Automaton& base_;
+  std::size_t stride_;
+};
+
+/// A concrete automaton as a flat component: its transitions with labels
+/// packed once at the stride. The automaton must outlive the component.
+class AutomatonComponent final : public FlatComponent {
+ public:
+  AutomatonComponent(const Automaton& a, std::size_t stride);
+
+  [[nodiscard]] std::size_t stateCount() const override;
+  [[nodiscard]] std::string stateName(StateId s) const override;
+  [[nodiscard]] const PropSet& labels(StateId s) const override;
+  [[nodiscard]] std::vector<StateId> initialStates() const override;
+  void edges(StateId s, std::vector<EdgeRef>& out) const override;
+
+ private:
+  std::vector<std::uint32_t> head_;  // size n+1
+  std::vector<StateId> to_;
+  std::vector<Word> words_;  // 2·stride words per edge
+};
+
+/// A composed product in CSR form. Edge labels are raw words; they become
+/// Interactions only when a run is built (edgeLabel).
+class FlatProduct {
+ public:
+  /// The one-component product of `a`: all of its states, reachable or
+  /// not, in its own numbering (what composeAll({&a}) builds). The product
+  /// keeps a reference to `a`.
+  static FlatProduct of(const Automaton& a);
+
+  [[nodiscard]] std::size_t stateCount() const { return head_.size() - 1; }
+  [[nodiscard]] std::size_t edgeCount() const { return to_.size(); }
+  [[nodiscard]] std::size_t stride() const { return stride_; }
+  [[nodiscard]] std::size_t componentCount() const { return comps_.size(); }
+  [[nodiscard]] const FlatComponent& component(std::size_t k) const {
+    return *comps_[k];
+  }
+  /// State of component k in product state p.
+  [[nodiscard]] StateId origin(StateId p, std::size_t k) const {
+    return origins_[p * comps_.size() + k];
+  }
+  [[nodiscard]] const std::vector<StateId>& initialStates() const {
+    return initial_;
+  }
+  [[nodiscard]] const SignalTableRef& signalTable() const {
+    return comps_.front()->base().signalTable();
+  }
+  [[nodiscard]] const SignalTableRef& propTable() const {
+    return comps_.front()->base().propTable();
+  }
+
+  /// Edges of s are [edgeBegin(s), edgeEnd(s)), in insertion order.
+  [[nodiscard]] std::uint32_t edgeBegin(StateId s) const { return head_[s]; }
+  [[nodiscard]] std::uint32_t edgeEnd(StateId s) const {
+    return head_[s + 1];
+  }
+  [[nodiscard]] StateId edgeTarget(std::uint32_t e) const { return to_[e]; }
+  [[nodiscard]] const Word* edgeWords(std::uint32_t e) const {
+    return labels_.data() + std::size_t{e} * 2 * stride_;
+  }
+  [[nodiscard]] Interaction edgeLabel(std::uint32_t e) const;
+
+  /// States carrying proposition `prop` (Def. 3: L''(p) is the union of
+  /// the components' labels at p's origins).
+  [[nodiscard]] util::DenseBitset atomSat(util::NameId prop) const;
+
+  /// "a|b|c": the component state names, as composeAll names the state.
+  [[nodiscard]] std::string stateName(StateId p) const;
+
+  /// Def. 3's matching condition between an edge label `li` of component i
+  /// and an edge label `lk` of component k.
+  [[nodiscard]] bool matches(std::size_t i, const Word* li, std::size_t k,
+                             const Word* lk) const;
+
+  /// Projects a product interaction onto component k: (A'' ∩ I_k,
+  /// B'' ∩ O_k).
+  [[nodiscard]] Interaction projectInteraction(const Interaction& x,
+                                               std::size_t k) const;
+
+  /// Product::renderRun's Listing 1.1 rendering, byte for byte.
+  [[nodiscard]] std::string renderRun(const Run& run) const;
+
+ private:
+  friend FlatProduct composeFlat(std::vector<const FlatComponent*>);
+
+  /// Sets the components and packs their interfaces at their stride.
+  void setComponents(std::vector<const FlatComponent*> comps);
+  /// The single component's states, edges and initials, as they are.
+  void copySingle();
+
+  std::vector<const FlatComponent*> comps_;
+  std::unique_ptr<FlatComponent> owned_;  // of(): the wrapped automaton
+  std::size_t stride_ = 1;
+  std::vector<Word> ifaces_;  // per component: I words, then O words
+  std::vector<StateId> origins_;  // n×K
+  std::vector<std::uint32_t> head_{0};
+  std::vector<StateId> to_;
+  std::vector<Word> labels_;  // 2·stride words per edge
+  std::vector<StateId> initial_;
+};
+
+/// Def. 3 over all components at once: the same states, numbering, edges,
+/// edge order, origins and labels as composeAll over the same automata,
+/// and the same mui_compose_* metrics. Throws std::invalid_argument where
+/// composeAll does (no components, unshared tables, overlapping I or O)
+/// and on components of different strides. The components must outlive
+/// the product.
+FlatProduct composeFlat(std::vector<const FlatComponent*> components);
+
+}  // namespace mui::automata

@@ -55,18 +55,8 @@ Automaton renameSignals(const Automaton& a,
 }
 
 Automaton withInstanceName(const Automaton& a, const std::string& name) {
-  Automaton out(a.signalTable(), a.propTable(), name);
-  out.declareSignals(a.inputs(), a.outputs());
-  for (StateId s = 0; s < a.stateCount(); ++s) {
-    out.addState(a.stateName(s));
-    out.labelWithStateName(s);
-  }
-  for (StateId s = 0; s < a.stateCount(); ++s) {
-    for (const auto& t : a.transitionsFrom(s)) {
-      out.addTransition(s, t.label, t.to);
-    }
-  }
-  for (StateId q : a.initialStates()) out.markInitial(q);
+  Automaton out = a;
+  out.renameInstance(name);
   return out;
 }
 

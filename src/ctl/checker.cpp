@@ -20,22 +20,33 @@ obs::Counter& popsCounter() {
 
 }  // namespace
 
-Checker::Checker(const Automaton& m) : m_(m) {
+Checker::Checker(const automata::FlatProduct& g) : g_(g) { index(); }
+
+Checker::Checker(const Automaton& m)
+    : owned_(std::make_unique<automata::FlatProduct>(
+          automata::FlatProduct::of(m))),
+      g_(*owned_) {
+  index();
+}
+
+void Checker::index() {
   static obs::Counter& checkers = obs::Registry::global().counter(
       "mui_ctl_checkers_total", "CTL checkers constructed");
   static obs::Histogram& bits = obs::Registry::global().histogram(
       "mui_ctl_satset_bits", "Bit width of sat-set bitsets (= model states)",
       "states");
   checkers.inc();
-  bits.observe(m.stateCount());
-  const std::size_t n = m.stateCount();
+  bits.observe(g_.stateCount());
+  const std::size_t n = g_.stateCount();
   deadlock_ = SatSet(n);
   succHead_.assign(n + 1, 0);
-  succList_.reserve(m.transitionCount());
+  succList_.reserve(g_.edgeCount());
   std::vector<StateId> targets;
   for (StateId s = 0; s < n; ++s) {
     targets.clear();
-    for (const auto& t : m.transitionsFrom(s)) targets.push_back(t.to);
+    for (std::uint32_t e = g_.edgeBegin(s); e < g_.edgeEnd(s); ++e) {
+      targets.push_back(g_.edgeTarget(e));
+    }
     std::sort(targets.begin(), targets.end());
     targets.erase(std::unique(targets.begin(), targets.end()), targets.end());
     succList_.insert(succList_.end(), targets.begin(), targets.end());
@@ -54,16 +65,12 @@ Checker::Checker(const Automaton& m) : m_(m) {
 }
 
 SatSet Checker::atomSat(const std::string& name) {
-  SatSet sat(m_.stateCount());
-  const auto id = m_.propTable()->lookup(name);
+  const auto id = g_.propTable()->lookup(name);
   if (!id) {
     if (unknownAtomSet_.insert(name).second) unknownAtoms_.push_back(name);
-    return sat;
+    return SatSet(g_.stateCount());
   }
-  for (StateId s = 0; s < m_.stateCount(); ++s) {
-    if (m_.labels(s).test(*id)) sat.set(s);
-  }
-  return sat;
+  return g_.atomSat(*id);
 }
 
 namespace {
@@ -84,8 +91,8 @@ std::vector<StateId> statesOf(const SatSet& sat) {
 // successor does.
 SatSet Checker::fixAF(const SatSet& phi) {
   SatSet sat = phi;
-  std::vector<std::uint32_t> pending(m_.stateCount());
-  for (StateId s = 0; s < m_.stateCount(); ++s) {
+  std::vector<std::uint32_t> pending(g_.stateCount());
+  for (StateId s = 0; s < g_.stateCount(); ++s) {
     pending[s] = static_cast<std::uint32_t>(outDegree(s));
   }
   std::vector<StateId> work = statesOf(sat);
@@ -142,14 +149,14 @@ SatSet Checker::fixAG(const SatSet& phi) {
 // is deleted (live-successor counter).
 SatSet Checker::fixEG(const SatSet& phi) {
   SatSet sat = phi;
-  std::vector<std::uint32_t> live(m_.stateCount(), 0);
-  for (StateId s = 0; s < m_.stateCount(); ++s) {
+  std::vector<std::uint32_t> live(g_.stateCount(), 0);
+  for (StateId s = 0; s < g_.stateCount(); ++s) {
     forSucc(s, [&](StateId t) {
       if (sat[t]) ++live[s];
     });
   }
   std::vector<StateId> work;
-  for (StateId s = 0; s < m_.stateCount(); ++s) {
+  for (StateId s = 0; s < g_.stateCount(); ++s) {
     if (sat[s] && !deadlock_[s] && live[s] == 0) {
       sat.reset(s);
       work.push_back(s);
@@ -174,8 +181,8 @@ SatSet Checker::fixEG(const SatSet& phi) {
 
 SatSet Checker::fixAU(const SatSet& phi, const SatSet& psi) {
   SatSet sat = psi;
-  std::vector<std::uint32_t> pending(m_.stateCount());
-  for (StateId s = 0; s < m_.stateCount(); ++s) {
+  std::vector<std::uint32_t> pending(g_.stateCount());
+  for (StateId s = 0; s < g_.stateCount(); ++s) {
     pending[s] = static_cast<std::uint32_t>(outDegree(s));
   }
   std::vector<StateId> work = statesOf(sat);
@@ -222,7 +229,7 @@ SatSet Checker::fixEU(const SatSet& phi, const SatSet& psi) {
 // sat_0. (`psi` is used only for AU/EU.)
 SatSet Checker::boundedTemporal(Op op, const Bound& b, const SatSet& phi,
                                 const SatSet& psi) {
-  const std::size_t n = m_.stateCount();
+  const std::size_t n = g_.stateCount();
   const bool universal = (op == Op::AF || op == Op::AG || op == Op::AU);
   const bool isG = (op == Op::AG || op == Op::EG);
   const bool isU = (op == Op::AU || op == Op::EU);
@@ -305,7 +312,7 @@ SatSet Checker::boundedTemporal(Op op, const Bound& b, const SatSet& phi,
 }
 
 SatSet Checker::evaluate(const FormulaPtr& f) {
-  const std::size_t n = m_.stateCount();
+  const std::size_t n = g_.stateCount();
   switch (f->op) {
     case Op::True:
       return SatSet(n, true);
@@ -390,7 +397,7 @@ SatSet Checker::evaluate(const FormulaPtr& f) {
 
 bool Checker::holds(const FormulaPtr& f) {
   const auto sat = evaluate(f);
-  for (StateId q : m_.initialStates()) {
+  for (StateId q : g_.initialStates()) {
     if (!sat[q]) return false;
   }
   return true;

@@ -17,12 +17,19 @@
 // Gauss–Seidel sweeps of the retained reference implementation
 // (ctl/reference.hpp). Satisfaction sets are dense bitsets (one bit per
 // state, word-parallel boolean connectives).
+//
+// The checker reads one graph type, automata::FlatProduct: the state
+// count, the edges, the initial states, and atoms through the origins. A
+// product of the lean composer is checked as it is; an Automaton enters as
+// its one-component product.
 
+#include <memory>
 #include <string>
 #include <unordered_set>
 #include <vector>
 
 #include "automata/automaton.hpp"
+#include "automata/flat_product.hpp"
 #include "ctl/formula.hpp"
 #include "util/bitset.hpp"
 
@@ -36,6 +43,9 @@ using SatSet = util::DenseBitset;
 
 class Checker {
  public:
+  /// Checks `g`, which must outlive the checker.
+  explicit Checker(const automata::FlatProduct& g);
+  /// Checks `m` as its one-component product (FlatProduct::of).
   explicit Checker(const Automaton& m);
 
   /// Satisfaction set (per state) of `f`.
@@ -58,9 +68,10 @@ class Checker {
     return unknownAtoms_;
   }
 
-  [[nodiscard]] const Automaton& model() const { return m_; }
 
  private:
+  /// Builds the forward and backward CSR and the deadlock set.
+  void index();
   SatSet atomSat(const std::string& name);
 
   // Unbounded fixpoints (worklist, O(S + E) each).
@@ -92,7 +103,8 @@ class Checker {
     }
   }
 
-  const Automaton& m_;
+  std::unique_ptr<automata::FlatProduct> owned_;  // the Automaton case
+  const automata::FlatProduct& g_;
   // Duplicate-free edge set in CSR form, forwards and backwards.
   std::vector<std::uint32_t> succHead_;  // size n+1
   std::vector<StateId> succList_;

@@ -9,7 +9,7 @@
 namespace mui::ctl {
 
 using automata::Automaton;
-using automata::Interaction;
+using automata::FlatProduct;
 using automata::Run;
 
 namespace {
@@ -17,15 +17,18 @@ namespace {
 struct PathNode {
   StateId s;
   std::size_t parent;  // self-index for roots
-  Interaction label;   // label from parent
+  std::uint32_t edge;  // edge from parent (labels are built for runs only)
 };
 
-Run buildRun(const std::vector<PathNode>& nodes, std::size_t idx) {
+/// The run from a root to nodes[idx]; `Node` has s, parent and edge.
+template <typename Node>
+Run buildRun(const FlatProduct& m, const std::vector<Node>& nodes,
+             std::size_t idx) {
   Run run;
   std::size_t i = idx;
   while (nodes[i].parent != i) {
     run.states.push_back(nodes[i].s);
-    run.labels.push_back(nodes[i].label);
+    run.labels.push_back(m.edgeLabel(nodes[i].edge));
     i = nodes[i].parent;
   }
   run.states.push_back(nodes[i].s);
@@ -35,7 +38,7 @@ Run buildRun(const std::vector<PathNode>& nodes, std::size_t idx) {
 }
 
 /// Finds up to k runs from the initial states to distinct target states.
-std::vector<Run> searchPaths(const Automaton& m, const SatSet& target,
+std::vector<Run> searchPaths(const FlatProduct& m, const SatSet& target,
                              std::size_t k, CexSearch order) {
   std::vector<PathNode> nodes;
   std::vector<char> visited(m.stateCount(), 0);
@@ -43,8 +46,8 @@ std::vector<Run> searchPaths(const Automaton& m, const SatSet& target,
   std::vector<Run> out;
   std::unordered_set<StateId> hitTargets;
 
-  const auto visit = [&](StateId s, std::size_t parent,
-                         const Interaction& via, bool root) {
+  const auto visit = [&](StateId s, std::size_t parent, std::uint32_t via,
+                         bool root) {
     if (visited[s]) return;
     visited[s] = 1;
     const std::size_t idx = nodes.size();
@@ -52,7 +55,7 @@ std::vector<Run> searchPaths(const Automaton& m, const SatSet& target,
     work.push_back(idx);
   };
 
-  for (StateId q : m.initialStates()) visit(q, 0, {}, true);
+  for (StateId q : m.initialStates()) visit(q, 0, 0, true);
 
   while (!work.empty() && out.size() < k) {
     std::size_t idx;
@@ -65,11 +68,11 @@ std::vector<Run> searchPaths(const Automaton& m, const SatSet& target,
     }
     const StateId s = nodes[idx].s;
     if (target[s] && hitTargets.insert(s).second) {
-      out.push_back(buildRun(nodes, idx));
+      out.push_back(buildRun(m, nodes, idx));
       if (out.size() >= k) break;
     }
-    for (const auto& t : m.transitionsFrom(s)) {
-      visit(t.to, idx, t.label, false);
+    for (std::uint32_t e = m.edgeBegin(s); e < m.edgeEnd(s); ++e) {
+      visit(m.edgeTarget(e), idx, e, false);
     }
   }
   return out;
@@ -77,14 +80,15 @@ std::vector<Run> searchPaths(const Automaton& m, const SatSet& target,
 
 /// Depth-window search for bounded AG violations: runs of length in
 /// [lo, hi] ending in a target state.
-std::vector<Run> searchPathsInWindow(const Automaton& m, const SatSet& target,
-                                     std::size_t lo, std::size_t hi,
-                                     std::size_t k, CexSearch order) {
+std::vector<Run> searchPathsInWindow(const FlatProduct& m,
+                                     const SatSet& target, std::size_t lo,
+                                     std::size_t hi, std::size_t k,
+                                     CexSearch order) {
   struct DepthNode {
     StateId s;
     std::size_t depth;
     std::size_t parent;
-    Interaction label;
+    std::uint32_t edge;
   };
   std::vector<DepthNode> nodes;
   std::unordered_set<std::uint64_t> visited;
@@ -95,14 +99,14 @@ std::vector<Run> searchPathsInWindow(const Automaton& m, const SatSet& target,
     return (static_cast<std::uint64_t>(d) << 32) | s;
   };
   const auto visit = [&](StateId s, std::size_t depth, std::size_t parent,
-                         const Interaction& via, bool root) {
+                         std::uint32_t via, bool root) {
     if (depth > hi || !visited.insert(key(s, depth)).second) return;
     const std::size_t idx = nodes.size();
     nodes.push_back({s, depth, root ? idx : parent, via});
     work.push_back(idx);
   };
 
-  for (StateId q : m.initialStates()) visit(q, 0, 0, {}, true);
+  for (StateId q : m.initialStates()) visit(q, 0, 0, 0, true);
 
   while (!work.empty() && out.size() < k) {
     std::size_t idx;
@@ -116,21 +120,11 @@ std::vector<Run> searchPathsInWindow(const Automaton& m, const SatSet& target,
     const StateId s = nodes[idx].s;
     const std::size_t depth = nodes[idx].depth;
     if (depth >= lo && target[s]) {
-      Run run;
-      std::size_t i = idx;
-      while (nodes[i].parent != i) {
-        run.states.push_back(nodes[i].s);
-        run.labels.push_back(nodes[i].label);
-        i = nodes[i].parent;
-      }
-      run.states.push_back(nodes[i].s);
-      std::reverse(run.states.begin(), run.states.end());
-      std::reverse(run.labels.begin(), run.labels.end());
-      out.push_back(std::move(run));
+      out.push_back(buildRun(m, nodes, idx));
       continue;
     }
-    for (const auto& t : m.transitionsFrom(s)) {
-      visit(t.to, depth + 1, idx, t.label, false);
+    for (std::uint32_t e = m.edgeBegin(s); e < m.edgeEnd(s); ++e) {
+      visit(m.edgeTarget(e), depth + 1, idx, e, false);
     }
   }
   return out;
@@ -139,14 +133,14 @@ std::vector<Run> searchPathsInWindow(const Automaton& m, const SatSet& target,
 /// Appends to `run` a suffix from its final state witnessing ¬AF[a,b]χ: a
 /// maximal-path prefix along which χ never holds inside the window. Returns
 /// false if the invariant (final state violates the AF) does not hold.
-bool appendNotAFWitness(Checker& checker, const Automaton& m, Run& run,
+bool appendNotAFWitness(Checker& checker, const FlatProduct& m, Run& run,
                         const FormulaPtr& chi, Bound bound) {
   StateId cur = run.states.back();
   std::size_t i = 0;
   std::unordered_set<StateId> seenSinceLo;
   while (true) {
     if (bound.bounded() && i >= bound.hi) return true;  // window exhausted
-    if (m.transitionsFrom(cur).empty()) return true;    // path died without χ
+    if (m.edgeBegin(cur) == m.edgeEnd(cur)) return true;  // died without χ
     if (i >= bound.lo && !bound.bounded()) {
       // Unbounded tail: stop at a lasso (state revisited after lo).
       if (!seenSinceLo.insert(cur).second) return true;
@@ -156,11 +150,11 @@ bool appendNotAFWitness(Checker& checker, const Automaton& m, Run& run,
                           bound.bounded() ? bound.hi - (i + 1) : Bound::kInf};
     const auto sat = checker.evaluate(Formula::mkAF(chi, remaining));
     bool advanced = false;
-    for (const auto& t : m.transitionsFrom(cur)) {
-      if (!sat[t.to]) {
-        run.labels.push_back(t.label);
-        run.states.push_back(t.to);
-        cur = t.to;
+    for (std::uint32_t e = m.edgeBegin(cur); e < m.edgeEnd(cur); ++e) {
+      if (!sat[m.edgeTarget(e)]) {
+        run.labels.push_back(m.edgeLabel(e));
+        run.states.push_back(m.edgeTarget(e));
+        cur = m.edgeTarget(e);
         advanced = true;
         break;
       }
@@ -202,7 +196,7 @@ void orArms(const FormulaPtr& f, std::vector<FormulaPtr>& arms) {
 
 /// Extends `run` (ending in a state violating ψ) with a suffix making the
 /// violation observable. Returns whether the resulting path is exact.
-bool extendWitness(Checker& checker, const Automaton& m, Run& run,
+bool extendWitness(Checker& checker, const FlatProduct& m, Run& run,
                    const FormulaPtr& psi, const SatSet& psiSat) {
   const StateId s = run.states.back();
   if (isPropositional(psi)) return true;
@@ -245,7 +239,7 @@ bool extendWitness(Checker& checker, const Automaton& m, Run& run,
   }
 }
 
-void collectPropertyCexs(Checker& checker, const Automaton& m,
+void collectPropertyCexs(Checker& checker, const FlatProduct& m,
                          const FormulaPtr& phi, const VerifyOptions& opts,
                          std::vector<Counterexample>& out) {
   if (out.size() >= opts.maxCounterexamples) return;
@@ -336,6 +330,11 @@ void collectPropertyCexs(Checker& checker, const Automaton& m,
 }  // namespace
 
 VerifyResult verify(const Automaton& m, const FormulaPtr& phi,
+                    const VerifyOptions& opts) {
+  return verify(FlatProduct::of(m), phi, opts);
+}
+
+VerifyResult verify(const FlatProduct& m, const FormulaPtr& phi,
                     const VerifyOptions& opts) {
   const obs::ObsSpan span("verify", opts.traceId);
   Checker checker(m);

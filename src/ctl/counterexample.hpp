@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "automata/automaton.hpp"
+#include "automata/flat_product.hpp"
 #include "automata/run.hpp"
 #include "ctl/checker.hpp"
 #include "ctl/formula.hpp"
@@ -64,7 +65,12 @@ struct VerifyResult {
 /// Checks m ⊨ φ ∧ ¬δ (the ¬δ conjunct iff requireDeadlockFree) and produces
 /// counterexamples on failure. Property violations are searched before
 /// deadlocks only if the property fails; otherwise deadlock reachability is
-/// reported. Pass phi == nullptr to check deadlock freedom alone.
+/// reported. Pass phi == nullptr to check deadlock freedom alone. Runs and
+/// notes name m's own states and edge labels.
+VerifyResult verify(const automata::FlatProduct& m, const FormulaPtr& phi,
+                    const VerifyOptions& opts = {});
+
+/// verify() on m's one-component product (FlatProduct::of).
 VerifyResult verify(const automata::Automaton& m, const FormulaPtr& phi,
                     const VerifyOptions& opts = {});
 

@@ -36,7 +36,7 @@ struct FuzzOptions {
   std::uint64_t timeBudgetSec = 0;
   /// Directory for reproducer files; empty = do not write any.
   std::string outDir;
-  /// Oracles to run; empty = all five.
+  /// Oracles to run; empty = all six.
   std::vector<OracleId> oracles;
   OracleOptions oracle;
   /// Shrink failing scenarios before reporting (off: raw scenario).

@@ -5,10 +5,12 @@
 #include "analysis/semantic.hpp"
 #include "automata/chaos.hpp"
 #include "automata/compose.hpp"
+#include "automata/flat_product.hpp"
 #include "automata/incomplete.hpp"
 #include "automata/minimize.hpp"
 #include "automata/random.hpp"
 #include "automata/refine.hpp"
+#include "automata/virtual_closure.hpp"
 #include "ctl/checker.hpp"
 #include "ctl/counterexample.hpp"
 #include "ctl/parser.hpp"
@@ -369,6 +371,184 @@ OracleResult checkO6(const Scenario& s, const OracleOptions&) {
   return {};
 }
 
+
+// ---- O7: lean product engine vs the reference composer --------------------
+
+/// What differs between two verify() results, or "" when nothing does.
+std::string verifyDiff(const ctl::VerifyResult& a, const ctl::VerifyResult& b) {
+  if (a.holds != b.holds) return "holds";
+  if (a.stateCount != b.stateCount) return "stateCount";
+  if (a.unknownAtoms != b.unknownAtoms) return "unknownAtoms";
+  if (a.counterexamples.size() != b.counterexamples.size()) {
+    return "counterexample count";
+  }
+  for (std::size_t i = 0; i < a.counterexamples.size(); ++i) {
+    const auto& x = a.counterexamples[i];
+    const auto& y = b.counterexamples[i];
+    if (x.kind != y.kind || x.run.states != y.run.states ||
+        x.run.labels != y.run.labels || x.run.deadlock != y.run.deadlock) {
+      return "counterexample #" + std::to_string(i) + " run";
+    }
+    if (x.pathExact != y.pathExact) return "pathExact";
+    if (x.note != y.note) return "note ('" + x.note + "' vs '" + y.note + "')";
+  }
+  return {};
+}
+
+/// What differs between the virtual closure and chaoticClosure's automaton,
+/// or "".
+std::string closureDiff(const automata::Closure& ref,
+                        const automata::VirtualClosure& view) {
+  const Automaton& a = ref.automaton;
+  if (a.stateCount() != view.stateCount()) return "closure state count";
+  if (a.initialStates() != view.initialStates()) return "closure initials";
+  std::vector<automata::EdgeRef> edges;
+  const std::size_t stride = view.stride();
+  for (StateId c = 0; c < a.stateCount(); ++c) {
+    const std::string at = " of closure state '" + a.stateName(c) + "'";
+    if (a.stateName(c) != view.stateName(c)) return "name" + at;
+    if (a.labels(c) != view.labels(c)) return "labels" + at;
+    if (ref.isChaos(c) != view.isChaos(c) ||
+        ref.knownOrigin(c) != view.knownOrigin(c)) {
+      return "origin" + at;
+    }
+    view.edges(c, edges);
+    const auto& ts = a.transitionsFrom(c);
+    if (ts.size() != edges.size()) return "edge count" + at;
+    for (std::size_t i = 0; i < ts.size(); ++i) {
+      const Interaction label{
+          automata::SignalSet::fromWords(edges[i].label, stride),
+          automata::SignalSet::fromWords(edges[i].label + stride, stride)};
+      if (ts[i].to != edges[i].to || ts[i].label != label) {
+        return "edge #" + std::to_string(i) + at;
+      }
+    }
+  }
+  for (StateId s = 0; s < ref.copy1.size(); ++s) {
+    if (ref.copy1[s] != view.copy1(s)) return "copy-1 twin";
+  }
+  return {};
+}
+
+/// What differs between composeAll's product and the lean one, or "".
+std::string productDiff(const automata::Product& ref,
+                        const automata::FlatProduct& lean) {
+  const Automaton& a = ref.automaton;
+  if (a.stateCount() != lean.stateCount()) {
+    return "state count " + std::to_string(a.stateCount()) + " vs " +
+           std::to_string(lean.stateCount());
+  }
+  if (a.initialStates() != lean.initialStates()) return "initial states";
+  for (StateId p = 0; p < a.stateCount(); ++p) {
+    const std::string at = " of product state '" + a.stateName(p) + "'";
+    if (a.stateName(p) != lean.stateName(p)) return "name" + at;
+    for (std::size_t k = 0; k < ref.origins[p].size(); ++k) {
+      if (ref.origins[p][k] != lean.origin(p, k)) return "origins" + at;
+    }
+    const auto& ts = a.transitionsFrom(p);
+    if (ts.size() != lean.edgeEnd(p) - lean.edgeBegin(p)) {
+      return "edge count" + at;
+    }
+    for (std::size_t i = 0; i < ts.size(); ++i) {
+      const auto e = static_cast<std::uint32_t>(lean.edgeBegin(p) + i);
+      if (ts[i].to != lean.edgeTarget(e) || ts[i].label != lean.edgeLabel(e)) {
+        return "edge #" + std::to_string(i) + at;
+      }
+    }
+  }
+  const automata::SignalTable& props = *a.propTable();
+  for (util::NameId prop = 0; prop < props.size(); ++prop) {
+    const util::DenseBitset sat = lean.atomSat(prop);
+    for (StateId p = 0; p < a.stateCount(); ++p) {
+      if (a.labels(p).test(prop) != sat.test(p)) {
+        return "sat-set of atom '" + props.name(prop) + "'";
+      }
+    }
+  }
+  return {};
+}
+
+OracleResult checkO7(const Scenario& s, const OracleOptions&) {
+  util::Rng rng(s.seed * 0x94d049bb133111ebull + 0xf7);
+  const auto alphabet =
+      automata::makeAlphabet(s.hidden.inputs(), s.hidden.outputs(),
+                             automata::InteractionMode::AtMostOneSignal);
+  testing::AutomatonLegacy probe(s.hidden);
+  automata::IncompleteAutomaton m =
+      synthesis::initialModel(probe, s.signals, s.props);
+  const std::size_t stride = automata::strideFor({&s.context, &m.base()});
+  const automata::AutomatonComponent context(s.context, stride);
+
+  const ctl::FormulaPtr phi =
+      s.property.empty() ? nullptr
+                         : ctl::weakenForChaos(ctl::parseFormula(s.property));
+  std::vector<std::pair<ctl::FormulaPtr, ctl::VerifyOptions>> checks;
+  ctl::VerifyOptions all;
+  all.maxCounterexamples = 3;
+  checks.emplace_back(nullptr, all);
+  if (phi != nullptr) {
+    checks.emplace_back(phi, all);
+    ctl::VerifyOptions depthFirst;
+    depthFirst.requireDeadlockFree = false;
+    depthFirst.search = ctl::CexSearch::DepthFirst;
+    depthFirst.maxCounterexamples = 2;
+    checks.emplace_back(phi, depthFirst);
+  }
+
+  // The initial model, then three rounds of random learning on top of it.
+  for (int stage = 0; stage < 4; ++stage) {
+    if (stage > 0) learnRandomFacts(rng, s.hidden, alphabet, m);
+    for (const auto copies :
+         {automata::ClosureCopies::Both, automata::ClosureCopies::Copy1Only}) {
+      for (const auto style : {automata::ClosureStyle::PaperExact,
+                               automata::ClosureStyle::DeterministicTarget}) {
+        const std::string where =
+            " (model stage " + std::to_string(stage) + ", " +
+            (copies == automata::ClosureCopies::Both ? "both copies"
+                                                     : "copy-1 only") +
+            ", " +
+            (style == automata::ClosureStyle::PaperExact ? "paper-exact"
+                                                         : "deterministic") +
+            ")";
+        const auto closure =
+            automata::chaoticClosure(m, alphabet, style, copies);
+        const automata::VirtualClosure view(m, alphabet, style, copies,
+                                            stride);
+        if (const auto d = closureDiff(closure, view); !d.empty()) {
+          return violation("O7: virtual closure differs from chaoticClosure: " +
+                           d + where);
+        }
+        const auto ref = automata::composeAll({&s.context, &closure.automaton});
+        const auto lean = automata::composeFlat({&context, &view});
+        if (const auto d = productDiff(ref, lean); !d.empty()) {
+          return violation("O7: lean product differs from composeAll: " + d +
+                           where);
+        }
+        for (const auto& [f, opts] : checks) {
+          const auto a = ctl::verify(ref.automaton, f, opts);
+          const auto b = ctl::verify(lean, f, opts);
+          std::string d = verifyDiff(a, b);
+          for (std::size_t i = 0; d.empty() && i < a.counterexamples.size();
+               ++i) {
+            if (ref.renderRun(a.counterexamples[i].run) !=
+                lean.renderRun(b.counterexamples[i].run)) {
+              d = "rendering of counterexample #" + std::to_string(i);
+            }
+          }
+          if (!d.empty()) {
+            return violation("O7: ctl::verify differs on the lean product (" +
+                                 d + ") for " +
+                                 (f ? f->toString() : std::string("¬δ")) +
+                                 where,
+                             s.property);
+          }
+        }
+      }
+    }
+  }
+  return {};
+}
+
 }  // namespace
 
 const char* toString(OracleId id) {
@@ -383,6 +563,8 @@ const char* toString(OracleId id) {
       return "O5";
     case OracleId::O6PresolveSound:
       return "O6";
+    case OracleId::O7LeanProduct:
+      return "O7";
   }
   return "O?";
 }
@@ -397,7 +579,7 @@ std::optional<OracleId> oracleFromString(std::string_view text) {
 std::vector<OracleId> allOracles() {
   return {OracleId::O1CheckerAgreement, OracleId::O2ChaosSafety,
           OracleId::O3VerdictSound, OracleId::O5VerdictInvariance,
-          OracleId::O6PresolveSound};
+          OracleId::O6PresolveSound, OracleId::O7LeanProduct};
 }
 
 const char* describeOracle(OracleId id) {
@@ -415,6 +597,9 @@ const char* describeOracle(OracleId id) {
     case OracleId::O6PresolveSound:
       return "semantic pre-solve verdicts agree with the concrete ground "
              "truth";
+    case OracleId::O7LeanProduct:
+      return "lean product over virtual closures equals composeAll over "
+             "chaoticClosure; ctl::verify agrees on both";
   }
   return "";
 }
@@ -448,6 +633,8 @@ OracleResult checkOracle(OracleId id, const Scenario& s,
       return checkO5(s, opts);
     case OracleId::O6PresolveSound:
       return checkO6(s, opts);
+    case OracleId::O7LeanProduct:
+      return checkO7(s, opts);
   }
   return {};
 }

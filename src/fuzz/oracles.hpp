@@ -1,5 +1,5 @@
 #pragma once
-// The five metamorphic oracles of the fuzzing subsystem. Each one turns a
+// The six metamorphic oracles of the fuzzing subsystem. Each one turns a
 // guarantee of the paper — or an internal implementation equivalence — into
 // an executable check over a generated scenario:
 //
@@ -20,6 +20,12 @@
 //       definitive verdict (Proved/Refuted) for the scenario, it agrees
 //       with ctl::verify on the concrete composition; Skipped is always
 //       acceptable.
+//   O7  The lean product engine equals the reference: for partially
+//       learned models of the legacy, both ClosureCopies and both
+//       ClosureStyles, the virtual closure matches chaoticClosure and
+//       composeFlat(ctx, view) matches composeAll({ctx, chaos(M)}) state
+//       by state (numbering, initials, edges in order, origins, names,
+//       every atom), and ctl::verify returns identical results on both.
 //
 // checkOracle never reports flaky results: everything derives from the
 // scenario seed. Violations carry the exposing formula so the shrinker
@@ -40,12 +46,13 @@ enum class OracleId {
   O3VerdictSound,
   O5VerdictInvariance,
   O6PresolveSound,
+  O7LeanProduct,
 };
 
-/// "O1" .. "O3", "O5", "O6".
+/// "O1" .. "O3", "O5" .. "O7".
 const char* toString(OracleId id);
 std::optional<OracleId> oracleFromString(std::string_view text);
-/// All five, in numeric order.
+/// All six, in numeric order.
 std::vector<OracleId> allOracles();
 /// One-line catalog entry (usage text and docs/FUZZING.md).
 const char* describeOracle(OracleId id);

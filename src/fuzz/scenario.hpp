@@ -4,12 +4,13 @@
 // A scenario is one complete integration problem drawn from a seed: a hidden
 // concrete legacy behavior ("legacy", input-deterministic per Sec. 4.3), a
 // composable context ("ctx"), and a CCTL property over their state
-// propositions. The five metamorphic oracles (oracles.hpp) then attack the
+// propositions. The six metamorphic oracles (oracles.hpp) then attack the
 // paper's guarantees on it — the chaotic closure is a safe over-approximation
 // (Thm. 1), verdicts transfer (Lemma 5), counterexamples admit no false
 // negatives (Lemma 6) — plus the implementation-level equivalences (worklist
 // vs reference checker, verdict invariance under bisimulation quotient and
-// state renaming, pre-solve vs the concrete ground truth).
+// state renaming, pre-solve vs the concrete ground truth, the lean product
+// engine vs the reference composer).
 //
 // Everything here is deterministic in the seed: generating the same seed
 // twice yields structurally identical automata and the same property text,

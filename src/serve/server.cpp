@@ -1,6 +1,12 @@
 #include "serve/server.hpp"
 
+#include <sys/eventfd.h>
+#include <unistd.h>
+
+#include <cerrno>
 #include <condition_variable>
+#include <cstring>
+#include <stdexcept>
 #include <utility>
 
 #include "engine/persistent_cache.hpp"
@@ -89,7 +95,13 @@ struct Server::Conn {
 };
 
 Server::Server(ServeOptions options)
-    : options_(std::move(options)), results_(options_.cacheMaxEntries) {}
+    : options_(std::move(options)),
+      results_(options_.cacheMaxEntries),
+      wake_(::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK)) {
+  if (!wake_.valid()) {
+    throw std::runtime_error(std::string("eventfd: ") + std::strerror(errno));
+  }
+}
 
 Server::~Server() {
   if (started_.load() && !waited_.load()) {
@@ -127,7 +139,11 @@ void Server::start() {
   acceptThread_ = std::thread([this] { acceptLoop(); });
 }
 
-void Server::requestDrain() { draining_.store(true); }
+void Server::requestDrain() {
+  draining_.store(true);
+  const std::uint64_t one = 1;
+  (void)!::write(wake_.get(), &one, sizeof one);
+}
 
 void Server::wait() {
   if (!started_.load() || waited_.exchange(true)) return;
@@ -166,7 +182,9 @@ void Server::wait() {
 
 void Server::acceptLoop() {
   while (!draining_.load()) {
-    auto conn = acceptWithTimeout(listen_.get(), 200);
+    // The timeout only paces the reaping of finished connections; a drain
+    // request wakes the poll through wake_.
+    auto conn = acceptWithTimeout(listen_.get(), wake_.get(), 200);
     {
       std::unique_lock lock(connsMu_);
       reapFinishedConnections();

@@ -184,6 +184,9 @@ class Server {
   std::unique_ptr<engine::ThreadPool> pool_;
 
   Fd listen_;
+  /// eventfd that requestDrain() signals, so the accept loop stops at once
+  /// instead of at its next periodic wake-up.
+  Fd wake_;
   std::uint16_t port_ = 0;
   std::thread acceptThread_;
 

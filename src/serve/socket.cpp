@@ -74,14 +74,16 @@ Fd connectTcp(const std::string& host, std::uint16_t port) {
   return fd;
 }
 
-std::optional<Fd> acceptWithTimeout(int listenFd, int timeoutMs) {
-  pollfd pfd{listenFd, POLLIN, 0};
-  const int n = ::poll(&pfd, 1, timeoutMs);
+std::optional<Fd> acceptWithTimeout(int listenFd, int wakeFd, int timeoutMs) {
+  pollfd pfd[2] = {{listenFd, POLLIN, 0}, {wakeFd, POLLIN, 0}};
+  const int n = ::poll(pfd, 2, timeoutMs);
   if (n < 0) {
     if (errno == EINTR) return std::nullopt;
     fail("poll");
   }
-  if (n == 0 || (pfd.revents & POLLIN) == 0) return std::nullopt;
+  if (n == 0 || pfd[1].revents != 0 || (pfd[0].revents & POLLIN) == 0) {
+    return std::nullopt;
+  }
   Fd conn(::accept4(listenFd, nullptr, nullptr, SOCK_CLOEXEC));
   if (!conn.valid()) {
     if (errno == ECONNABORTED || errno == EINTR) return std::nullopt;

@@ -48,8 +48,9 @@ Fd listenTcp(const std::string& host, std::uint16_t port,
 Fd connectTcp(const std::string& host, std::uint16_t port);
 
 /// Accepts one connection, waiting at most `timeoutMs`; nullopt on
-/// timeout (the caller re-checks its stop flag and polls again).
-std::optional<Fd> acceptWithTimeout(int listenFd, int timeoutMs);
+/// timeout or when `wakeFd` turns readable (the caller re-checks its stop
+/// flag and polls again).
+std::optional<Fd> acceptWithTimeout(int listenFd, int wakeFd, int timeoutMs);
 
 /// Writes the whole buffer; throws on a closed or failing peer. Uses
 /// MSG_NOSIGNAL so a vanished client is an exception, not a SIGPIPE.

@@ -34,6 +34,7 @@ IntegrationVerifier::IntegrationVerifier(
   if (config_.minimizeContext) {
     context_ = automata::minimizeBisimulation(context_);
   }
+  std::vector<const automata::Automaton*> interfaces{&context_};
   for (auto* legacy : legacies_) {
     models_.push_back(
         initialModel(*legacy, context_.signalTable(), context_.propTable()));
@@ -41,6 +42,8 @@ IntegrationVerifier::IntegrationVerifier(
         automata::makeAlphabet(legacy->inputs(), legacy->outputs(),
                                config_.mode));
   }
+  for (const auto& m : models_) interfaces.push_back(&m.base());
+  stride_ = automata::strideFor(interfaces);
   suites_.resize(legacies_.size());
 }
 
@@ -104,6 +107,8 @@ IntegrationResult IntegrationVerifier::run() {
   // is the degenerate case of sharing exploration between the abstractions.
   const bool needOpt = phi != nullptr;
   const bool needPess = config_.requireDeadlockFree;
+  // The context is component 0 of every product; its labels are packed once.
+  const automata::AutomatonComponent context(context_, stride_);
 
   const auto accumulate = [&res](const IterationRecord& rec) {
     res.totalProductStatesNew += rec.productStatesNew;
@@ -173,48 +178,52 @@ IntegrationResult IntegrationVerifier::run() {
     //    combination is sound: once the pessimistic ¬δ check passes, the
     //    real system has no unlearned refusals on reachable paths, and
     //    ACTL properties transfer through the optimistic abstraction.
-    std::vector<automata::Closure> closuresPess, closuresOpt;
+    // The closures are views (automata/virtual_closure.hpp): setting one up
+    // packs the learned transitions and the chaos mask; the composer then
+    // enumerates their successors on demand.
+    std::vector<automata::VirtualClosure> closuresPess, closuresOpt;
     {
       const obs::ObsSpan span("closure", config_.ulid);
       if (progress != nullptr) progress->setPhase("closure");
+      closuresPess.reserve(models_.size());
+      closuresOpt.reserve(models_.size());
       for (std::size_t k = 0; k < models_.size(); ++k) {
         if (needPess) {
-          closuresPess.push_back(
-              automata::chaoticClosure(models_[k], alphabets_[k],
-                                       config_.closureStyle,
-                                       automata::ClosureCopies::Both));
+          closuresPess.emplace_back(models_[k], alphabets_[k],
+                                    config_.closureStyle,
+                                    automata::ClosureCopies::Both, stride_);
         }
         if (needOpt) {
-          closuresOpt.push_back(
-              automata::chaoticClosure(models_[k], alphabets_[k],
-                                       config_.closureStyle,
-                                       automata::ClosureCopies::Copy1Only));
+          closuresOpt.emplace_back(models_[k], alphabets_[k],
+                                   config_.closureStyle,
+                                   automata::ClosureCopies::Copy1Only,
+                                   stride_);
         }
         if (needPess || needOpt) {
           rec.closureStates +=
-              (needPess ? closuresPess : closuresOpt).back().automaton
-                  .stateCount();
+              (needPess ? closuresPess : closuresOpt).back().stateCount();
         }
       }
     }
     rec.closureMs = lapMs();
 
-    const auto composeWith = [&](const std::vector<automata::Closure>& cs) {
-      std::vector<const automata::Automaton*> parts{&context_};
-      for (const auto& c : cs) parts.push_back(&c.automaton);
-      automata::Product p = automata::composeAll(parts);
-      rec.productStatesNew += p.automaton.stateCount();
-      return p;
-    };
-    std::optional<automata::Product> productPess, productOpt;
+    const auto composeWith =
+        [&](const std::vector<automata::VirtualClosure>& cs) {
+          std::vector<const automata::FlatComponent*> parts{&context};
+          for (const auto& c : cs) parts.push_back(&c);
+          automata::FlatProduct p = automata::composeFlat(std::move(parts));
+          rec.productStatesNew += p.stateCount();
+          return p;
+        };
+    std::optional<automata::FlatProduct> productPess, productOpt;
     {
       const obs::ObsSpan span("compose", config_.ulid);
       if (progress != nullptr) progress->setPhase("compose");
       if (needPess) productPess = composeWith(closuresPess);
       if (needOpt) productOpt = composeWith(closuresOpt);
     }
-    rec.productStates = productPess ? productPess->automaton.stateCount()
-                        : productOpt ? productOpt->automaton.stateCount()
+    rec.productStates = productPess ? productPess->stateCount()
+                        : productOpt ? productOpt->stateCount()
                                      : 0;
     rec.composeMs = lapMs();
 
@@ -229,9 +238,9 @@ IntegrationResult IntegrationVerifier::run() {
       vo.search = config_.search;
       vo.traceId = config_.ulid;
       vo.requireDeadlockFree = false;
-      if (needOpt) propRes = ctl::verify(productOpt->automaton, phi, vo);
+      if (needOpt) propRes = ctl::verify(*productOpt, phi, vo);
       vo.requireDeadlockFree = true;
-      if (needPess) dlRes = ctl::verify(productPess->automaton, nullptr, vo);
+      if (needPess) dlRes = ctl::verify(*productPess, nullptr, vo);
     }
     rec.checkPassed = propRes.holds && dlRes.holds;
     rec.checkMs = lapMs();
@@ -264,9 +273,10 @@ IntegrationResult IntegrationVerifier::run() {
     rec.cexLength = firstCex.run.length();
     bool realError = false;
     bool unsupported = false;
-    const auto process = [&](const ctl::VerifyResult& vres,
-                             const automata::Product& product,
-                             const std::vector<automata::Closure>& closures) {
+    const auto process =
+        [&](const ctl::VerifyResult& vres,
+            const automata::FlatProduct& product,
+            const std::vector<automata::VirtualClosure>& closures) {
       for (const auto& cex : vres.counterexamples) {
         if (cancelled()) return;
         if (config_.keepTraces) {
@@ -381,8 +391,9 @@ IntegrationResult runIntegration(automata::Automaton context,
 }
 
 IntegrationVerifier::CexHandling IntegrationVerifier::handleCounterexample(
-    const ctl::Counterexample& cex, const automata::Product& product,
-    const std::vector<automata::Closure>& closures, IterationRecord& rec) {
+    const ctl::Counterexample& cex, const automata::FlatProduct& product,
+    const std::vector<automata::VirtualClosure>& closures,
+    IterationRecord& rec) {
   const automata::Run& run = cex.run;
 
   // Positions where each legacy's closure side first enters chaos.
@@ -390,7 +401,7 @@ IntegrationVerifier::CexHandling IntegrationVerifier::handleCounterexample(
   for (std::size_t pos = 0; pos < run.states.size(); ++pos) {
     for (std::size_t k = 0; k < legacies_.size(); ++k) {
       if (chaosAt[k] != kNoChaos) continue;
-      const automata::StateId cs = product.origins[run.states[pos]][k + 1];
+      const automata::StateId cs = product.origin(run.states[pos], k + 1);
       if (closures[k].isChaos(cs)) chaosAt[k] = pos;
     }
   }
@@ -451,17 +462,14 @@ IntegrationVerifier::CexHandling IntegrationVerifier::handleCounterexample(
 
     // Deadlock among learned states: decide by testing the unknown context
     // offers at the stuck state.
-    std::vector<const automata::Automaton*> parts;
-    parts.push_back(&context_);
-    for (const auto& c : closures) parts.push_back(&c.automaton);
     const automata::StateId p = run.states.back();
 
     bool anyUnknown = false;
     bool anyEscape = false;
     for (std::size_t k = 0; k < legacies_.size(); ++k) {
-      const automata::StateId cs = product.origins[p][k + 1];
+      const automata::StateId cs = product.origin(p, k + 1);
       const automata::StateId sk = closures[k].knownOrigin(cs);
-      for (const auto& x : jointOffers(product, parts, closures, p, k)) {
+      for (const auto& x : jointOffers(product, closures, p, k)) {
         if (models_[k].base().hasTransition(sk, x)) {
           // The offer is already known to be accepted. This happens when a
           // previous counterexample of the same batch taught it (the stuck
@@ -501,39 +509,50 @@ IntegrationVerifier::CexHandling IntegrationVerifier::handleCounterexample(
 }
 
 std::vector<automata::Interaction> IntegrationVerifier::jointOffers(
-    const automata::Product& product,
-    const std::vector<const automata::Automaton*>& parts,
-    const std::vector<automata::Closure>& closures, automata::StateId p,
+    const automata::FlatProduct& product,
+    const std::vector<automata::VirtualClosure>& closures, automata::StateId p,
     std::size_t legacyIdx) const {
-  const automata::SignalSet& legacyIn = legacies_[legacyIdx]->inputs();
-  const automata::SignalSet& legacyOut = legacies_[legacyIdx]->outputs();
+  const std::size_t stride = product.stride();
+  std::vector<automata::Word> legacyIn(stride), legacyOut(stride);
+  automata::packWords(legacies_[legacyIdx]->inputs(), stride, legacyIn.data());
+  automata::packWords(legacies_[legacyIdx]->outputs(), stride,
+                      legacyOut.data());
 
-  // Indices of the participating components other than the legacy.
+  // The participating components other than the legacy, and their edges at
+  // p (another legacy's closure at the copy-1 twin, so its chaotic —
+  // possible-but-unknown — moves participate in the offers).
   std::vector<std::size_t> others;
-  for (std::size_t i = 0; i < parts.size(); ++i) {
-    if (i != legacyIdx + 1) others.push_back(i);
+  std::vector<std::vector<automata::EdgeRef>> edges;
+  for (std::size_t i = 0; i < product.componentCount(); ++i) {
+    if (i == legacyIdx + 1) continue;
+    automata::StateId s = product.origin(p, i);
+    if (i > 0) {
+      const auto& cl = closures[i - 1];
+      s = cl.copy1(cl.knownOrigin(s));
+    }
+    others.push_back(i);
+    product.component(i).edges(s, edges.emplace_back());
   }
 
   std::vector<automata::Interaction> offers;
-  std::vector<const automata::Transition*> chosen(others.size(), nullptr);
-
-  const auto pairwiseOk = [&](std::size_t a, std::size_t b) {
-    const auto& ta = *chosen[a];
-    const auto& tb = *chosen[b];
-    const automata::Automaton& aa = *parts[others[a]];
-    const automata::Automaton& ab = *parts[others[b]];
-    return (ta.label.in & ab.outputs()) == (tb.label.out & aa.inputs()) &&
-           (tb.label.in & aa.outputs()) == (ta.label.out & ab.inputs());
-  };
+  std::vector<automata::Word> x(2 * stride);
+  std::vector<const automata::Word*> chosen(others.size(), nullptr);
 
   const auto emit = [&] {
-    automata::Interaction x;
-    for (const auto* t : chosen) {
-      x.in |= t->label.out & legacyIn;
-      x.out |= t->label.in & legacyOut;
+    // The legacy's side of the joint move: it reads what the others write
+    // to it and writes what they read from it.
+    std::fill(x.begin(), x.end(), 0);
+    for (const automata::Word* l : chosen) {
+      for (std::size_t w = 0; w < stride; ++w) {
+        x[w] |= l[stride + w] & legacyIn[w];
+        x[stride + w] |= l[w] & legacyOut[w];
+      }
     }
-    if (std::find(offers.begin(), offers.end(), x) == offers.end()) {
-      offers.push_back(std::move(x));
+    automata::Interaction offer{
+        automata::SignalSet::fromWords(x.data(), stride),
+        automata::SignalSet::fromWords(x.data() + stride, stride)};
+    if (std::find(offers.begin(), offers.end(), offer) == offers.end()) {
+      offers.push_back(std::move(offer));
     }
   };
 
@@ -542,20 +561,15 @@ std::vector<automata::Interaction> IntegrationVerifier::jointOffers(
       emit();
       return;
     }
-    automata::StateId s = product.origins[p][others[idx]];
-    if (others[idx] > 0) {
-      // Another legacy's closure: move to the copy-1 twin so its chaotic
-      // (possible-but-unknown) moves participate in the offers.
-      const auto& cl = closures[others[idx] - 1];
-      s = cl.copy1[cl.knownOrigin(s)];
-    }
-    for (const auto& t : parts[others[idx]]->transitionsFrom(s)) {
-      chosen[idx] = &t;
+    for (const automata::EdgeRef& e : edges[idx]) {
       bool ok = true;
-      for (std::size_t j = 0; j < idx && ok; ++j) ok = pairwiseOk(j, idx);
-      if (ok) self(self, idx + 1);
+      for (std::size_t j = 0; j < idx && ok; ++j) {
+        ok = product.matches(others[j], chosen[j], others[idx], e.label);
+      }
+      if (!ok) continue;
+      chosen[idx] = e.label;
+      self(self, idx + 1);
     }
-    chosen[idx] = nullptr;
   };
   recurse(recurse, 0);
   return offers;

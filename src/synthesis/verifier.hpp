@@ -2,8 +2,9 @@
 // The iterative behavior-synthesis engine (paper Fig. 2, Secs. 3-4).
 //
 // Loop per iteration i:
-//   1. Build the chaotic closures chaos(M_l^i) of the learned models
-//      (Def. 9) and compose them with the context (Def. 3).
+//   1. Set up the chaotic closures chaos(M_l^i) of the learned models
+//      (Def. 9) as virtual closures and compose them with the context
+//      (Def. 3) into flat products (automata/flat_product.hpp).
 //   2. Model check the weakened property plus deadlock freedom (Sec. 4.1,
 //      Lemma 5). Success proves the integration correct for the real
 //      system — without having learned the rest of the legacy component.
@@ -31,8 +32,9 @@
 #include <vector>
 
 #include "automata/chaos.hpp"
-#include "automata/compose.hpp"
+#include "automata/flat_product.hpp"
 #include "automata/incomplete.hpp"
+#include "automata/virtual_closure.hpp"
 #include "ctl/counterexample.hpp"
 #include "synthesis/test_suite.hpp"
 #include "testing/driver.hpp"
@@ -184,10 +186,11 @@ class IntegrationVerifier {
     std::string errorText;
   };
 
-  CexHandling handleCounterexample(const ctl::Counterexample& cex,
-                                   const automata::Product& product,
-                                   const std::vector<automata::Closure>& closures,
-                                   IterationRecord& record);
+  /// `product` composes the context (component 0) with `closures`.
+  CexHandling handleCounterexample(
+      const ctl::Counterexample& cex, const automata::FlatProduct& product,
+      const std::vector<automata::VirtualClosure>& closures,
+      IterationRecord& record);
 
   /// Legacy-k interactions required by some joint move of all *other*
   /// components at product state `p` (deduplicated). Other legacies are
@@ -195,10 +198,9 @@ class IntegrationVerifier {
   /// a real deadlock must be unescapable for every behavior the others
   /// might still reveal.
   std::vector<automata::Interaction> jointOffers(
-      const automata::Product& product,
-      const std::vector<const automata::Automaton*>& parts,
-      const std::vector<automata::Closure>& closures, automata::StateId p,
-      std::size_t legacyIdx) const;
+      const automata::FlatProduct& product,
+      const std::vector<automata::VirtualClosure>& closures,
+      automata::StateId p, std::size_t legacyIdx) const;
 
   bool applyOutcome(std::size_t legacyIdx, const testing::TestOutcome& outcome);
 
@@ -207,6 +209,7 @@ class IntegrationVerifier {
   IntegrationConfig config_;
   std::vector<automata::IncompleteAutomaton> models_;
   std::vector<std::vector<automata::Interaction>> alphabets_;
+  std::size_t stride_ = 1;  // signal words per label in every product
   std::vector<ComponentTestSuite> suites_;  // recordTests only
 };
 

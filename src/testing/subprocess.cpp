@@ -3,6 +3,7 @@
 #include <fcntl.h>
 #include <poll.h>
 #include <signal.h>
+#include <sys/prctl.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -210,6 +211,15 @@ void SubprocessLegacy::spawnProcess() {
                          "adapter '" + config_.name +
                              "': pipe() failed: " + std::strerror(errno));
   }
+  // argv is built before fork: the child of a threaded harness may only
+  // call async-signal-safe functions.
+  std::vector<char*> argv;
+  argv.push_back(const_cast<char*>(config_.binary.c_str()));
+  for (const auto& a : config_.args) {
+    argv.push_back(const_cast<char*>(a.c_str()));
+  }
+  argv.push_back(nullptr);
+  const pid_t harness = ::getpid();
   const pid_t pid = ::fork();
   if (pid < 0) {
     for (const int fd : {inPipe[0], inPipe[1], outPipe[0], outPipe[1]}) {
@@ -220,17 +230,18 @@ void SubprocessLegacy::spawnProcess() {
                              "': fork() failed: " + std::strerror(errno));
   }
   if (pid == 0) {
-    // Child: wire the pipes to stdio, drop every other inherited fd (the
-    // serve daemon's sockets must not leak into adapters), exec.
+    // Child: die with the harness. A SIGKILLed harness runs no destructor,
+    // and an adapter hung mid-step would otherwise outlive it. The signal
+    // fires when the forking *thread* exits, which is never before the
+    // SubprocessLegacy that owns this child: every legacy is created,
+    // stepped (respawns included) and destroyed on the thread of its job.
+    ::prctl(PR_SET_PDEATHSIG, SIGKILL);
+    if (::getppid() != harness) ::_exit(127);  // the harness died already
+    // Wire the pipes to stdio and drop every other inherited fd, however
+    // high (the serve daemon's sockets must not leak into adapters).
     ::dup2(inPipe[0], STDIN_FILENO);
     ::dup2(outPipe[1], STDOUT_FILENO);
-    for (int fd = 3; fd < 1024; ++fd) ::close(fd);
-    std::vector<char*> argv;
-    argv.push_back(const_cast<char*>(config_.binary.c_str()));
-    for (const auto& a : config_.args) {
-      argv.push_back(const_cast<char*>(a.c_str()));
-    }
-    argv.push_back(nullptr);
+    ::close_range(3, ~0U, 0);
     ::execv(config_.binary.c_str(), argv.data());
     ::_exit(127);
   }

@@ -115,7 +115,10 @@ struct SubprocessConfig {
 /// LegacyComponent implementation backed by an adapter subprocess. Not
 /// thread-safe (like every LegacyComponent); safe to destroy at any time —
 /// the destructor asks the child to quit, waits up to kQuitGraceMs for its
-/// stdout to reach EOF, and SIGKILLs it if it lingers.
+/// stdout to reach EOF, and SIGKILLs it if it lingers. The child also gets
+/// SIGKILL when the thread that spawned it exits (PR_SET_PDEATHSIG), so a
+/// killed harness leaves no adapter behind; create, step and destroy a
+/// SubprocessLegacy on one thread.
 class SubprocessLegacy final : public LegacyComponent {
  public:
   explicit SubprocessLegacy(SubprocessConfig config);

@@ -5,71 +5,66 @@
 namespace mui::util {
 
 std::size_t DynBitset::count() const {
-  std::size_t n = 0;
-  for (std::uint64_t w : words_) n += static_cast<std::size_t>(__builtin_popcountll(w));
+  std::size_t n = static_cast<std::size_t>(__builtin_popcountll(first_));
+  for (std::uint64_t w : more_) n += static_cast<std::size_t>(__builtin_popcountll(w));
   return n;
 }
 
 std::size_t DynBitset::lowest() const {
-  for (std::size_t w = 0; w < words_.size(); ++w) {
-    if (words_[w] != 0) {
-      return w * 64 + static_cast<std::size_t>(__builtin_ctzll(words_[w]));
+  const std::size_t n = wordCount();
+  for (std::size_t w = 0; w < n; ++w) {
+    if (word(w) != 0) {
+      return w * 64 + static_cast<std::size_t>(__builtin_ctzll(word(w)));
     }
   }
   return static_cast<std::size_t>(-1);
 }
 
 bool DynBitset::isSubsetOf(const DynBitset& other) const {
-  for (std::size_t w = 0; w < words_.size(); ++w) {
-    const std::uint64_t ow = w < other.words_.size() ? other.words_[w] : 0;
-    if ((words_[w] & ~ow) != 0) return false;
+  if ((first_ & ~other.first_) != 0) return false;
+  for (std::size_t w = 0; w < more_.size(); ++w) {
+    if ((more_[w] & ~other.word(w + 1)) != 0) return false;
   }
   return true;
 }
 
 bool DynBitset::intersects(const DynBitset& other) const {
-  const std::size_t n = std::min(words_.size(), other.words_.size());
+  if ((first_ & other.first_) != 0) return true;
+  const std::size_t n = std::min(more_.size(), other.more_.size());
   for (std::size_t w = 0; w < n; ++w) {
-    if ((words_[w] & other.words_[w]) != 0) return true;
+    if ((more_[w] & other.more_[w]) != 0) return true;
   }
   return false;
 }
 
-DynBitset DynBitset::operator|(const DynBitset& o) const {
-  DynBitset r;
-  r.words_.resize(std::max(words_.size(), o.words_.size()), 0);
-  for (std::size_t w = 0; w < r.words_.size(); ++w) {
-    const std::uint64_t a = w < words_.size() ? words_[w] : 0;
-    const std::uint64_t b = w < o.words_.size() ? o.words_[w] : 0;
-    r.words_[w] = a | b;
-  }
-  r.shrink();
-  return r;
+DynBitset& DynBitset::operator|=(const DynBitset& o) {
+  first_ |= o.first_;
+  if (o.more_.size() > more_.size()) more_.resize(o.more_.size(), 0);
+  for (std::size_t w = 0; w < o.more_.size(); ++w) more_[w] |= o.more_[w];
+  return *this;
 }
 
-DynBitset DynBitset::operator&(const DynBitset& o) const {
-  DynBitset r;
-  r.words_.resize(std::min(words_.size(), o.words_.size()), 0);
-  for (std::size_t w = 0; w < r.words_.size(); ++w) {
-    r.words_[w] = words_[w] & o.words_[w];
-  }
-  r.shrink();
-  return r;
+DynBitset& DynBitset::operator&=(const DynBitset& o) {
+  first_ &= o.first_;
+  if (more_.size() > o.more_.size()) more_.resize(o.more_.size());
+  for (std::size_t w = 0; w < more_.size(); ++w) more_[w] &= o.more_[w];
+  shrink();
+  return *this;
 }
 
-DynBitset DynBitset::operator-(const DynBitset& o) const {
-  DynBitset r;
-  r.words_ = words_;
-  const std::size_t n = std::min(words_.size(), o.words_.size());
-  for (std::size_t w = 0; w < n; ++w) r.words_[w] &= ~o.words_[w];
-  r.shrink();
-  return r;
+DynBitset& DynBitset::operator-=(const DynBitset& o) {
+  first_ &= ~o.first_;
+  const std::size_t n = std::min(more_.size(), o.more_.size());
+  for (std::size_t w = 0; w < n; ++w) more_[w] &= ~o.more_[w];
+  shrink();
+  return *this;
 }
 
 bool DynBitset::operator<(const DynBitset& o) const {
-  if (words_.size() != o.words_.size()) return words_.size() < o.words_.size();
-  for (std::size_t w = words_.size(); w-- > 0;) {
-    if (words_[w] != o.words_[w]) return words_[w] < o.words_[w];
+  const std::size_t n = wordCount();
+  if (n != o.wordCount()) return n < o.wordCount();
+  for (std::size_t w = n; w-- > 0;) {
+    if (word(w) != o.word(w)) return word(w) < o.word(w);
   }
   return false;
 }
@@ -83,8 +78,9 @@ std::vector<std::size_t> DynBitset::bits() const {
 
 std::size_t DynBitset::hash() const {
   std::size_t h = 0xcbf29ce484222325ull;
-  for (std::uint64_t w : words_) {
-    h ^= static_cast<std::size_t>(w);
+  const std::size_t n = wordCount();
+  for (std::size_t w = 0; w < n; ++w) {
+    h ^= static_cast<std::size_t>(word(w));
     h *= 0x100000001b3ull;
   }
   return h;

@@ -31,23 +31,30 @@ class DynBitset {
   }
 
   void set(std::size_t bit) {
-    ensure(bit);
-    words_[bit / 64] |= (std::uint64_t{1} << (bit % 64));
+    const std::uint64_t mask = std::uint64_t{1} << (bit % 64);
+    if (bit < 64) {
+      first_ |= mask;
+      return;
+    }
+    if (bit / 64 > more_.size()) more_.resize(bit / 64, 0);
+    more_[bit / 64 - 1] |= mask;
   }
 
   void reset(std::size_t bit) {
-    if (bit / 64 < words_.size()) {
-      words_[bit / 64] &= ~(std::uint64_t{1} << (bit % 64));
+    const std::uint64_t mask = std::uint64_t{1} << (bit % 64);
+    if (bit < 64) {
+      first_ &= ~mask;
+    } else if (bit / 64 <= more_.size()) {
+      more_[bit / 64 - 1] &= ~mask;
       shrink();
     }
   }
 
   [[nodiscard]] bool test(std::size_t bit) const {
-    return bit / 64 < words_.size() &&
-           (words_[bit / 64] >> (bit % 64)) & std::uint64_t{1};
+    return (word(bit / 64) >> (bit % 64)) & std::uint64_t{1};
   }
 
-  [[nodiscard]] bool empty() const { return words_.empty(); }
+  [[nodiscard]] bool empty() const { return first_ == 0 && more_.empty(); }
   [[nodiscard]] std::size_t count() const;
 
   /// Index of the lowest set bit; undefined on empty sets.
@@ -56,28 +63,43 @@ class DynBitset {
   [[nodiscard]] bool isSubsetOf(const DynBitset& other) const;
   [[nodiscard]] bool intersects(const DynBitset& other) const;
 
-  [[nodiscard]] DynBitset operator|(const DynBitset& o) const;
-  [[nodiscard]] DynBitset operator&(const DynBitset& o) const;
+  [[nodiscard]] DynBitset operator|(const DynBitset& o) const {
+    DynBitset r = *this;
+    r |= o;
+    return r;
+  }
+  [[nodiscard]] DynBitset operator&(const DynBitset& o) const {
+    DynBitset r = *this;
+    r &= o;
+    return r;
+  }
   /// Set difference (this \ o).
-  [[nodiscard]] DynBitset operator-(const DynBitset& o) const;
+  [[nodiscard]] DynBitset operator-(const DynBitset& o) const {
+    DynBitset r = *this;
+    r -= o;
+    return r;
+  }
 
-  DynBitset& operator|=(const DynBitset& o) { return *this = *this | o; }
-  DynBitset& operator&=(const DynBitset& o) { return *this = *this & o; }
-  DynBitset& operator-=(const DynBitset& o) { return *this = *this - o; }
+  DynBitset& operator|=(const DynBitset& o);
+  DynBitset& operator&=(const DynBitset& o);
+  DynBitset& operator-=(const DynBitset& o);
 
-  bool operator==(const DynBitset& o) const { return words_ == o.words_; }
+  bool operator==(const DynBitset& o) const {
+    return first_ == o.first_ && more_ == o.more_;
+  }
   /// Lexicographic on the canonical word representation; usable as map key.
   bool operator<(const DynBitset& o) const;
 
   /// Calls `f(bit)` for every set bit in ascending order.
   template <typename F>
   void forEach(F&& f) const {
-    for (std::size_t w = 0; w < words_.size(); ++w) {
-      std::uint64_t word = words_[w];
-      while (word != 0) {
-        const int tz = __builtin_ctzll(word);
+    const std::size_t n = wordCount();
+    for (std::size_t w = 0; w < n; ++w) {
+      std::uint64_t bits = word(w);
+      while (bits != 0) {
+        const int tz = __builtin_ctzll(bits);
         f(w * 64 + static_cast<std::size_t>(tz));
-        word &= word - 1;
+        bits &= bits - 1;
       }
     }
   }
@@ -85,22 +107,42 @@ class DynBitset {
   /// All set bits, ascending.
   [[nodiscard]] std::vector<std::size_t> bits() const;
 
+  /// Raw 64-bit words, for fixed-stride packing (automata/flat_product.hpp):
+  /// the canonical word count (0 for ∅), word w (0 past the end), and the
+  /// set spelled by `n` raw words.
+  [[nodiscard]] std::size_t wordCount() const {
+    return more_.empty() ? (first_ != 0 ? 1 : 0) : more_.size() + 1;
+  }
+  [[nodiscard]] std::uint64_t word(std::size_t w) const {
+    if (w == 0) return first_;
+    return w <= more_.size() ? more_[w - 1] : 0;
+  }
+  static DynBitset fromWords(const std::uint64_t* words, std::size_t n) {
+    DynBitset b;
+    if (n == 0) return b;
+    b.first_ = words[0];
+    b.more_.assign(words + 1, words + n);
+    b.shrink();
+    return b;
+  }
+
   [[nodiscard]] std::size_t hash() const;
 
   /// Debug rendering such as "{0,3,17}".
   [[nodiscard]] std::string toString() const;
 
  private:
-  void ensure(std::size_t bit) {
-    if (bit / 64 >= words_.size()) words_.resize(bit / 64 + 1, 0);
-  }
   // Keep the representation canonical (no trailing zero words) so that
   // operator== / hash are structural set equality.
   void shrink() {
-    while (!words_.empty() && words_.back() == 0) words_.pop_back();
+    while (!more_.empty() && more_.back() == 0) more_.pop_back();
   }
 
-  std::vector<std::uint64_t> words_;
+  // Word 0 is stored inline: signal sets (and the labels of small models)
+  // fit in it, so copying and destroying them allocates nothing. Words 1..
+  // spill to the heap.
+  std::uint64_t first_ = 0;
+  std::vector<std::uint64_t> more_;
 };
 
 struct DynBitsetHash {

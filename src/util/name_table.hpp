@@ -19,7 +19,7 @@ class NameTable {
  public:
   /// Returns the id of `name`, interning it if new.
   NameId intern(std::string_view name) {
-    auto it = ids_.find(std::string(name));
+    auto it = ids_.find(name);
     if (it != ids_.end()) return it->second;
     const NameId id = static_cast<NameId>(names_.size());
     names_.emplace_back(name);
@@ -29,7 +29,7 @@ class NameTable {
 
   /// Returns the id of `name` if already interned.
   [[nodiscard]] std::optional<NameId> lookup(std::string_view name) const {
-    auto it = ids_.find(std::string(name));
+    auto it = ids_.find(name);
     if (it == ids_.end()) return std::nullopt;
     return it->second;
   }
@@ -42,8 +42,16 @@ class NameTable {
   [[nodiscard]] std::size_t size() const { return names_.size(); }
 
  private:
+  /// Hashes any string-like key, so lookups need no std::string copy.
+  struct Hash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view s) const {
+      return std::hash<std::string_view>{}(s);
+    }
+  };
+
   std::vector<std::string> names_;
-  std::unordered_map<std::string, NameId> ids_;
+  std::unordered_map<std::string, NameId, Hash, std::equal_to<>> ids_;
 };
 
 }  // namespace mui::util

@@ -1,6 +1,7 @@
 #pragma once
 // Shared helpers for the MUI test suite.
 
+#include <fstream>
 #include <initializer_list>
 #include <memory>
 #include <string>
@@ -52,5 +53,23 @@ struct Railcab {
     return model.patterns.at("DistanceCoordination").constraint;
   }
 };
+
+/// Writes models/watchdog.muml plus `deviceSlowStart` to `path`: an
+/// external device (the compliant one behind adapter_automaton) whose
+/// adapter starts only after 50 ms. A job on it overruns a deadline of a
+/// few ms by construction, however fast the loop itself is.
+inline void writeSlowStartWatchdog(const std::string& path) {
+  const std::string watchdog = std::string(MUI_MODELS_DIR) + "/watchdog.muml";
+  std::ifstream base(watchdog);
+  std::ofstream out(path);
+  out << base.rdbuf()
+      << "legacy deviceSlowStart external \"/bin/sh\" {\n"
+         "  input ping;\n"
+         "  output pong;\n"
+         "  arg \"-c\";\n"
+         "  arg \"sleep 0.05; exec '" MUI_ADAPTER_DIR "/adapter_automaton' '"
+      << watchdog << "' deviceCompliant --instance device\";\n"
+      << "}\n";
+}
 
 }  // namespace mui::test

@@ -10,8 +10,12 @@
 
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
 #include <signal.h>
 #include <stdlib.h>
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <cerrno>
 #include <chrono>
@@ -449,6 +453,118 @@ TEST(AdapterFaults, HangHitsTheDeadlineWithinTheContainmentBudget) {
   // harness hang. Timeouts are not retried, so one deadline is the budget.
   EXPECT_LT(elapsedMs, 10000.0);
   EXPECT_EQ(dev.respawns(), 0u);
+}
+
+/// `cfg` behind a /bin/sh that first runs `prelude` (with $$ = the adapter's
+/// pid, since the shell then execs the adapter in place).
+mui::testing::SubprocessConfig behindShell(mui::testing::SubprocessConfig cfg,
+                                           const std::string& prelude) {
+  std::vector<std::string> args{"-c", prelude + "; exec \"$0\" \"$@\"",
+                                 cfg.binary};
+  args.insert(args.end(), cfg.args.begin(), cfg.args.end());
+  cfg.args = std::move(args);
+  cfg.binary = "/bin/sh";
+  return cfg;
+}
+
+std::string readFile(const std::string& path) {
+  std::ifstream in(path);
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
+}
+
+/// True once `pid` has exited (gone, or a zombie nobody has reaped yet).
+bool processGone(pid_t pid) {
+  std::ifstream stat("/proc/" + std::to_string(pid) + "/stat");
+  if (!stat) return true;
+  std::string line;
+  std::getline(stat, line);
+  const auto paren = line.rfind(')');
+  return paren == std::string::npos || paren + 2 >= line.size() ||
+         line[paren + 2] == 'Z';
+}
+
+TEST(AdapterFaults, HungAdapterDiesWithAKilledHarness) {
+  const muml::Model m = loadFixture();
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("mui_pdeathsig_" + std::to_string(::getpid()));
+  std::filesystem::create_directories(dir);
+  const std::string pidFile = (dir / "adapter.pid").string();
+  const std::string readyFile = (dir / "hanging").string();
+  auto cfg = behindShell(cfgFor(m, "deviceHang"), "echo $$ > " + pidFile);
+  cfg.stepDeadlineMs = 60000;  // the harness blocks in step 2 until killed
+
+  const pid_t harness = ::fork();
+  ASSERT_GE(harness, 0);
+  if (harness == 0) {
+    try {
+      mui::testing::SubprocessLegacy dev(cfg);
+      dev.step(sset(m, {"ping"}));
+      std::ofstream(readyFile) << "1";
+      dev.step({});  // hang-at=2: never answers
+    } catch (...) {
+    }
+    ::_exit(0);
+  }
+  const auto until = std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (!std::filesystem::exists(readyFile) &&
+         std::chrono::steady_clock::now() < until) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_TRUE(std::filesystem::exists(readyFile));
+  const pid_t adapter = std::stoi(readFile(pidFile));
+  // Let the adapter read step 2 and park in its hang.
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  ::kill(harness, SIGKILL);
+  ::waitpid(harness, nullptr, 0);
+
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(2);
+  while (!processGone(adapter) && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  const bool gone = processGone(adapter);
+  if (!gone) ::kill(adapter, SIGKILL);  // do not leak it past the test
+  EXPECT_TRUE(gone) << "adapter " << adapter << " outlived its harness";
+  std::filesystem::remove_all(dir);
+}
+
+TEST(AdapterFaults, FdsAbove1024DoNotLeakIntoAdapters) {
+  rlimit saved{};
+  ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &saved), 0);
+  constexpr int kHighFd = 1500;
+  if (saved.rlim_max != RLIM_INFINITY && saved.rlim_max <= kHighFd) {
+    GTEST_SKIP() << "hard RLIMIT_NOFILE " << saved.rlim_max << " <= "
+                 << kHighFd;
+  }
+  rlimit raised = saved;
+  if (raised.rlim_cur == RLIM_INFINITY || raised.rlim_cur <= kHighFd) {
+    raised.rlim_cur = kHighFd + 1;
+  }
+  if (::setrlimit(RLIMIT_NOFILE, &raised) != 0) {
+    GTEST_SKIP() << "cannot raise the soft RLIMIT_NOFILE";
+  }
+  const int devNull = ::open("/dev/null", O_RDONLY);
+  ASSERT_GE(devNull, 0);
+  ASSERT_EQ(::dup2(devNull, kHighFd), kHighFd);
+  ::close(devNull);
+
+  const muml::Model m = loadFixture();
+  const auto probeFile = std::filesystem::temp_directory_path() /
+                         ("mui_fdleak_" + std::to_string(::getpid()));
+  const auto cfg = behindShell(
+      cfgFor(m, "deviceOk"),
+      "if [ -e /proc/$$/fd/" + std::to_string(kHighFd) +
+          " ]; then echo open; else echo closed; fi > " + probeFile.string());
+  {
+    mui::testing::SubprocessLegacy dev(cfg);
+    EXPECT_TRUE(dev.step(sset(m, {"ping"})).has_value());
+  }
+  EXPECT_EQ(readFile(probeFile.string()), "closed\n");
+  std::filesystem::remove(probeFile);
+  ::close(kHighFd);
+  ::setrlimit(RLIMIT_NOFILE, &saved);
 }
 
 TEST(AdapterFaults, CrashExhaustsTheRespawnBudget) {

@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <atomic>
+#include <filesystem>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -16,6 +19,7 @@
 #include "engine/manifest.hpp"
 #include "engine/report.hpp"
 #include "engine/thread_pool.hpp"
+#include "helpers.hpp"
 #include "muml/integration.hpp"
 #include "muml/loader.hpp"
 #include "obs/journal.hpp"
@@ -320,8 +324,16 @@ TEST(Batch, ConcurrentDuplicatesRunTheLoopOnce) {
 }
 
 TEST(Batch, DeadlineJobTimesOutWithoutHurtingTheBatch) {
+  // The impatient job's adapter starts only after 50 ms, so its 1 ms
+  // deadline has passed before the loop's first cancellation check.
+  const std::string slowStart =
+      (std::filesystem::temp_directory_path() /
+       ("mui_slow_start_" + std::to_string(::getpid()) + ".muml"))
+          .string();
+  test::writeSlowStartWatchdog(slowStart);
   std::vector<Job> jobs;
-  Job impatient = railcabJob("impatient", "rearShipped");
+  Job impatient = watchdogJob("impatient", "deviceSlowStart");
+  impatient.modelPath = slowStart;
   impatient.timeoutMs = 1;
   jobs.push_back(impatient);
   jobs.push_back(watchdogJob("fine", "deviceCompliant"));
@@ -336,6 +348,7 @@ TEST(Batch, DeadlineJobTimesOutWithoutHurtingTheBatch) {
   EXPECT_EQ(report.results[1].status, JobStatus::Proven);
   EXPECT_EQ(report.results[2].status, JobStatus::RealError);
   EXPECT_FALSE(report.allProven());
+  std::filesystem::remove(slowStart);
 }
 
 TEST(Batch, BrokenJobsBecomeEngineErrorRows) {

@@ -156,7 +156,7 @@ TEST(FuzzReproducer, GarbledHeadersAreRejected) {
       parseReproducer("# mui fuzz reproducer v1\nsignals {}\n", "x"),
       std::invalid_argument);  // missing oracle header
   EXPECT_THROW(parseReproducer(
-                   "# mui fuzz reproducer v1\n# oracle: O7\nsignals {}\n",
+                   "# mui fuzz reproducer v1\n# oracle: O9\nsignals {}\n",
                    "x"),
                std::invalid_argument);
   EXPECT_THROW(

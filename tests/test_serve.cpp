@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "engine/job.hpp"
+#include "helpers.hpp"
 #include "obs/ulid.hpp"
 #include "serve/client.hpp"
 #include "serve/protocol.hpp"
@@ -275,10 +276,36 @@ TEST(ServeServer, RoundTripsJobsAndServesDuplicatesFromCache) {
   EXPECT_EQ(stats.connections, 1u);
 }
 
+TEST(ServeServer, IdleDrainReturnsPromptly) {
+  serve::Server server(localOptions());
+  server.start();
+  // One answered request puts the accept loop back into its poll, idle.
+  EXPECT_NO_THROW(serve::httpGet("127.0.0.1", server.port(), "/healthz"));
+  const auto t0 = std::chrono::steady_clock::now();
+  server.requestDrain();
+  server.wait();
+  const double ms = std::chrono::duration<double, std::milli>(
+                        std::chrono::steady_clock::now() - t0)
+                        .count();
+  // The drain request wakes the accept loop; it does not wait out a poll.
+  EXPECT_LT(ms, 50.0);
+}
+
+/// A watchdog job on the slow-starting device of test::writeSlowStartWatchdog:
+/// it overruns any deadline of a few ms by construction.
+Job slowStartJob(std::string name, std::uint64_t timeoutMs = 0) {
+  const auto model = testDir("slow_start_" + name) / "watchdog.muml";
+  test::writeSlowStartWatchdog(model.string());
+  Job job = watchdogJob(std::move(name), "deviceSlowStart");
+  job.modelPath = model.string();
+  job.timeoutMs = timeoutMs;
+  return job;
+}
+
 TEST(ServeServer, JobDeadlineExpiryYieldsTimeout) {
   serve::Server server(localOptions());
   server.start();
-  const std::vector<Job> jobs = {railcabJob("impatient", /*timeoutMs=*/1)};
+  const std::vector<Job> jobs = {slowStartJob("impatient", /*timeoutMs=*/1)};
   const serve::SubmitOutcome outcome =
       serve::submitJobs(jobs, clientFor(server));
   ASSERT_EQ(outcome.report.results.size(), 1u);
@@ -290,7 +317,7 @@ TEST(ServeServer, ClientHelloDeadlineAppliesToJobsWithoutTheirOwn) {
   server.start();
   serve::SubmitOptions options = clientFor(server);
   options.deadlineMs = 1;  // sent in the hello, adopted server-side
-  const std::vector<Job> jobs = {railcabJob("inherits-deadline")};
+  const std::vector<Job> jobs = {slowStartJob("inherits-deadline")};
   const serve::SubmitOutcome outcome = serve::submitJobs(jobs, options);
   ASSERT_EQ(outcome.report.results.size(), 1u);
   EXPECT_EQ(outcome.report.results[0].status, JobStatus::Timeout);
@@ -302,7 +329,8 @@ TEST(ServeServer, ServerMaxTimeoutCapsEveryJob) {
   serve::Server server(options);
   server.start();
   // The job asks for a generous deadline; the server-wide cap wins.
-  const std::vector<Job> jobs = {railcabJob("capped", /*timeoutMs=*/600000)};
+  const std::vector<Job> jobs = {
+      slowStartJob("capped", /*timeoutMs=*/600000)};
   const serve::SubmitOutcome outcome =
       serve::submitJobs(jobs, clientFor(server));
   ASSERT_EQ(outcome.report.results.size(), 1u);

@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <type_traits>
+
 #include "automata/compose.hpp"
 #include "automata/conformance.hpp"
 #include "automata/random.hpp"
@@ -130,11 +133,15 @@ TEST(Shuttle, UnsupportedPropertyShape) {
 
 // ---- Verdict agreement with ground truth on random closed systems ----------
 
+// gtest names each case after a dump of this struct's bytes, so it has no
+// padding: the explicit zero tail keeps the names the same in every build.
 struct AgreementCase {
   std::uint64_t seed;
   std::uint64_t contextKeepPct;  // how much of the legacy the context uses
   bool injectProperty;
+  std::uint8_t zeroTail[7] = {};
 };
+static_assert(std::has_unique_object_representations_v<AgreementCase>);
 
 class VerdictAgreement : public ::testing::TestWithParam<AgreementCase> {};
 

@@ -95,7 +95,7 @@
 //            [--out <corpus-dir>] [--oracles O1,O3,...] [--no-shrink]
 //            [--inject-bug <name>] [--journal-out F] [--metrics-out F]
 //       Property-based fuzzing campaign (docs/FUZZING.md): N seeded
-//       scenarios, each checked against the metamorphic oracles O1-O6.
+//       scenarios, each checked against the metamorphic oracles O1-O7.
 //       Violations are shrunk to minimal reproducers and written to the
 //       corpus directory. Deterministic in (seed, runs, oracle selection).
 //       --inject-bug plants a known checker bug (harness self-test).
@@ -1172,7 +1172,7 @@ int cmdFuzz(int argc, char** argv) {
           const auto id = fuzz::oracleFromString(name);
           if (!id) {
             return usageError("unknown oracle '" + name +
-                              "' (expected O1, O2, O3, O5 or O6)");
+                              "' (expected O1, O2, O3, O5, O6 or O7)");
           }
           options.oracles.push_back(*id);
         }
