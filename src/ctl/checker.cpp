@@ -1,6 +1,7 @@
 #include "ctl/checker.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 
 #include "obs/metrics.hpp"
@@ -9,8 +10,8 @@ namespace mui::ctl {
 
 namespace {
 
-/// Worklist pops across all fixpoint computations. Hot loops count into a
-/// local and flush once per fixpoint, so the hot path stays atomic-free.
+/// Worklist pops across all distance passes. Hot loops count into a local
+/// and flush once per pass, so the hot path stays atomic-free.
 obs::Counter& popsCounter() {
   static obs::Counter& c = obs::Registry::global().counter(
       "mui_ctl_worklist_pops_total",
@@ -18,7 +19,25 @@ obs::Counter& popsCounter() {
   return c;
 }
 
+/// Distance label of a state the pass did not reach.
+constexpr std::uint32_t kFar = std::numeric_limits<std::uint32_t>::max();
+
 }  // namespace
+
+SatSet deadlockStates(const automata::FlatProduct& g) {
+  SatSet dead(g.stateCount());
+  for (StateId s = 0; s < g.stateCount(); ++s) {
+    if (g.edgeBegin(s) == g.edgeEnd(s)) dead.set(s);
+  }
+  return dead;
+}
+
+bool AFPositions::holds(StateId s, std::size_t j) const {
+  if (bound_.bounded() && bound_.hi < bound_.lo) return false;  // empty
+  if (j < bound_.lo) return below_[j][s];
+  if (dist_[s] == kFar) return false;
+  return !bound_.bounded() || (j <= bound_.hi && dist_[s] <= bound_.hi - j);
+}
 
 Checker::Checker(const automata::FlatProduct& g) : g_(g) { index(); }
 
@@ -38,7 +57,7 @@ void Checker::index() {
   checkers.inc();
   bits.observe(g_.stateCount());
   const std::size_t n = g_.stateCount();
-  deadlock_ = SatSet(n);
+  deadlock_ = deadlockStates(g_);
   succHead_.assign(n + 1, 0);
   succList_.reserve(g_.edgeCount());
   std::vector<StateId> targets;
@@ -51,7 +70,6 @@ void Checker::index() {
     targets.erase(std::unique(targets.begin(), targets.end()), targets.end());
     succList_.insert(succList_.end(), targets.begin(), targets.end());
     succHead_[s + 1] = static_cast<std::uint32_t>(succList_.size());
-    if (targets.empty()) deadlock_.set(s);
   }
   // Invert the duplicate-free edge set: counting sort into CSR.
   predHead_.assign(n + 1, 0);
@@ -73,242 +91,129 @@ SatSet Checker::atomSat(const std::string& name) {
   return g_.atomSat(*id);
 }
 
-namespace {
-/// Seeds the worklist with every state currently in `sat`.
-std::vector<StateId> statesOf(const SatSet& sat) {
-  std::vector<StateId> work;
-  work.reserve(sat.count());
-  for (StateId s = 0; s < sat.size(); ++s) {
-    if (sat[s]) work.push_back(s);
+bool Checker::succIn(bool universal, StateId s, const SatSet& p) const {
+  for (std::uint32_t i = succHead_[s]; i < succHead_[s + 1]; ++i) {
+    if (p[succList_[i]] != universal) return !universal;
   }
-  return work;
+  return universal;
 }
-}  // namespace
 
-// AF φ (least fixpoint): φ, or all successors already satisfy AF φ and at
-// least one successor exists (a path ending without φ violates AF). Each
-// state keeps a pending-successor counter; it joins the set when the last
-// successor does.
-SatSet Checker::fixAF(const SatSet& phi) {
-  SatSet sat = phi;
-  std::vector<std::uint32_t> pending(g_.stateCount());
+SatSet Checker::next(bool universal, const SatSet& p) const {
+  SatSet v(g_.stateCount());
   for (StateId s = 0; s < g_.stateCount(); ++s) {
-    pending[s] = static_cast<std::uint32_t>(outDegree(s));
+    if (succIn(universal, s, p)) v.set(s);
   }
-  std::vector<StateId> work = statesOf(sat);
-  std::uint64_t pops = 0;
-  while (!work.empty()) {
-    const StateId t = work.back();
-    work.pop_back();
-    ++pops;
-    forPred(t, [&](StateId s) {
-      if (sat[s]) return;
-      if (--pending[s] == 0) {  // deadlock states have no incoming decrement
-        sat.set(s);
-        work.push_back(s);
-      }
-    });
-  }
-  popsCounter().add(pops);
-  return sat;
+  return v;
 }
 
-// EF φ: plain backward reachability of the φ states.
-SatSet Checker::fixEF(const SatSet& phi) {
-  SatSet sat = phi;
-  std::vector<StateId> work = statesOf(sat);
-  std::uint64_t pops = 0;
-  while (!work.empty()) {
-    const StateId t = work.back();
-    work.pop_back();
-    ++pops;
-    forPred(t, [&](StateId s) {
-      if (!sat[s]) {
-        sat.set(s);
-        work.push_back(s);
-      }
-    });
-  }
-  popsCounter().add(pops);
-  return sat;
-}
-
-// AG φ (greatest fixpoint): φ here and at every successor transitively —
-// equivalently ¬EF ¬φ, so one backward closure of the ¬φ states suffices;
-// deadlock states satisfy the continuation vacuously.
-SatSet Checker::fixAG(const SatSet& phi) {
-  SatSet bad = phi;
-  bad.flip();
-  bad = fixEF(bad);
-  bad.flip();
-  return bad;
-}
-
-// EG φ (greatest fixpoint, weak): φ along some maximal path — the path may
-// end in a deadlock. States are deleted when their last satisfying successor
-// is deleted (live-successor counter).
-SatSet Checker::fixEG(const SatSet& phi) {
-  SatSet sat = phi;
-  std::vector<std::uint32_t> live(g_.stateCount(), 0);
+SatSet Checker::stepBack(bool universal, const SatSet& later,
+                         const SatSet* guard) const {
+  SatSet v(g_.stateCount());
   for (StateId s = 0; s < g_.stateCount(); ++s) {
-    forSucc(s, [&](StateId t) {
-      if (sat[t]) ++live[s];
-    });
+    if (deadlock_[s] || (guard != nullptr && !(*guard)[s])) continue;
+    if (succIn(universal, s, later)) v.set(s);
   }
-  std::vector<StateId> work;
-  for (StateId s = 0; s < g_.stateCount(); ++s) {
-    if (sat[s] && !deadlock_[s] && live[s] == 0) {
-      sat.reset(s);
-      work.push_back(s);
-    }
-  }
-  std::uint64_t pops = 0;
-  while (!work.empty()) {
-    const StateId t = work.back();
-    work.pop_back();
-    ++pops;
-    forPred(t, [&](StateId s) {
-      if (!sat[s] || deadlock_[s]) return;
-      if (--live[s] == 0) {
-        sat.reset(s);
-        work.push_back(s);
-      }
-    });
-  }
-  popsCounter().add(pops);
-  return sat;
+  return v;
 }
 
-SatSet Checker::fixAU(const SatSet& phi, const SatSet& psi) {
-  SatSet sat = psi;
-  std::vector<std::uint32_t> pending(g_.stateCount());
-  for (StateId s = 0; s < g_.stateCount(); ++s) {
-    pending[s] = static_cast<std::uint32_t>(outDegree(s));
-  }
-  std::vector<StateId> work = statesOf(sat);
-  std::uint64_t pops = 0;
-  while (!work.empty()) {
-    const StateId t = work.back();
-    work.pop_back();
-    ++pops;
-    forPred(t, [&](StateId s) {
-      if (sat[s] || !phi[s]) return;  // ¬φ states can never join
-      if (--pending[s] == 0) {
-        sat.set(s);
-        work.push_back(s);
-      }
-    });
-  }
-  popsCounter().add(pops);
-  return sat;
-}
-
-SatSet Checker::fixEU(const SatSet& phi, const SatSet& psi) {
-  SatSet sat = psi;
-  std::vector<StateId> work = statesOf(sat);
-  std::uint64_t pops = 0;
-  while (!work.empty()) {
-    const StateId t = work.back();
-    work.pop_back();
-    ++pops;
-    forPred(t, [&](StateId s) {
-      if (!sat[s] && phi[s]) {
-        sat.set(s);
-        work.push_back(s);
-      }
-    });
-  }
-  popsCounter().add(pops);
-  return sat;
-}
-
-// Positional evaluation of bounded (or lower-bounded) temporal operators.
-// sat_i(s) answers "does the operator hold at s seen as position i of the
-// window"; computed backwards from the window end. For hi == inf the value
-// at position lo is the corresponding unbounded fixpoint. The result is
-// sat_0. (`psi` is used only for AU/EU.)
-SatSet Checker::boundedTemporal(Op op, const Bound& b, const SatSet& phi,
-                                const SatSet& psi) {
+// The positional semantics of a window [a, b]: sat_i(s) says whether the
+// operator holds at s seen as position i of the window, and the operator's
+// satisfaction set is sat_0. For F, sat_b = φ and, for i < b,
+//   sat_i(s) = (i ≥ a ∧ φ(s)) ∨ (¬δ(s) ∧ all/some successors in sat_{i+1}),
+// U adds "∧ φ(s)" to the continuation and reads ψ as its target, and G is
+// the dual. For a ≤ i ≤ b, sat_i = {D ≤ b − i} by induction on b − i: a
+// target state has D = 0, and an eligible non-target state satisfies
+// sat_i iff all (A) / some (E) successors have D ≤ b − i − 1, i.e. iff
+// 1 + max / min D ≤ b − i. So the pass stops at label b − a and the
+// positions below a step back one pass each. For b = ∞, sat_a is the
+// unbounded fixpoint, the same pass without a limit (D < ∞).
+//
+// FIFO order hands out labels in nondecreasing order: a state is pushed
+// with 1 + the label being popped, and for a universal operator that pop
+// is its last successor's, i.e. its maximum. Pending-successor counters
+// make each edge count once; deadlock states are never decremented, so
+// they join only as targets.
+SatSet Checker::distances(bool universal, const SatSet& target,
+                          const SatSet* guard, std::size_t limit,
+                          std::vector<std::uint32_t>* dist) {
   const std::size_t n = g_.stateCount();
-  const bool universal = (op == Op::AF || op == Op::AG || op == Op::AU);
-  const bool isG = (op == Op::AG || op == Op::EG);
-  const bool isU = (op == Op::AU || op == Op::EU);
-
-  // Empty window: G-type trivially true, F/U-type trivially false.
-  if (b.bounded() && b.hi < b.lo) {
-    return SatSet(n, isG);
+  SatSet sat = target;
+  std::vector<StateId> queue;
+  for (StateId s = 0; s < n; ++s) {
+    if (target[s]) queue.push_back(s);
   }
-
-  // cur = sat at position i+1 while computing position i.
-  SatSet cur(n);
-  std::size_t start;  // first position computed going backwards is start-1
-  if (!b.bounded()) {
-    // Position lo == unbounded fixpoint; then walk lo-1 .. 0.
-    switch (op) {
-      case Op::AF:
-        cur = fixAF(phi);
-        break;
-      case Op::EF:
-        cur = fixEF(phi);
-        break;
-      case Op::AG:
-        cur = fixAG(phi);
-        break;
-      case Op::EG:
-        cur = fixEG(phi);
-        break;
-      case Op::AU:
-        cur = fixAU(phi, psi);
-        break;
-      case Op::EU:
-        cur = fixEU(phi, psi);
-        break;
-      default:
-        throw std::logic_error("boundedTemporal: bad operator");
-    }
-    start = b.lo;
-  } else {
-    // Position hi: last chance for F/U; last constrained position for G.
-    const SatSet& target = isU ? psi : phi;
-    if (isG || b.hi >= b.lo) cur = target;
-    start = b.hi;
-  }
-
-  SatSet next(n);
-  for (std::size_t i = start; i-- > 0;) {
-    const bool inWindow = i >= b.lo;
+  std::vector<std::uint32_t> pending;
+  if (universal) {
+    pending.resize(n);
     for (StateId s = 0; s < n; ++s) {
-      // Continuation through the successors.
-      bool contAll = true, contAny = false;
-      forSucc(s, [&](StateId t) {
-        if (cur[t]) {
-          contAny = true;
-        } else {
-          contAll = false;
-        }
-      });
-      bool v;
-      if (isG) {
-        const bool here = !inWindow || phi[s];
-        // Weak semantics: a path that ends imposes/offers nothing further.
-        const bool cont = universal ? contAll  // vacuous on deadlock
-                                    : (deadlock_[s] ? true : contAny);
-        v = here && cont;
-      } else if (isU) {
-        const bool fulfilled = inWindow && psi[s];
-        const bool cont =
-            phi[s] && !deadlock_[s] && (universal ? contAll : contAny);
-        v = fulfilled || cont;
-      } else {  // F
-        const bool fulfilled = inWindow && phi[s];
-        const bool cont = !deadlock_[s] && (universal ? contAll : contAny);
-        v = fulfilled || cont;
-      }
-      next.assign(s, v);
+      pending[s] = static_cast<std::uint32_t>(outDegree(s));
     }
-    std::swap(cur, next);
   }
+  if (dist != nullptr) {
+    dist->assign(n, kFar);
+    for (const StateId s : queue) (*dist)[s] = 0;
+  }
+  std::size_t level = 0;  // label of the states being popped
+  std::size_t levelEnd = queue.size();
+  std::size_t head = 0;
+  for (; head < queue.size(); ++head) {
+    if (head == levelEnd) {
+      ++level;
+      levelEnd = queue.size();
+    }
+    if (level >= limit) break;  // their predecessors would pass the limit
+    forPred(queue[head], [&](StateId s) {
+      if (sat[s] || (guard != nullptr && !(*guard)[s])) return;
+      if (universal && --pending[s] != 0) return;
+      sat.set(s);
+      if (dist != nullptr) (*dist)[s] = static_cast<std::uint32_t>(level + 1);
+      queue.push_back(s);
+    });
+  }
+  popsCounter().add(head);
+  return sat;
+}
+
+SatSet Checker::windowStart(bool universal, Bound b, const SatSet& phi,
+                            const SatSet* psi,
+                            std::vector<std::uint32_t>* dist) {
+  return distances(universal, psi != nullptr ? *psi : phi,
+                   psi != nullptr ? &phi : nullptr,
+                   b.bounded() ? b.hi - b.lo : Bound::kInf, dist);
+}
+
+SatSet Checker::temporal(Op op, Bound b, const SatSet& phi,
+                         const SatSet* psi) {
+  if (op == Op::AG || op == Op::EG) {
+    // AG[a,b] φ = ¬EF[a,b] ¬φ and EG[a,b] φ = ¬AF[a,b] ¬φ, position by
+    // position (formula.hpp: the weak semantics keeps the dualities).
+    SatSet notPhi = phi;
+    notPhi.flip();
+    SatSet v = temporal(op == Op::AG ? Op::EF : Op::AF, b, notPhi, nullptr);
+    v.flip();
+    return v;
+  }
+  // An empty window offers F/U no position to be fulfilled at.
+  if (b.bounded() && b.hi < b.lo) return SatSet(g_.stateCount());
+  const bool universal = op == Op::AF || op == Op::AU;
+  SatSet cur = windowStart(universal, b, phi, psi, nullptr);
+  const SatSet* guard = psi != nullptr ? &phi : nullptr;
+  for (std::size_t i = b.lo; i-- > 0;) cur = stepBack(universal, cur, guard);
   return cur;
+}
+
+AFPositions Checker::afPositions(const FormulaPtr& phi, Bound b) {
+  AFPositions out;
+  out.bound_ = b;
+  const SatSet p = evaluate(phi);
+  if (b.bounded() && b.hi < b.lo) return out;
+  SatSet cur = windowStart(true, b, p, nullptr, &out.dist_);
+  out.below_.resize(b.lo);
+  for (std::size_t j = b.lo; j-- > 0;) {
+    cur = stepBack(true, cur, nullptr);
+    out.below_[j] = cur;
+  }
+  return out;
 }
 
 SatSet Checker::evaluate(const FormulaPtr& f) {
@@ -343,53 +248,20 @@ SatSet Checker::evaluate(const FormulaPtr& f) {
       a |= evaluate(f->rhs);
       return a;
     }
-    case Op::AX: {
-      const auto p = evaluate(f->lhs);
-      SatSet v(n);
-      for (StateId s = 0; s < n; ++s) {
-        bool all = true;
-        forSucc(s, [&](StateId t) { all = all && p[t]; });
-        if (all) v.set(s);  // vacuously true on deadlock states
-      }
-      return v;
-    }
-    case Op::EX: {
-      const auto p = evaluate(f->lhs);
-      SatSet v(n);
-      for (StateId s = 0; s < n; ++s) {
-        bool any = false;
-        forSucc(s, [&](StateId t) { any = any || p[t]; });
-        if (any) v.set(s);
-      }
-      return v;
-    }
+    case Op::AX:
+      return next(true, evaluate(f->lhs));  // vacuous on deadlock states
+    case Op::EX:
+      return next(false, evaluate(f->lhs));
     case Op::AF:
     case Op::EF:
     case Op::AG:
-    case Op::EG: {
-      const auto p = evaluate(f->lhs);
-      if (f->bound.lo == 0 && !f->bound.bounded()) {
-        switch (f->op) {
-          case Op::AF:
-            return fixAF(p);
-          case Op::EF:
-            return fixEF(p);
-          case Op::AG:
-            return fixAG(p);
-          default:
-            return fixEG(p);
-        }
-      }
-      return boundedTemporal(f->op, f->bound, p, SatSet(n));
-    }
+    case Op::EG:
+      return temporal(f->op, f->bound, evaluate(f->lhs), nullptr);
     case Op::AU:
     case Op::EU: {
       const auto p = evaluate(f->lhs);
       const auto q = evaluate(f->rhs);
-      if (f->bound.lo == 0 && !f->bound.bounded()) {
-        return f->op == Op::AU ? fixAU(p, q) : fixEU(p, q);
-      }
-      return boundedTemporal(f->op, f->bound, p, q);
+      return temporal(f->op, f->bound, p, &q);
     }
   }
   throw std::logic_error("Checker::evaluate: unknown operator");

@@ -78,8 +78,12 @@ std::vector<Run> searchPaths(const FlatProduct& m, const SatSet& target,
   return out;
 }
 
-/// Depth-window search for bounded AG violations: runs of length in
-/// [lo, hi] ending in a target state.
+/// Depth-window search for windowed AG violations: runs of length in
+/// [lo, hi] ending in a target state. Nodes are keyed on (state, depth);
+/// for hi = ∞ every depth ≥ lo shares the key lo, so a target-free cycle
+/// is walked once instead of forever. With k = 1 and Shortest that prunes
+/// nothing the search could need: the first target found has minimal
+/// depth, and no path to it passes a pruned duplicate.
 std::vector<Run> searchPathsInWindow(const FlatProduct& m,
                                      const SatSet& target, std::size_t lo,
                                      std::size_t hi, std::size_t k,
@@ -100,6 +104,7 @@ std::vector<Run> searchPathsInWindow(const FlatProduct& m,
   };
   const auto visit = [&](StateId s, std::size_t depth, std::size_t parent,
                          std::uint32_t via, bool root) {
+    if (hi == Bound::kInf) depth = std::min(depth, lo);
     if (depth > hi || !visited.insert(key(s, depth)).second) return;
     const std::size_t idx = nodes.size();
     nodes.push_back({s, depth, root ? idx : parent, via});
@@ -131,10 +136,13 @@ std::vector<Run> searchPathsInWindow(const FlatProduct& m,
 }
 
 /// Appends to `run` a suffix from its final state witnessing ¬AF[a,b]χ: a
-/// maximal-path prefix along which χ never holds inside the window. Returns
-/// false if the invariant (final state violates the AF) does not hold.
+/// maximal-path prefix along which χ never holds inside the window. Each
+/// step takes the first edge, in insertion order, whose target violates the
+/// AF seen from the next position. Returns false if the invariant (final
+/// state violates the AF) does not hold.
 bool appendNotAFWitness(Checker& checker, const FlatProduct& m, Run& run,
                         const FormulaPtr& chi, Bound bound) {
+  const AFPositions af = checker.afPositions(chi, bound);
   StateId cur = run.states.back();
   std::size_t i = 0;
   std::unordered_set<StateId> seenSinceLo;
@@ -145,13 +153,9 @@ bool appendNotAFWitness(Checker& checker, const FlatProduct& m, Run& run,
       // Unbounded tail: stop at a lasso (state revisited after lo).
       if (!seenSinceLo.insert(cur).second) return true;
     }
-    // The AF obligation seen from position i+1 of the original window.
-    const Bound remaining{bound.lo > i + 1 ? bound.lo - (i + 1) : 0,
-                          bound.bounded() ? bound.hi - (i + 1) : Bound::kInf};
-    const auto sat = checker.evaluate(Formula::mkAF(chi, remaining));
     bool advanced = false;
     for (std::uint32_t e = m.edgeBegin(cur); e < m.edgeEnd(cur); ++e) {
-      if (!sat[m.edgeTarget(e)]) {
+      if (!af.holds(m.edgeTarget(e), i + 1)) {
         run.labels.push_back(m.edgeLabel(e));
         run.states.push_back(m.edgeTarget(e));
         cur = m.edgeTarget(e);
@@ -337,22 +341,23 @@ VerifyResult verify(const Automaton& m, const FormulaPtr& phi,
 VerifyResult verify(const FlatProduct& m, const FormulaPtr& phi,
                     const VerifyOptions& opts) {
   const obs::ObsSpan span("verify", opts.traceId);
-  Checker checker(m);
   VerifyResult result;
   result.stateCount = m.stateCount();
+  auto& cexs = result.counterexamples;
 
-  const bool phiHolds = phi == nullptr || checker.holds(phi);
-  if (!phiHolds) {
-    collectPropertyCexs(checker, m, phi, opts, result.counterexamples);
+  if (phi != nullptr) {
+    Checker checker(m);
+    if (!checker.holds(phi)) collectPropertyCexs(checker, m, phi, opts, cexs);
+    result.unknownAtoms = checker.unknownAtoms();
   }
 
-  if (opts.requireDeadlockFree &&
-      result.counterexamples.size() < opts.maxCounterexamples) {
-    const SatSet& dead = checker.deadlockSet();
+  // Deadlock freedom needs no checker: the deadlock set is read off the
+  // empty edge ranges.
+  if (opts.requireDeadlockFree && cexs.size() < opts.maxCounterexamples) {
+    const SatSet dead = deadlockStates(m);
     if (dead.any()) {
-      auto runs = searchPaths(
-          m, dead, opts.maxCounterexamples - result.counterexamples.size(),
-          opts.search);
+      auto runs = searchPaths(m, dead, opts.maxCounterexamples - cexs.size(),
+                              opts.search);
       for (auto& run : runs) {
         Counterexample cex;
         cex.kind = Counterexample::Kind::Deadlock;
@@ -360,13 +365,12 @@ VerifyResult verify(const FlatProduct& m, const FormulaPtr& phi,
         cex.pathExact = true;
         cex.note = "reachable deadlock state '" +
                    m.stateName(cex.run.states.back()) + "'";
-        result.counterexamples.push_back(std::move(cex));
+        cexs.push_back(std::move(cex));
       }
     }
   }
 
-  result.holds = result.counterexamples.empty();
-  result.unknownAtoms = checker.unknownAtoms();
+  result.holds = cexs.empty();
   return result;
 }
 

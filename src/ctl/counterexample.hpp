@@ -4,10 +4,15 @@
 // For the ACTL patterns used by MECHATRONIC UML constraints — invariants
 // AG ψ, bounded leads-to AG(p → AF[a,b] q), bounded/unbounded AF at top
 // level, conjunctions thereof — the generator produces a concrete run of the
-// model witnessing the violation (Listing 1.1 style). Deadlock freedom ¬δ
-// is checked as a reachability question and witnessed by a shortest path to
-// a stuck state. For formulas outside this fragment a non-exact witness
-// (the violating initial state) is returned and flagged.
+// model witnessing the violation (Listing 1.1 style). A ¬AF[a,b] suffix
+// takes, at each step, the first edge in insertion order whose target
+// violates the AF seen from the next window position; the positions are
+// read off one distance labelling (Checker::afPositions). Deadlock freedom
+// ¬δ is checked as a reachability question and witnessed by a shortest path
+// to a stuck state; the deadlock-only check (phi == nullptr) builds no
+// Checker, since the deadlock set is the product's empty edge ranges. For
+// formulas outside this fragment a non-exact witness (the violating initial
+// state) is returned and flagged.
 
 #include <optional>
 #include <string>
@@ -65,8 +70,9 @@ struct VerifyResult {
 /// Checks m ⊨ φ ∧ ¬δ (the ¬δ conjunct iff requireDeadlockFree) and produces
 /// counterexamples on failure. Property violations are searched before
 /// deadlocks only if the property fails; otherwise deadlock reachability is
-/// reported. Pass phi == nullptr to check deadlock freedom alone. Runs and
-/// notes name m's own states and edge labels.
+/// reported. Pass phi == nullptr to check deadlock freedom alone (no
+/// Checker is built then). Runs and notes name m's own states and edge
+/// labels.
 VerifyResult verify(const automata::FlatProduct& m, const FormulaPtr& phi,
                     const VerifyOptions& opts = {});
 

@@ -3,7 +3,7 @@
 # job): start `mui serve` with a durable cache, submit the example campaign
 # manifest, restart the daemon, submit the same manifest again, and assert
 # that the second run is answered almost entirely from the replayed cache
-# (>= 90% hits — everything except the uncacheable timeout job) using the
+# (>= 90% hits; every job of the campaign is cacheable) using the
 # daemon's own /metrics endpoint. Both daemons must drain and exit 0 on
 # SIGTERM. A third round demonstrates the observability path end to end:
 # a traced submit produces one merged Chrome trace with the job ULID in
@@ -70,8 +70,8 @@ http_get() { # $1: path, $2: output file
 submit() { # $1: label
   local rc=0
   "$MUI" submit "$MANIFEST" --port "$PORT" >"$WORK/submit-$1.log" 2>&1 || rc=$?
-  # The campaign deliberately contains real-error and timeout jobs, so a
-  # healthy run exits 1; 2 would mean a protocol or connection failure.
+  # The campaign deliberately contains real-error jobs, so a healthy run
+  # exits 1; 2 would mean a protocol or connection failure.
   [ "$rc" -eq 1 ] || fail "submit $1 exited $rc (want 1); log: $(cat "$WORK/submit-$1.log")"
   grep -q "real-error" "$WORK/submit-$1.log" || fail "submit $1 report lacks the expected real-error row"
 }
