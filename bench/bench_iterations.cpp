@@ -5,9 +5,14 @@
 // knowledge; this table shows the bound is loose in practice — the loop
 // stops long before the model is complete.
 //
+// Each size runs its seeds kRepeats times; the table and the JSON report
+// the median loop time and its quartiles, since one run sums only a few
+// milliseconds and single runs spread by 2x.
+//
 // Writes BENCH_iterations.json (schema in docs/PERFORMANCE.md).
 // MUI_BENCH_SMOKE=1 restricts the run to the small sizes.
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -29,18 +34,20 @@ int main() {
 
   util::TextTable table({"legacy states", "hidden trans", "verdict",
                          "iterations", "learned states", "learned trans",
-                         "learned refusals", "test periods", "ms",
-                         "composed"});
+                         "learned refusals", "test periods",
+                         "ms p50 [p25-p75]", "composed"});
   const std::vector<std::size_t> sizes =
       smoke ? std::vector<std::size_t>{4, 8}
             : std::vector<std::size_t>{4, 8, 16, 32, 64};
   std::string json = "{\"bench\":\"iterations\",\"unit\":\"ms\",\"smoke\":";
   json += smoke ? "true" : "false";
   json += ",\"sizes\":[";
+  constexpr int kRepeats = 7;
   for (std::size_t si = 0; si < sizes.size(); ++si) {
     const std::size_t states = sizes[si];
-    // Aggregate a few seeds per size.
-    double ms = 0;
+    // Aggregate a few seeds per size; the counts come from one repeat
+    // (the loop is deterministic), the time from every repeat.
+    std::vector<double> ms(kRepeats, 0.0);
     std::size_t iters = 0, lStates = 0, lTrans = 0, lForb = 0, hTrans = 0;
     std::size_t composed = 0;
     std::uint64_t periods = 0;
@@ -49,10 +56,13 @@ int main() {
     for (int seed = 1; seed <= kSeeds; ++seed) {
       bench::Scenario sc(states, static_cast<std::uint64_t>(seed) * 13,
                          /*contextKeepPct=*/60);
-      testing::AutomatonLegacy legacy(sc.hidden);
-      bench::Stopwatch w;
-      const auto res = synthesis::runIntegration(sc.context, legacy, {});
-      ms += w.ms();
+      synthesis::IntegrationResult res;
+      for (double& repeatMs : ms) {
+        testing::AutomatonLegacy legacy(sc.hidden);
+        bench::Stopwatch w;
+        res = synthesis::runIntegration(sc.context, legacy, {});
+        repeatMs += w.ms();
+      }
 
       composed += res.totalProductStatesNew;
       iters += res.iterations;
@@ -66,21 +76,33 @@ int main() {
     const auto avg = [&](std::size_t v) {
       return util::fmt(static_cast<double>(v) / kSeeds, 1);
     };
+    // Quartiles of the seven summed loop times: sorted ranks 1, 3 and 5.
+    std::sort(ms.begin(), ms.end());
+    const double p25 = ms[kRepeats / 4];
+    const double p50 = ms[kRepeats / 2];
+    const double p75 = ms[kRepeats - 1 - kRepeats / 4];
     table.row({std::to_string(states), avg(hTrans), verdicts, avg(iters),
                avg(lStates), avg(lTrans), avg(lForb),
                avg(static_cast<std::size_t>(periods)),
-               util::fmt(ms / kSeeds, 1), avg(composed)});
+               util::fmt(p50, 2) + " [" + util::fmt(p25, 2) + "-" +
+                   util::fmt(p75, 2) + "]",
+               avg(composed)});
     if (si) json += ',';
     json += "{\"legacyStates\":" + std::to_string(states) +
             ",\"seeds\":" + std::to_string(kSeeds) +
             ",\"iterations\":" + std::to_string(iters) +
-            ",\"scratchMs\":" + util::fmt(ms, 3) +
+            ",\"repeats\":" + std::to_string(kRepeats) +
+            ",\"scratchMs\":" + util::fmt(p50, 3) +
+            ",\"scratchMsP25\":" + util::fmt(p25, 3) +
+            ",\"scratchMsP75\":" + util::fmt(p75, 3) +
             ",\"statesComposedScratch\":" + std::to_string(composed) + "}";
   }
   json += "]}\n";
   std::printf("%s\n", table.str().c_str());
   std::printf("verdict column: one letter per seed (P = proven correct, "
-              "E = real error found)\n");
+              "E = real error found); ms: the loop time summed over the "
+              "seeds, median and quartiles of %d runs\n",
+              kRepeats);
   bench::writeBenchJson("BENCH_iterations.json", json);
   return 0;
 }

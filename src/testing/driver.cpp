@@ -53,48 +53,52 @@ TestOutcome CounterexampleTestDriver::execute(
   TestOutcome out;
 
   // ---- Phase 1: execute on the "target" with minimal probes. -------------
-  legacy_.reset();
-  std::vector<SignalSet> actualOutputs;
-  for (std::size_t k = 0; k < expectedSteps.size(); ++k) {
-    const auto& expected = expectedSteps[k];
-    logMessages(out.targetLog, expected.in, /*outgoing=*/false, k + 1);
-    const auto produced = legacy_.step(expected.in);
-    ++periods_;
-    if (!produced) {
-      out.kind = TestOutcome::Kind::Blocked;
-      out.executedSteps = k;
-      break;
-    }
-    logMessages(out.targetLog, *produced, /*outgoing=*/true, k + 1);
-    actualOutputs.push_back(*produced);
-    out.executedSteps = k + 1;
-    if (!(*produced == expected.out)) {
-      out.kind = TestOutcome::Kind::Diverged;
-      break;
-    }
+  const RunResult target = legacy_.run(expectedSteps, RunPhase::Target);
+  const std::size_t replaySteps = target.outputs.size();
+  const bool diverged =
+      replaySteps > 0 && !(target.outputs.back() ==
+                           expectedSteps[replaySteps - 1].out);
+  if (replaySteps > expectedSteps.size() ||
+      (target.refused && (diverged || replaySteps == expectedSteps.size())) ||
+      (!target.refused && !diverged && replaySteps < expectedSteps.size())) {
+    throw std::logic_error("legacy '" + legacy_.name() +
+                           "' broke the stop rule of a test run");
   }
-  const std::size_t replaySteps = actualOutputs.size();
+  for (std::size_t k = 0; k < replaySteps; ++k) {
+    logMessages(out.targetLog, expectedSteps[k].in, /*outgoing=*/false, k + 1);
+    logMessages(out.targetLog, target.outputs[k], /*outgoing=*/true, k + 1);
+  }
+  out.executedSteps = replaySteps;
+  if (target.refused) {
+    out.kind = TestOutcome::Kind::Blocked;
+    logMessages(out.targetLog, expectedSteps[replaySteps].in,
+                /*outgoing=*/false, replaySteps + 1);
+  } else if (diverged) {
+    out.kind = TestOutcome::Kind::Diverged;
+  }
+  periods_ += replaySteps + (target.refused ? 1 : 0);
 
   // ---- Phase 2: deterministic replay with full instrumentation. ----------
-  legacy_.reset();
-  out.observed.stateNames.push_back(legacy_.currentStateName());
-  out.replayLog.onCurrentState(legacy_.currentStateName(), 0);
+  RunResult replay = legacy_.run(
+      std::span(expectedSteps).first(replaySteps), RunPhase::Replay);
+  periods_ += replaySteps;
+  if (replay.refused || replay.outputs != target.outputs ||
+      replay.states.size() != replaySteps + 1) {
+    throw std::logic_error(
+        "deterministic replay diverged from the recorded execution "
+        "(probe effect or nondeterministic component)");
+  }
+  out.replayLog.onCurrentState(replay.states[0], 0);
+  out.observed.labels.reserve(replaySteps + 1);
   for (std::size_t k = 0; k < replaySteps; ++k) {
     const auto& inputs = expectedSteps[k].in;
     logMessages(out.replayLog, inputs, /*outgoing=*/false, k + 1);
-    const auto produced = legacy_.step(inputs);
-    ++periods_;
-    if (!produced || !(*produced == actualOutputs[k])) {
-      throw std::logic_error(
-          "deterministic replay diverged from the recorded execution "
-          "(probe effect or nondeterministic component)");
-    }
-    logMessages(out.replayLog, *produced, /*outgoing=*/true, k + 1);
+    logMessages(out.replayLog, replay.outputs[k], /*outgoing=*/true, k + 1);
     out.replayLog.onTiming(k + 1);
-    out.replayLog.onCurrentState(legacy_.currentStateName(), k + 1);
-    out.observed.labels.push_back({inputs, *produced});
-    out.observed.stateNames.push_back(legacy_.currentStateName());
+    out.replayLog.onCurrentState(replay.states[k + 1], k + 1);
+    out.observed.labels.push_back({inputs, replay.outputs[k]});
   }
+  out.observed.stateNames = std::move(replay.states);
 
   // ---- Assemble the learnable runs. ---------------------------------------
   switch (out.kind) {

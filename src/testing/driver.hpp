@@ -13,6 +13,9 @@
 //   The replay cross-checks that outputs are reproduced identically; a
 //   mismatch would indicate a probe effect or nondeterminism and raises.
 //
+// Each phase is one LegacyComponent::run, so an adapter that speaks
+// protocol v2 sees two exchanges per test however long the test is.
+//
 // The outcome distinguishes the three cases of Sec. 4.2/4.3: the trace is
 // Confirmed (candidate real counterexample), the component Diverged with a
 // different output (a new regular run to learn, Def. 11, plus a justified

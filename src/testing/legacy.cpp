@@ -4,6 +4,27 @@
 
 namespace mui::testing {
 
+RunResult LegacyComponent::run(std::span<const automata::Interaction> steps,
+                               RunPhase phase) {
+  const bool probe = phase == RunPhase::Replay;
+  RunResult r;
+  r.outputs.reserve(steps.size());
+  if (probe) r.states.reserve(steps.size() + 1);
+  reset();
+  if (probe) r.states.push_back(currentStateName());
+  for (const automata::Interaction& expected : steps) {
+    auto produced = step(expected.in);
+    if (!produced) {
+      r.refused = true;
+      break;
+    }
+    r.outputs.push_back(std::move(*produced));
+    if (probe) r.states.push_back(currentStateName());
+    if (!probe && !(r.outputs.back() == expected.out)) break;
+  }
+  return r;
+}
+
 AutomatonLegacy::AutomatonLegacy(automata::Automaton hidden)
     : hidden_(std::move(hidden)) {
   if (hidden_.initialStates().size() != 1) {

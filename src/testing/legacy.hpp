@@ -13,13 +13,36 @@
 
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "automata/automaton.hpp"
 
 namespace mui::testing {
 
 using automata::SignalSet;
+
+/// The two phases of a counterexample test (paper Sec. 5).
+enum class RunPhase {
+  /// The target run (Listing 1.2): stops after the first output that
+  /// differs from the expected one, and probes no state.
+  Target,
+  /// The host replay (Listing 1.3): expects nothing, and probes the state
+  /// before the first step and after each accepted one.
+  Replay,
+};
+
+/// What one LegacyComponent::run observed.
+struct RunResult {
+  /// The outputs of the accepted steps, in order.
+  std::vector<SignalSet> outputs;
+  /// The step after the last accepted one was refused.
+  bool refused = false;
+  /// Replay only: outputs.size() + 1 state names, the state before the
+  /// first step and after each accepted one.
+  std::vector<std::string> states;
+};
 
 class LegacyComponent {
  public:
@@ -35,6 +58,15 @@ class LegacyComponent {
 
   /// White-box state probe (Full instrumentation only).
   [[nodiscard]] virtual std::string currentStateName() const = 0;
+
+  /// One test from the initial state: resets, then feeds `steps[k].in`
+  /// period by period and stops at the first refusal or, in the Target
+  /// phase, after the first output other than `steps[k].out`. The default
+  /// drives reset(), step() and, in the Replay phase, one
+  /// currentStateName() per accepted step; an adapter that speaks protocol
+  /// v2 answers the whole run in one exchange (SubprocessLegacy).
+  virtual RunResult run(std::span<const automata::Interaction> steps,
+                        RunPhase phase);
 
   /// Structural interface description (always known, paper Sec. 3).
   [[nodiscard]] virtual const SignalSet& inputs() const = 0;

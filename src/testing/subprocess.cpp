@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <climits>
 #include <cstring>
 
 #include "muml/external.hpp"
@@ -52,6 +53,14 @@ obs::Counter& timeoutsCounter() {
   return c;
 }
 
+obs::Counter& exchangesCounter() {
+  static obs::Counter& c = obs::Registry::global().counter(
+      "mui_adapter_exchanges_total",
+      "Adapter request lines written that expect an answer (hello, run, "
+      "step, probe, reset; not quit)");
+  return c;
+}
+
 obs::Counter& respawnsCounter() {
   static obs::Counter& c = obs::Registry::global().counter(
       "mui_adapter_respawns_total",
@@ -68,6 +77,14 @@ std::string truncated(std::string_view line) {
 
 enum class ReadResult { Data, Eof, Timeout, Error };
 
+/// `ms` from now; past a century (steady_clock counts signed nanoseconds)
+/// it is never.
+Clock::time_point deadlineAfter(std::uint64_t ms) {
+  constexpr std::uint64_t kCenturyMs = 100ULL * 365 * 24 * 3600 * 1000;
+  if (ms >= kCenturyMs) return Clock::time_point::max();
+  return Clock::now() + std::chrono::milliseconds(ms);
+}
+
 /// Waits until `deadline` for output on `fd` and appends one chunk of it to
 /// `buf`. On Error, errno says why.
 ReadResult readSome(int fd, std::string& buf, Clock::time_point deadline) {
@@ -79,7 +96,9 @@ ReadResult readSome(int fd, std::string& buf, Clock::time_point deadline) {
     struct pollfd pfd {};
     pfd.fd = fd;
     pfd.events = POLLIN;
-    const int rc = ::poll(&pfd, 1, static_cast<int>(remaining.count()));
+    const int rc = ::poll(
+        &pfd, 1,
+        static_cast<int>(std::min<std::int64_t>(remaining.count(), INT_MAX)));
     if (rc == 0 || (rc < 0 && errno == EINTR)) continue;
     if (rc < 0) return ReadResult::Error;
     char chunk[4096];
@@ -101,7 +120,60 @@ std::string request(const char* cmd,
   return o.str() + "\n";
 }
 
+/// One `run` request line: the steps' inputs, and in the Target phase
+/// their expected outputs, as arrays of encoded signal sets; the Replay
+/// phase asks for the states instead.
+std::string runRequest(std::span<const automata::Interaction> steps,
+                       RunPhase phase, const automata::SignalTable& table) {
+  const auto array = [&](SignalSet automata::Interaction::*side) {
+    std::string out = "[";
+    for (const automata::Interaction& step : steps) {
+      if (out.size() > 1) out += ',';
+      out += util::json::quote(encodeSignals(step.*side, table));
+    }
+    return out + "]";
+  };
+  util::json::Object o;
+  o.s("cmd", "run").raw("inputs", array(&automata::Interaction::in));
+  if (phase == RunPhase::Target) {
+    o.raw("expect", array(&automata::Interaction::out));
+  } else {
+    o.b("probe", true);
+  }
+  return o.str() + "\n";
+}
+
+/// The items of member `key` of `response` if it is an array of strings,
+/// else nullptr.
+const std::vector<util::json::Value>* stringArray(
+    const util::json::Value& response, std::string_view key) {
+  const util::json::Value* array = response.find(key);
+  if (array == nullptr || array->kind != util::json::Value::Kind::Array) {
+    return nullptr;
+  }
+  for (const util::json::Value& item : array->items) {
+    if (item.kind != util::json::Value::Kind::String) return nullptr;
+  }
+  return &array->items;
+}
+
 }  // namespace
+
+std::uint64_t runDeadlineMs(std::uint64_t stepDeadlineMs, std::size_t steps) {
+  std::uint64_t ms = 0;
+  if (steps == SIZE_MAX ||
+      __builtin_mul_overflow(stepDeadlineMs,
+                             static_cast<std::uint64_t>(steps) + 1, &ms)) {
+    return UINT64_MAX;
+  }
+  return ms;
+}
+
+std::size_t responseCapBytes(std::size_t steps) {
+  constexpr std::size_t kEnvelopeBytes = std::size_t{1} << 20;
+  constexpr std::size_t kStepBytes = std::size_t{16} << 10;
+  return kEnvelopeBytes + steps * kStepBytes;
+}
 
 std::string encodeSignals(const SignalSet& set,
                           const automata::SignalTable& table) {
@@ -219,6 +291,14 @@ void SubprocessLegacy::spawnProcess() {
     argv.push_back(const_cast<char*>(a.c_str()));
   }
   argv.push_back(nullptr);
+  // The adapter starts with the default signal state. Both an ignored
+  // disposition and the mask survive execv: the harness ignores SIGPIPE
+  // (ignoreSigpipeOnce), and a serve worker runs with SIGINT and SIGTERM
+  // blocked for the daemon's sigwait.
+  sigset_t noSignals;
+  ::sigemptyset(&noSignals);
+  struct sigaction defaultAction {};
+  defaultAction.sa_handler = SIG_DFL;
   const pid_t harness = ::getpid();
   const pid_t pid = ::fork();
   if (pid < 0) {
@@ -242,6 +322,8 @@ void SubprocessLegacy::spawnProcess() {
     ::dup2(inPipe[0], STDIN_FILENO);
     ::dup2(outPipe[1], STDOUT_FILENO);
     ::close_range(3, ~0U, 0);
+    ::sigaction(SIGPIPE, &defaultAction, nullptr);
+    ::sigprocmask(SIG_SETMASK, &noSignals, nullptr);
     ::execv(config_.binary.c_str(), argv.data());
     ::_exit(127);
   }
@@ -280,7 +362,8 @@ void SubprocessLegacy::reapProcess() {
   readBuf_.clear();
 }
 
-util::json::Value SubprocessLegacy::exchangeChecked(const std::string& line) {
+util::json::Value SubprocessLegacy::exchangeChecked(const std::string& line,
+                                                    std::size_t runSteps) {
   // Write the request. EPIPE means the child died under us.
   std::size_t off = 0;
   while (off < line.size()) {
@@ -295,18 +378,31 @@ util::json::Value SubprocessLegacy::exchangeChecked(const std::string& line) {
     }
     off += static_cast<std::size_t>(n);
   }
+  exchangesCounter().inc();
 
-  // Read one response line under the deadline.
-  const auto deadline =
-      Clock::now() + std::chrono::milliseconds(config_.stepDeadlineMs);
+  // Read one response line under the deadline, at most `cap` bytes long:
+  // the line is refused as soon as it passes the cap, not at the deadline.
+  const std::uint64_t deadlineMs =
+      runDeadlineMs(config_.stepDeadlineMs, runSteps);
+  const auto deadline = deadlineAfter(deadlineMs);
+  const std::size_t cap = responseCapBytes(runSteps);
   std::string response;
+  std::size_t scanned = 0;
   while (true) {
-    const std::size_t nl = readBuf_.find('\n');
+    const std::size_t nl = readBuf_.find('\n', scanned);
+    if (std::min(nl, readBuf_.size()) > cap) {
+      killProcess();
+      throw AdapterFailure(AdapterFailure::Kind::Protocol,
+                           "adapter '" + config_.name +
+                               "' sent a response line longer than " +
+                               std::to_string(cap) + " bytes (killed)");
+    }
     if (nl != std::string::npos) {
       response = readBuf_.substr(0, nl);
       readBuf_.erase(0, nl + 1);
       break;
     }
+    scanned = readBuf_.size();
     switch (readSome(fromChild_, readBuf_, deadline)) {
       case ReadResult::Data:
         continue;
@@ -316,8 +412,12 @@ util::json::Value SubprocessLegacy::exchangeChecked(const std::string& line) {
         killProcess();
         throw AdapterFailure(
             AdapterFailure::Kind::Timeout,
-            "adapter '" + config_.name + "' exceeded the step deadline of " +
-                std::to_string(config_.stepDeadlineMs) + " ms (killed)");
+            "adapter '" + config_.name + "' exceeded the deadline of " +
+                std::to_string(deadlineMs) + " ms" +
+                (runSteps > 0
+                     ? " for a run of " + std::to_string(runSteps) + " steps"
+                     : std::string()) +
+                " (killed)");
       case ReadResult::Eof:
         reapProcess();
         throw AdapterFailure(AdapterFailure::Kind::Crash,
@@ -388,30 +488,42 @@ void SubprocessLegacy::handshake() {
   };
   checkSide("inputs", config_.inputs);
   checkSide("outputs", config_.outputs);
+  version_ = hello.u64("version").value_or(1);
 }
 
 void SubprocessLegacy::replayLog() {
   // Sound by input-determinism (paper Sec. 3): the accepted-step log is a
   // function of the inputs only, so a fresh process fed the same inputs
-  // lands in the same hidden state. Divergence disproves the premise.
-  for (const LoggedStep& step : log_) {
-    const util::json::Value resp = exchangeChecked(
-        request("step", encodeSignals(step.inputs, *config_.signals)));
-    if (resp.flag("refused") == true) {
-      throw AdapterFailure(AdapterFailure::Kind::Replay,
-                           "adapter '" + config_.name +
-                               "' refused a previously accepted step during "
-                               "replay — not input-deterministic");
+  // lands in the same hidden state. Divergence disproves the premise. A v2
+  // adapter replays the log as one run that expects the logged outputs.
+  const auto diverged = [&](std::size_t k, const std::string& got) {
+    return AdapterFailure(
+        AdapterFailure::Kind::Replay,
+        "adapter '" + config_.name + "' " + got + " instead of {" +
+            encodeSignals(log_[k].out, *config_.signals) + "} at step " +
+            std::to_string(k + 1) +
+            " of its replay — not input-deterministic");
+  };
+  if (version_ >= 2 && !log_.empty()) {
+    const RunResult r = runExchange(log_, RunPhase::Target);
+    for (std::size_t k = 0; k < log_.size(); ++k) {
+      if (k == r.outputs.size()) throw diverged(k, "refused the step");
+      if (!(r.outputs[k] == log_[k].out)) {
+        throw diverged(k, "produced {" +
+                              encodeSignals(r.outputs[k], *config_.signals) +
+                              "}");
+      }
     }
-    const SignalSet produced = parseOutputs(resp);
-    if (!(produced == step.outputs)) {
-      throw AdapterFailure(AdapterFailure::Kind::Replay,
-                           "adapter '" + config_.name +
-                               "' produced {" +
-                               encodeSignals(produced, *config_.signals) +
-                               "} instead of {" +
-                               encodeSignals(step.outputs, *config_.signals) +
-                               "} during replay — not input-deterministic");
+    return;
+  }
+  for (std::size_t k = 0; k < log_.size(); ++k) {
+    const util::json::Value resp = exchangeChecked(
+        request("step", encodeSignals(log_[k].in, *config_.signals)));
+    if (resp.flag("refused") == true) throw diverged(k, "refused the step");
+    const SignalSet produced = decodeOutputs(resp.str("outputs").value_or(""));
+    if (!(produced == log_[k].out)) {
+      throw diverged(
+          k, "produced {" + encodeSignals(produced, *config_.signals) + "}");
     }
   }
 }
@@ -423,11 +535,12 @@ void SubprocessLegacy::ensureProcess() {
   replayLog();
 }
 
-util::json::Value SubprocessLegacy::command(const std::string& line) {
+template <typename F>
+auto SubprocessLegacy::withRespawn(F&& exchange) -> decltype(exchange()) {
   while (true) {
     try {
       ensureProcess();
-      return exchangeChecked(line);
+      return exchange();
     } catch (const AdapterFailure& e) {
       if (e.kind() != AdapterFailure::Kind::Crash) throw;
       crashesCounter().inc();
@@ -442,9 +555,81 @@ util::json::Value SubprocessLegacy::command(const std::string& line) {
       respawnsCounter().inc();
       journalEvent("respawn");
       // Loop: ensureProcess() respawns and replays the accepted-step log,
-      // then the pending command is retried.
+      // then the pending exchange is retried.
     }
   }
+}
+
+util::json::Value SubprocessLegacy::command(const std::string& line) {
+  return withRespawn([&] { return exchangeChecked(line); });
+}
+
+RunResult SubprocessLegacy::runExchange(
+    std::span<const automata::Interaction> steps, RunPhase phase) {
+  const util::json::Value resp = exchangeChecked(
+      runRequest(steps, phase, *config_.signals), steps.size());
+  const auto broken = [&](const std::string& why) {
+    return AdapterFailure(AdapterFailure::Kind::Protocol,
+                          "adapter '" + config_.name + "' answered a run of " +
+                              std::to_string(steps.size()) + " steps " + why);
+  };
+  const auto* outputs = stringArray(resp, "outputs");
+  if (outputs == nullptr) {
+    throw broken("without an \"outputs\" array of strings");
+  }
+  if (outputs->size() > steps.size()) {
+    throw broken("with " + std::to_string(outputs->size()) + " outputs");
+  }
+  RunResult r;
+  r.refused = resp.flag("refused") == true;
+  r.outputs.reserve(outputs->size());
+  for (const util::json::Value& item : *outputs) {
+    r.outputs.push_back(decodeOutputs(item.text));
+  }
+  // The stop rule: the adapter stops at the first refusal or, with
+  // expected outputs, right after the first divergence.
+  const std::size_t n = r.outputs.size();
+  const bool target = phase == RunPhase::Target;
+  for (std::size_t k = 0; target && k < n; ++k) {
+    if (!(r.outputs[k] == steps[k].out) && (k + 1 < n || r.refused)) {
+      throw broken("that goes on past its divergence at step " +
+                   std::to_string(k + 1));
+    }
+  }
+  const bool diverged =
+      target && n > 0 && !(r.outputs[n - 1] == steps[n - 1].out);
+  if (r.refused && n == steps.size()) {
+    throw broken("with a refusal after every step was accepted");
+  }
+  if (!r.refused && !diverged && n < steps.size()) {
+    throw broken("with " + std::to_string(n) +
+                 " outputs and neither a refusal nor a divergence");
+  }
+  if (!target) {
+    const auto* states = stringArray(resp, "states");
+    if (states == nullptr || states->size() != n + 1) {
+      throw broken("without a \"states\" array of " + std::to_string(n + 1) +
+                   " strings");
+    }
+    r.states.reserve(n + 1);
+    for (const util::json::Value& item : *states) r.states.push_back(item.text);
+  }
+  return r;
+}
+
+RunResult SubprocessLegacy::run(std::span<const automata::Interaction> steps,
+                                RunPhase phase) {
+  log_.clear();  // a run starts from reset: a respawn has nothing to replay
+  std::optional<RunResult> r =
+      withRespawn([&]() -> std::optional<RunResult> {
+        if (version_ < 2) return std::nullopt;
+        return runExchange(steps, phase);
+      });
+  if (!r) return LegacyComponent::run(steps, phase);  // a v1 adapter
+  for (std::size_t k = 0; k < r->outputs.size(); ++k) {
+    log_.push_back({steps[k].in, r->outputs[k]});
+  }
+  return std::move(*r);
 }
 
 void SubprocessLegacy::reset() {
@@ -459,7 +644,7 @@ std::optional<SignalSet> SubprocessLegacy::step(const SignalSet& inputs) {
   if (resp.flag("refused") == true) {
     return std::nullopt;  // refusals do not advance state: nothing to log
   }
-  SignalSet produced = parseOutputs(resp);
+  SignalSet produced = decodeOutputs(resp.str("outputs").value_or(""));
   log_.push_back({inputs, produced});
   return produced;
 }
@@ -491,11 +676,9 @@ std::unique_ptr<LegacyComponent> SubprocessLegacy::clone() const {
   return copy;
 }
 
-SignalSet SubprocessLegacy::parseOutputs(const util::json::Value& resp) const {
+SignalSet SubprocessLegacy::decodeOutputs(std::string_view text) const {
   std::string unknown;
-  const auto produced =
-      decodeSignals(resp.str("outputs").value_or(""), *config_.signals,
-                    unknown);
+  const auto produced = decodeSignals(text, *config_.signals, unknown);
   if (produced && !produced->isSubsetOf(config_.outputs)) {
     unknown = config_.signals->name(
         static_cast<util::NameId>((*produced - config_.outputs).lowest()));

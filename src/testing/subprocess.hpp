@@ -7,7 +7,12 @@
 // through encodeSignals/decodeSignals below:
 //
 //   -> {"cmd":"hello"}
-//   <- {"ok":true,"name":"bci","inputs":"hello cmd","outputs":"ack done"}
+//   <- {"ok":true,"version":2,"name":"bci","inputs":"hello cmd",
+//       "outputs":"ack done"}
+//   -> {"cmd":"run","inputs":["hello",""],"expect":["","ack"]}
+//   <- {"ok":true,"outputs":["","ack"]}  a whole test from reset (v2)
+//   -> {"cmd":"run","inputs":["hello",""],"probe":true}
+//   <- {"ok":true,"outputs":["","ack"],"states":["offline","acking","ready"]}
 //   -> {"cmd":"step","inputs":"hello"}
 //   <- {"ok":true,"outputs":""}          accepted; empty output set
 //   <- {"ok":true,"refused":true}        refusal (state unchanged)
@@ -16,11 +21,16 @@
 //   -> {"cmd":"reset"}   <- {"ok":true}
 //   -> {"cmd":"quit"}    (no response; the adapter exits)
 //
-// docs/ADAPTERS.md is the normative protocol spec.
+// docs/ADAPTERS.md is the normative protocol spec. A `hello` without a
+// `version` marks a v1 adapter, which knows no `run`: its tests go through
+// LegacyComponent::run's reset/step/probe loop.
 //
 // Containment contract: a dead, hung, or garbling adapter NEVER hangs or
-// crashes the harness. Every exchange runs under a poll(2) deadline; a
-// deadline hit SIGKILLs the child and raises AdapterFailure(Timeout).
+// crashes the harness. Every exchange runs under a poll(2) deadline, which
+// a `run` of n steps scales to deadline-ms × (n + 1); a deadline hit
+// SIGKILLs the child and raises AdapterFailure(Timeout). A response line
+// longer than responseCapBytes(n) is a protocol error as soon as it passes
+// the cap.
 // Unexpected death (EOF/EPIPE) is retried by a bounded respawn: because
 // legacy components are input-deterministic (paper Sec. 3), replaying the
 // accepted-step log against a fresh process reconstructs the hidden state
@@ -85,6 +95,16 @@ std::optional<SignalSet> decodeSignals(std::string_view text,
                                        const automata::SignalTable& table,
                                        std::string& unknown);
 
+/// The deadline of an exchange that runs `steps` periods: `stepDeadlineMs`
+/// × (steps + 1), saturating at UINT64_MAX (a single step, probe or reset
+/// counts as 0 steps).
+std::uint64_t runDeadlineMs(std::uint64_t stepDeadlineMs, std::size_t steps);
+
+/// The longest response line accepted for an exchange of `steps` periods:
+/// a fixed allowance for the envelope plus one per step for its output set
+/// and state name.
+std::size_t responseCapBytes(std::size_t steps);
+
 struct SubprocessConfig {
   /// Resolved path of the adapter binary (see muml::resolveExternalBinary).
   std::string binary;
@@ -133,23 +153,27 @@ class SubprocessLegacy final : public LegacyComponent {
   void reset() override;
   std::optional<SignalSet> step(const SignalSet& inputs) override;
   [[nodiscard]] std::string currentStateName() const override;
+  /// One `run` exchange against a v2 adapter (the reset/step/probe loop of
+  /// LegacyComponent::run against a v1 one). A crash retries the run from
+  /// reset within the respawn budget; afterwards the accepted-step log
+  /// holds the run's accepted steps.
+  RunResult run(std::span<const automata::Interaction> steps,
+                RunPhase phase) override;
   [[nodiscard]] const SignalSet& inputs() const override;
   [[nodiscard]] const SignalSet& outputs() const override;
   [[nodiscard]] std::string name() const override;
   [[nodiscard]] std::unique_ptr<LegacyComponent> clone() const override;
 
   /// Lifecycle introspection for tests: crash recoveries performed so far,
-  /// and the live child pid (-1 when no process is running — the process
-  /// is spawned lazily on the first exchange).
+  /// the live child pid (-1 when no process is running — the process is
+  /// spawned lazily on the first exchange), and the protocol version the
+  /// adapter's `hello` reported (1 when it reported none, 0 before the
+  /// first `hello`).
   [[nodiscard]] std::size_t respawns() const { return respawnsUsed_; }
   [[nodiscard]] int pid() const { return pid_; }
+  [[nodiscard]] std::uint64_t protocolVersion() const { return version_; }
 
  private:
-  struct LoggedStep {
-    SignalSet inputs;
-    SignalSet outputs;
-  };
-
   // All process state is mutable: the const white-box probe
   // currentStateName() may need to (re)spawn and replay.
   void ensureProcess();
@@ -158,22 +182,32 @@ class SubprocessLegacy final : public LegacyComponent {
   void reapProcess();
   void handshake();
   void replayLog();
-  /// One request/response exchange against the live process. Throws
+  /// One request/response exchange against the live process, under the
+  /// deadline and response cap of `runSteps` periods. Throws
   /// AdapterFailure(Crash/Timeout/Protocol); never respawns.
-  util::json::Value exchangeChecked(const std::string& line);
-  /// exchangeChecked plus the bounded crash-respawn-replay-retry loop.
+  util::json::Value exchangeChecked(const std::string& line,
+                                    std::size_t runSteps = 0);
+  /// One `run` exchange, its response checked against the stop rule.
+  RunResult runExchange(std::span<const automata::Interaction> steps,
+                        RunPhase phase);
+  /// Calls `exchange` on a live process; a crash respawns, replays the
+  /// accepted-step log and calls it again, within the respawn budget.
+  template <typename F>
+  auto withRespawn(F&& exchange) -> decltype(exchange());
   util::json::Value command(const std::string& line);
   void journalEvent(const char* event, const char* detail = nullptr) const;
 
-  [[nodiscard]] SignalSet parseOutputs(const util::json::Value& resp) const;
+  [[nodiscard]] SignalSet decodeOutputs(std::string_view text) const;
 
   SubprocessConfig config_;
   mutable int pid_ = -1;
   mutable int toChild_ = -1;    // write end of the child's stdin
   mutable int fromChild_ = -1;  // read end of the child's stdout
   mutable std::string readBuf_;
-  mutable std::vector<LoggedStep> log_;
+  /// Accepted steps since the last reset: inputs and the outputs produced.
+  mutable std::vector<automata::Interaction> log_;
   mutable std::size_t respawnsUsed_ = 0;
+  mutable std::uint64_t version_ = 0;
 };
 
 /// Builds the SubprocessConfig for a `legacy ... external` model clause:

@@ -19,6 +19,7 @@
 
 #include <cerrno>
 #include <chrono>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -40,6 +41,7 @@
 #include "serve/client.hpp"
 #include "serve/server.hpp"
 #include "synthesis/verifier.hpp"
+#include "testing/driver.hpp"
 #include "testing/legacy.hpp"
 #include "testing/subprocess.hpp"
 #include "util/json.hpp"
@@ -49,6 +51,9 @@ namespace {
 
 using namespace mui;
 using mui::testing::AdapterFailure;
+using mui::testing::RunPhase;
+using mui::testing::RunResult;
+using Steps = std::vector<automata::Interaction>;
 
 const std::string kBciModel = std::string(MUI_MODELS_DIR) + "/bci.muml";
 const std::string kFixture =
@@ -78,6 +83,31 @@ automata::SignalSet sset(const muml::Model& model,
     if (id) out.set(*id);
   }
   return out;
+}
+
+/// True once `pid` has exited (gone, or a zombie nobody has reaped yet).
+bool processGone(pid_t pid) {
+  std::ifstream stat("/proc/" + std::to_string(pid) + "/stat");
+  if (!stat) return true;
+  std::string line;
+  std::getline(stat, line);
+  const auto paren = line.rfind(')');
+  return paren == std::string::npos || paren + 2 >= line.size() ||
+         line[paren + 2] == 'Z';
+}
+
+/// Waits until `pid` has exited, so its pipes are closed.
+void awaitExit(pid_t pid) {
+  while (!processGone(pid)) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+}
+
+/// Request lines written to adapters so far, process-wide.
+std::uint64_t exchanges() {
+  return obs::Registry::global()
+      .counter("mui_adapter_exchanges_total", "")
+      .value();
 }
 
 struct RunStats {
@@ -349,7 +379,8 @@ std::vector<std::string> fileLines(const std::filesystem::path& path) {
 TEST(SubprocessLegacy, WireLinesMatchThePinnedProtocol) {
   // The reference adapter behind two tees: the harness's requests and the
   // adapter's responses are recorded byte for byte. The expected lines are
-  // the protocol as the harness and adapter_automaton have always spoken it.
+  // the v1 commands as the harness and adapter_automaton have always
+  // spoken them; only the hello now reports protocol version 2.
   const auto dir = testDir("wire");
   const muml::Model m =
       muml::loadModelFile(std::string(MUI_MODELS_DIR) + "/watchdog.muml");
@@ -375,7 +406,7 @@ TEST(SubprocessLegacy, WireLinesMatchThePinnedProtocol) {
       R"({"cmd":"step","inputs":""})", R"({"cmd":"reset"})",
       R"({"cmd":"quit"})"};
   const std::vector<std::string> expectedResponses = {
-      R"({"ok":true,"name":"device","inputs":"ping","outputs":"pong"})",
+      R"({"ok":true,"version":2,"name":"device","inputs":"ping","outputs":"pong"})",
       R"({"ok":true,"outputs":""})",  R"({"ok":true,"refused":true})",
       R"({"ok":true,"state":"serving"})", R"({"ok":true,"outputs":"pong"})",
       R"({"ok":true})"};
@@ -389,6 +420,171 @@ TEST(SubprocessLegacy, WireLinesMatchThePinnedProtocol) {
   }
   EXPECT_EQ(fileLines(requests), expectedRequests);
   EXPECT_EQ(fileLines(responses), expectedResponses);
+}
+
+TEST(SubprocessLegacy, RunWireLinesMatchThePinnedProtocol) {
+  // Protocol v2: each phase of a test is one `run` exchange. The target
+  // run carries the expected outputs and stops right after the first
+  // divergence or at the first refusal; the replay carries the accepted
+  // prefix and asks for the state before it and after each step.
+  const auto dir = testDir("wire-run");
+  const muml::Model m =
+      muml::loadModelFile(std::string(MUI_MODELS_DIR) + "/watchdog.muml");
+  const std::string requests = (dir / "requests").string();
+  const std::string responses = (dir / "responses").string();
+  const automata::SignalSet ping = sset(m, {"ping"});
+  const automata::SignalSet pong = sset(m, {"pong"});
+  {
+    mui::testing::SubprocessLegacy dev(shellAdapter(
+        m, "tee '" + requests + "' | '" MUI_ADAPTER_DIR
+           "/adapter_automaton' '" MUI_MODELS_DIR
+           "/watchdog.muml' deviceCompliant --instance device | tee '" +
+               responses + "'"));
+    const Steps diverging = {{ping, {}}, {{}, {}}, {ping, {}}};
+    const RunResult target = dev.run(diverging, RunPhase::Target);
+    EXPECT_EQ(target.outputs, (std::vector<automata::SignalSet>{{}, pong}));
+    EXPECT_FALSE(target.refused);
+    const RunResult replay =
+        dev.run(std::span(diverging).first(2), RunPhase::Replay);
+    EXPECT_EQ(replay.outputs, target.outputs);
+    EXPECT_EQ(replay.states,
+              (std::vector<std::string>{"ready", "serving", "ready"}));
+    const RunResult blocked =
+        dev.run(Steps{{ping, {}}, {ping, {}}}, RunPhase::Target);
+    EXPECT_EQ(blocked.outputs, (std::vector<automata::SignalSet>{{}}));
+    EXPECT_TRUE(blocked.refused);
+    EXPECT_EQ(dev.protocolVersion(), 2u);
+  }
+  const std::vector<std::string> expectedRequests = {
+      R"({"cmd":"hello"})",
+      R"({"cmd":"run","inputs":["ping","","ping"],"expect":["","",""]})",
+      R"({"cmd":"run","inputs":["ping",""],"probe":true})",
+      R"({"cmd":"run","inputs":["ping","ping"],"expect":["",""]})",
+      R"({"cmd":"quit"})"};
+  const std::vector<std::string> expectedResponses = {
+      R"({"ok":true,"version":2,"name":"device","inputs":"ping","outputs":"pong"})",
+      R"({"ok":true,"outputs":["","pong"]})",
+      R"({"ok":true,"outputs":["","pong"],"states":["ready","serving","ready"]})",
+      R"({"ok":true,"outputs":[""],"refused":true})"};
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (fileLines(requests).size() < expectedRequests.size() &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(fileLines(requests), expectedRequests);
+  EXPECT_EQ(fileLines(responses), expectedResponses);
+}
+
+TEST(SubprocessLegacy, V1AdapterIntegratesThroughThePerStepPath) {
+  // A hello without "version" marks a v1 adapter: the harness never sends
+  // it a `run`, and the loop reaches the verdict, iterations, test periods
+  // and learned facts of the in-process run through reset/step/probe.
+  const auto dir = testDir("v1");
+  const std::string requests = (dir / "requests").string();
+  const muml::Model m = loadFixture();
+  const RunStats in = runScenario(m, "Watchdog", "device", "deviceImpl");
+  auto cfg = mui::testing::configFromExternal(m, m.externals.at("deviceOk"),
+                                              "device");
+  std::vector<std::string> args{
+      "-c",
+      "tee '" + requests +
+          "' | \"$0\" \"$@\" | sed -u 's/\"version\":2,//'",
+      cfg.binary};
+  args.insert(args.end(), cfg.args.begin(), cfg.args.end());
+  cfg.args = std::move(args);
+  cfg.binary = "/bin/sh";
+  mui::testing::SubprocessLegacy v1(std::move(cfg));
+  const muml::IntegrationBinding binding =
+      muml::bindIntegration(m, "Watchdog", "device", "deviceImpl");
+  synthesis::IntegrationConfig config;
+  config.property = binding.scenario.property;
+  const auto res =
+      synthesis::runIntegration(binding.scenario.context, v1, config);
+  EXPECT_EQ(v1.protocolVersion(), 1u);
+  EXPECT_EQ(res.verdict, in.verdict) << res.explanation;
+  EXPECT_EQ(res.iterations, in.iterations);
+  EXPECT_EQ(res.totalTestPeriods, in.testPeriods);
+  EXPECT_EQ(res.totalLearnedFacts, in.learnedFacts);
+  std::size_t steps = 0;
+  for (const std::string& line : fileLines(requests)) {
+    EXPECT_EQ(line.find(R"("cmd":"run")"), std::string::npos) << line;
+    steps += line.find(R"("cmd":"step")") != std::string::npos;
+  }
+  EXPECT_EQ(steps, in.testPeriods);
+}
+
+TEST(SubprocessLegacy, RunDeadlineScalesWithTheStepsAndSaturates) {
+  EXPECT_EQ(mui::testing::runDeadlineMs(500, 0), 500u);
+  EXPECT_EQ(mui::testing::runDeadlineMs(500, 3), 2000u);
+  EXPECT_EQ(mui::testing::runDeadlineMs(UINT64_MAX / 2, 2), UINT64_MAX);
+  EXPECT_EQ(mui::testing::runDeadlineMs(1, SIZE_MAX), UINT64_MAX);
+  EXPECT_GT(mui::testing::responseCapBytes(1),
+            mui::testing::responseCapBytes(0));
+}
+
+TEST(SubprocessLegacy, RespawnReplaysARunAsOneRunAndResumesMidTest) {
+  const muml::Model m = loadBci();
+  mui::testing::SubprocessLegacy fw(cfgFor(m, "bciFirmware"));
+  const automata::SignalSet hello = sset(m, {"hello"});
+  const automata::SignalSet ack = sset(m, {"ack"});
+  const RunResult target =
+      fw.run(Steps{{hello, {}}, {{}, ack}}, RunPhase::Target);  // -> ready
+  ASSERT_EQ(target.outputs.size(), 2u);
+  ASSERT_GT(fw.pid(), 0);
+  ASSERT_EQ(::kill(fw.pid(), SIGKILL), 0);
+  awaitExit(fw.pid());
+  // The next step meets the dead process, respawns and replays the run's
+  // two accepted steps as one run: hello, run, then the retried step.
+  const std::uint64_t before = exchanges();
+  const auto out = fw.step(sset(m, {"cmd"}));
+  ASSERT_TRUE(out.has_value());
+  EXPECT_EQ(exchanges() - before, 3u);
+  EXPECT_EQ(fw.respawns(), 1u);
+  EXPECT_EQ(fw.currentStateName(), "busy");
+  // A clone replays the same way: hello, one run, the probe.
+  const std::uint64_t beforeClone = exchanges();
+  const auto copy = fw.clone();
+  EXPECT_EQ(copy->currentStateName(), "busy");
+  EXPECT_EQ(exchanges() - beforeClone, 3u);
+}
+
+TEST(SubprocessLegacy, AdaptersStartWithTheDefaultSignalState) {
+  // Both a blocked mask and an ignored disposition survive execv: a serve
+  // worker spawns with SIGINT and SIGTERM blocked (the daemon's sigwait),
+  // and the harness ignores SIGPIPE. The adapter must inherit neither.
+  const muml::Model m = loadFixture();
+  std::string blocked;
+  std::string ignored;
+  std::string error;
+  std::thread spawner([&] {
+    sigset_t set;
+    sigemptyset(&set);
+    sigaddset(&set, SIGINT);
+    sigaddset(&set, SIGTERM);
+    pthread_sigmask(SIG_BLOCK, &set, nullptr);
+    try {
+      mui::testing::SubprocessLegacy dev(cfgFor(m, "deviceOk"));
+      (void)dev.currentStateName();
+      std::ifstream status("/proc/" + std::to_string(dev.pid()) + "/status");
+      for (std::string line; std::getline(status, line);) {
+        if (line.rfind("SigBlk:", 0) == 0) blocked = line.substr(7);
+        if (line.rfind("SigIgn:", 0) == 0) ignored = line.substr(7);
+      }
+    } catch (const std::exception& e) {
+      error = e.what();
+    }
+  });
+  spawner.join();
+  ASSERT_TRUE(error.empty()) << error;
+  ASSERT_FALSE(blocked.empty());
+  ASSERT_FALSE(ignored.empty());
+  const auto bit = [](int sig) { return std::uint64_t{1} << (sig - 1); };
+  EXPECT_EQ(std::stoull(blocked, nullptr, 16) & (bit(SIGINT) | bit(SIGTERM)),
+            0u)
+      << "SigBlk:" << blocked;
+  EXPECT_EQ(std::stoull(ignored, nullptr, 16) & bit(SIGPIPE), 0u)
+      << "SigIgn:" << ignored;
 }
 
 TEST(SubprocessLegacy, TeardownReapsAnAdapterThatIgnoresQuitWithinTheBound) {
@@ -472,17 +668,6 @@ std::string readFile(const std::string& path) {
   std::ostringstream buf;
   buf << in.rdbuf();
   return buf.str();
-}
-
-/// True once `pid` has exited (gone, or a zombie nobody has reaped yet).
-bool processGone(pid_t pid) {
-  std::ifstream stat("/proc/" + std::to_string(pid) + "/stat");
-  if (!stat) return true;
-  std::string line;
-  std::getline(stat, line);
-  const auto paren = line.rfind(')');
-  return paren == std::string::npos || paren + 2 >= line.size() ||
-         line[paren + 2] == 'Z';
 }
 
 TEST(AdapterFaults, HungAdapterDiesWithAKilledHarness) {
@@ -660,7 +845,213 @@ TEST(AdapterFaults, KindNamesAreStable) {
                "replay");
 }
 
+// The fault matrix again, with the chaos striking at step 2 inside a run:
+// the same failure kinds and respawn counts as in single steps.
+
+/// The fixture's two-step test ping / {}, {} / pong: step 2 is in the run.
+Steps fixtureTest(const muml::Model& m) {
+  return {{sset(m, {"ping"}), {}}, {{}, sset(m, {"pong"})}};
+}
+
+TEST(AdapterFaults, CrashInsideARunExhaustsTheRespawnBudget) {
+  const muml::Model m = loadFixture();
+  mui::testing::SubprocessLegacy dev(cfgFor(m, "deviceCrash"));
+  try {
+    // Every process dies at its 2nd step; each retry starts from reset.
+    dev.run(fixtureTest(m), RunPhase::Target);
+    FAIL() << "expected AdapterFailure";
+  } catch (const AdapterFailure& e) {
+    EXPECT_EQ(e.kind(), AdapterFailure::Kind::Crash);
+    EXPECT_NE(std::string(e.what()).find("respawn budget"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(dev.respawns(), 2u);
+}
+
+TEST(AdapterFaults, HangInsideARunDiesAtTheScaledDeadline) {
+  const muml::Model m = loadFixture();
+  mui::testing::SubprocessLegacy dev(cfgFor(m, "deviceHang"));
+  (void)dev.currentStateName();  // spawned: only the run is timed
+  const auto t0 = std::chrono::steady_clock::now();
+  try {
+    dev.run(fixtureTest(m), RunPhase::Target);
+    FAIL() << "expected AdapterFailure";
+  } catch (const AdapterFailure& e) {
+    EXPECT_EQ(e.kind(), AdapterFailure::Kind::Timeout);
+    EXPECT_NE(std::string(e.what()).find("deadline of 1500 ms"),
+              std::string::npos)
+        << e.what();
+  }
+  const auto elapsedMs = std::chrono::duration<double, std::milli>(
+                             std::chrono::steady_clock::now() - t0)
+                             .count();
+  // deadline-ms 500 × (2 steps + 1), plus CI headroom; never retried.
+  EXPECT_GE(elapsedMs, 1500.0 - 5.0);
+  EXPECT_LT(elapsedMs, 1500.0 + 5000.0);
+  EXPECT_EQ(dev.respawns(), 0u);
+}
+
+TEST(AdapterFaults, GarbageInsideARunIsAProtocolError) {
+  const muml::Model m = loadFixture();
+  mui::testing::SubprocessLegacy dev(cfgFor(m, "deviceGarbage"));
+  try {
+    dev.run(fixtureTest(m), RunPhase::Target);
+    FAIL() << "expected AdapterFailure";
+  } catch (const AdapterFailure& e) {
+    EXPECT_EQ(e.kind(), AdapterFailure::Kind::Protocol);
+    EXPECT_NE(std::string(e.what()).find("garbage"), std::string::npos);
+  }
+  EXPECT_EQ(dev.respawns(), 0u);
+}
+
+TEST(AdapterFaults, ExitAfterHandshakeFailsARunAsACrash) {
+  const muml::Model m = loadFixture();
+  mui::testing::SubprocessLegacy dev(cfgFor(m, "deviceExitEarly"));
+  try {
+    dev.run(fixtureTest(m), RunPhase::Target);
+    FAIL() << "expected AdapterFailure";
+  } catch (const AdapterFailure& e) {
+    EXPECT_EQ(e.kind(), AdapterFailure::Kind::Crash);
+  }
+  EXPECT_EQ(dev.respawns(), 1u);
+}
+
+/// A v2 adapter that answers its first `run` with `response` and then
+/// reads until EOF.
+mui::testing::SubprocessConfig answersRunWith(const muml::Model& watchdog,
+                                              const std::string& response) {
+  auto cfg = shellAdapter(watchdog,
+                          "read l; echo '{\"ok\":true,\"version\":2}'; "
+                          "read l; printf '%s\\n' \"$1\"; exec cat >/dev/null");
+  cfg.args.push_back("sh");
+  cfg.args.push_back(response);
+  return cfg;
+}
+
+TEST(AdapterFaults, HostileRunResponsesAreProtocolErrors) {
+  const muml::Model m =
+      muml::loadModelFile(std::string(MUI_MODELS_DIR) + "/watchdog.muml");
+  const Steps test = fixtureTest(m);  // expects "" then "pong"
+  const struct {
+    RunPhase phase;
+    const char* response;
+  } cases[] = {
+      // more outputs than inputs
+      {RunPhase::Target, R"({"ok":true,"outputs":["","pong",""]})"},
+      // stops short with neither a refusal nor a divergence
+      {RunPhase::Target, R"({"ok":true,"outputs":[""]})"},
+      {RunPhase::Replay, R"({"ok":true,"outputs":[""],"states":["a","b"]})"},
+      // a refusal after every step was accepted
+      {RunPhase::Target, R"({"ok":true,"outputs":["","pong"],"refused":true})"},
+      // outputs that go on past a divergence
+      {RunPhase::Target, R"({"ok":true,"outputs":["pong","pong"]})"},
+      {RunPhase::Target, R"({"ok":true,"outputs":["pong"],"refused":true})"},
+      // a states count that is not outputs + 1
+      {RunPhase::Replay,
+       R"({"ok":true,"outputs":["","pong"],"states":["a","b"]})"},
+      {RunPhase::Replay, R"({"ok":true,"outputs":["","pong"]})"},
+      // entries that are not strings
+      {RunPhase::Target, R"({"ok":true,"outputs":["",1]})"},
+      {RunPhase::Target, R"({"ok":true,"outputs":"pong"})"},
+      {RunPhase::Replay,
+       R"({"ok":true,"outputs":["","pong"],"states":["a",2,"c"]})"},
+      // undeclared output signals
+      {RunPhase::Target, R"({"ok":true,"outputs":["","bogus"]})"},
+      {RunPhase::Target, R"({"ok":true,"outputs":["","ping"]})"},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.response);
+    mui::testing::SubprocessLegacy dev(answersRunWith(m, c.response));
+    try {
+      dev.run(test, c.phase);
+      ADD_FAILURE() << "expected AdapterFailure";
+    } catch (const AdapterFailure& e) {
+      EXPECT_EQ(e.kind(), AdapterFailure::Kind::Protocol) << e.what();
+    }
+    EXPECT_EQ(dev.respawns(), 0u);
+  }
+}
+
+TEST(AdapterFaults, OversizedResponseFailsAtTheCapNotAtTheDeadline) {
+  // A response line that never ends: the harness stops reading once the
+  // line passes the cap of a two-step run, long before the 3-minute
+  // deadline.
+  const muml::Model m =
+      muml::loadModelFile(std::string(MUI_MODELS_DIR) + "/watchdog.muml");
+  auto cfg = shellAdapter(
+      m, "read l; echo '{\"ok\":true,\"version\":2}'; read l; head -c " +
+             std::to_string(mui::testing::responseCapBytes(2) + 4096) +
+             " /dev/zero | tr '\\000' x; exec sleep 60");
+  cfg.stepDeadlineMs = 60000;
+  mui::testing::SubprocessLegacy dev(std::move(cfg));
+  const auto t0 = std::chrono::steady_clock::now();
+  try {
+    dev.run(fixtureTest(m), RunPhase::Target);
+    FAIL() << "expected AdapterFailure";
+  } catch (const AdapterFailure& e) {
+    EXPECT_EQ(e.kind(), AdapterFailure::Kind::Protocol);
+    EXPECT_NE(std::string(e.what()).find("longer than"), std::string::npos)
+        << e.what();
+  }
+  const auto elapsedMs = std::chrono::duration<double, std::milli>(
+                             std::chrono::steady_clock::now() - t0)
+                             .count();
+  EXPECT_LT(elapsedMs, 20000.0);
+  EXPECT_EQ(dev.pid(), -1);  // killed, not left writing
+}
+
 // ---------------------------------------------------------- differential
+
+TEST(DifferentialConformance, DriverTestsAreTwoExchangesAndMatchInProcess) {
+  // Random counterexample tests through CounterexampleTestDriver against
+  // the C firmware and its in-process mirror: the same outcome, observed
+  // runs, recorder logs and test periods, and two exchanges per test.
+  const muml::Model m = loadBci();
+  mui::testing::AutomatonLegacy ref(m.automata.at("firmwareRef"));
+  auto cfg = cfgFor(m, "bciFirmware");
+  cfg.name = ref.name();  // the recorders name the port after the legacy
+  mui::testing::SubprocessLegacy ext(std::move(cfg));
+  (void)ext.currentStateName();  // spawn and greet before counting
+  mui::testing::CounterexampleTestDriver a(ext, *m.signals);
+  mui::testing::CounterexampleTestDriver b(ref, *m.signals);
+  const automata::SignalSet ins[] = {{}, sset(m, {"hello"}), sset(m, {"cmd"})};
+  const automata::SignalSet outs[] = {{}, sset(m, {"ack"}), sset(m, {"done"})};
+  std::mt19937_64 rng(0x2B2Bu);
+  std::size_t kinds[3] = {0, 0, 0};
+  for (int i = 0; i < 300; ++i) {
+    // Tests that follow the mirror for a random prefix, then guess.
+    Steps test;
+    mui::testing::AutomatonLegacy guide(m.automata.at("firmwareRef"));
+    const std::size_t length = rng() % 9;
+    const std::size_t follow = rng() % (length + 1);
+    for (std::size_t k = 0; k < length; ++k) {
+      const automata::SignalSet in = ins[rng() % 3];
+      const auto out = guide.step(in);
+      test.push_back({in, k < follow && out ? *out : outs[rng() % 3]});
+    }
+    const std::uint64_t before = exchanges();
+    const auto x = a.execute(test);
+    ASSERT_EQ(exchanges() - before, 2u) << "test " << i;
+    const auto y = b.execute(test);
+    ASSERT_EQ(x.kind, y.kind) << "test " << i;
+    EXPECT_EQ(x.executedSteps, y.executedSteps);
+    EXPECT_EQ(x.observed.stateNames, y.observed.stateNames);
+    EXPECT_EQ(x.observed.labels, y.observed.labels);
+    EXPECT_EQ(x.observed.blocked, y.observed.blocked);
+    ASSERT_EQ(x.refusalRun.has_value(), y.refusalRun.has_value());
+    if (x.refusalRun) {
+      EXPECT_EQ(x.refusalRun->labels, y.refusalRun->labels);
+    }
+    EXPECT_EQ(x.targetLog.render(), y.targetLog.render());
+    EXPECT_EQ(x.replayLog.render(), y.replayLog.render());
+    ++kinds[static_cast<int>(x.kind)];
+  }
+  EXPECT_EQ(a.periodsDriven(), b.periodsDriven());
+  EXPECT_GT(kinds[0], 0u);  // confirmed
+  EXPECT_GT(kinds[1], 0u);  // diverged
+  EXPECT_GT(kinds[2], 0u);  // blocked
+  EXPECT_EQ(ext.respawns(), 0u);
+}
 
 TEST(DifferentialConformance, WatchdogAdapterMatchesInProcessLockstep) {
   const muml::Model m = loadFixture();

@@ -165,6 +165,48 @@ TEST(Writer, RtscAndPatternRoundTrip) {
   EXPECT_EQ(writeModel(m1), writeModel(m2));
 }
 
+TEST(Writer, RoundTripsQuotesAndBackslashesInEveryString) {
+  // The loader reads `\x` as x, so the writer must escape `\` and `"` in
+  // every string literal: adapter paths and args (an external's argv),
+  // role invariants and pattern constraints.
+  const char* text = R"mm(
+    rtsc Caller { output req; location quiet; initial quiet;
+                  quiet -> quiet : emit req; }
+    rtsc Responder { input req; location idle; initial idle;
+                     idle -> idle : trigger req; }
+    pattern P {
+      role caller uses Caller invariant "AG \"odd\\atom\"";
+      role responder uses Responder;
+      connector direct;
+      constraint "say \"hi\" \\ twice \\\\";
+    }
+    legacy ext external "dir\\with \"quote\"/adapter" {
+      input req;
+      arg "say \"hi\""; arg "a\\b"; arg "two
+lines"; arg "";
+    }
+  )mm";
+  const Model m1 = loadModel(text);
+  const auto& ext1 = m1.externals.at("ext");
+  EXPECT_EQ(ext1.path, R"(dir\with "quote"/adapter)");
+  const std::vector<std::string> args = {R"(say "hi")", R"(a\b)",
+                                         "two\nlines", ""};
+  EXPECT_EQ(ext1.args, args);
+  const auto& p1 = m1.patterns.at("P");
+  EXPECT_EQ(p1.roles[0].invariant, R"(AG "odd\atom")");
+  EXPECT_EQ(p1.constraint, R"(say "hi" \ twice \\)");
+
+  const std::string written = writeModel(m1);
+  const Model m2 = loadModel(written);
+  const auto& ext2 = m2.externals.at("ext");
+  EXPECT_EQ(ext2.path, ext1.path) << written;
+  EXPECT_EQ(ext2.args, ext1.args) << written;
+  const auto& p2 = m2.patterns.at("P");
+  EXPECT_EQ(p2.roles[0].invariant, p1.roles[0].invariant) << written;
+  EXPECT_EQ(p2.constraint, p1.constraint) << written;
+  EXPECT_EQ(writeModel(m2), written);
+}
+
 TEST(Writer, RejectsNonRepresentableNames) {
   Tables t;
   automata::Automaton a(t.signals, t.props, "m");

@@ -3,7 +3,7 @@
 //   adapter_automaton <model.muml> <automaton> [--instance NAME]
 //                     [--chaos crash-at=N|hang-at=N|garbage-at=N|exit-early]
 //
-// Wraps any .muml automaton behind the JSONL adapter protocol
+// Wraps any .muml automaton behind the JSONL adapter protocol v2
 // (docs/ADAPTERS.md): one JSON request object per stdin line, one JSON
 // response object per stdout line, read and written with the util/json.hpp
 // codec, signal sets through the harness's own encodeSignals/decodeSignals
@@ -14,11 +14,13 @@
 // adapter misbehave at a chosen step so the harness's containment paths
 // can be exercised deterministically.
 //
-//   crash-at=N    _exit(3) on receiving the Nth step request (1-based,
-//                 counted over the process lifetime, so a respawned adapter
-//                 crashes again — the respawn budget always exhausts)
-//   hang-at=N     block forever on the Nth step (never answers)
-//   garbage-at=N  answer the Nth step with a non-JSON line
+//   crash-at=N    _exit(3) at the Nth step (1-based, counted over the
+//                 process lifetime across `step` requests and the steps
+//                 inside `run`s, so a respawned adapter crashes again — the
+//                 respawn budget always exhausts)
+//   hang-at=N     block forever at the Nth step (never answers)
+//   garbage-at=N  answer the request holding the Nth step with a non-JSON
+//                 line
 //   exit-early    answer the hello, then exit immediately
 //
 // --instance rebinds the automaton's instance name first (the probe state
@@ -87,6 +89,27 @@ util::json::Object error(const std::string& message) {
   return util::json::Object().b("ok", false).s("error", message);
 }
 
+/// Decodes member `key` of a `run` request, an array of encoded signal
+/// sets, into `out`. Returns an error message, empty on success.
+std::string decodeSets(const util::json::Value& req, std::string_view key,
+                       const automata::SignalTable& table,
+                       std::vector<automata::SignalSet>& out) {
+  const util::json::Value* array = req.find(key);
+  if (array == nullptr || array->kind != util::json::Value::Kind::Array) {
+    return "\"" + std::string(key) + "\" is not an array";
+  }
+  for (const util::json::Value& item : array->items) {
+    if (item.kind != util::json::Value::Kind::String) {
+      return "\"" + std::string(key) + "\" holds a non-string";
+    }
+    std::string unknown;
+    const auto set = testing::decodeSignals(item.text, table, unknown);
+    if (!set) return "unknown signal '" + unknown + "'";
+    out.push_back(*set);
+  }
+  return {};
+}
+
 int usage() {
   std::fprintf(stderr,
                "usage: adapter_automaton <model.muml> <automaton>\n"
@@ -146,7 +169,20 @@ int main(int argc, char** argv) {
   testing::AutomatonLegacy legacy(std::move(hidden));
   const automata::SignalTable& table = *model.signals;
 
+  // Counts one step (a `step` request, or a step inside a `run`) and plays
+  // the chaos scheduled for it: crash and hang never return; garbage
+  // answers the request with a non-JSON line and returns true.
   unsigned long steps = 0;
+  const auto chaosStrikes = [&] {
+    if (++steps != chaos.at) return false;
+    if (chaos.mode == Chaos::Mode::CrashAt) ::_exit(3);
+    if (chaos.mode == Chaos::Mode::HangAt) {
+      for (;;) ::pause();
+    }
+    std::puts("!! this is not json !!");
+    std::fflush(stdout);
+    return true;
+  };
   std::string line;
   while (std::getline(std::cin, line)) {
     const auto req = util::json::parse(line);
@@ -157,7 +193,8 @@ int main(int argc, char** argv) {
     const std::string cmd(req->str("cmd").value_or(""));
     if (cmd == "quit") break;
     if (cmd == "hello") {
-      respond(ok().s("name", legacy.name())
+      respond(ok().u("version", 2)
+                  .s("name", legacy.name())
                   .s("inputs", testing::encodeSignals(legacy.inputs(), table))
                   .s("outputs",
                      testing::encodeSignals(legacy.outputs(), table)));
@@ -173,19 +210,53 @@ int main(int argc, char** argv) {
       respond(ok().s("state", legacy.currentStateName()));
       continue;
     }
-    if (cmd == "step") {
-      ++steps;
-      if (chaos.mode == Chaos::Mode::CrashAt && steps == chaos.at) {
-        ::_exit(3);
+    if (cmd == "run") {
+      // The whole test from reset: stop at the first refusal or right
+      // after the first output that differs from `expect`.
+      std::vector<automata::SignalSet> inputs;
+      std::vector<automata::SignalSet> expect;
+      std::string why = decodeSets(*req, "inputs", table, inputs);
+      if (why.empty() && req->find("expect") != nullptr) {
+        why = decodeSets(*req, "expect", table, expect);
+        if (why.empty() && expect.size() != inputs.size()) {
+          why = "\"expect\" and \"inputs\" differ in length";
+        }
       }
-      if (chaos.mode == Chaos::Mode::HangAt && steps == chaos.at) {
-        for (;;) ::pause();
-      }
-      if (chaos.mode == Chaos::Mode::GarbageAt && steps == chaos.at) {
-        std::puts("!! this is not json !!");
-        std::fflush(stdout);
+      if (!why.empty()) {
+        respond(error(why));
         continue;
       }
+      const bool probe = req->flag("probe") == true;
+      legacy.reset();
+      std::string outputs;
+      std::string states;
+      if (probe) states = util::json::quote(legacy.currentStateName());
+      bool refused = false;
+      bool garbled = false;
+      for (std::size_t k = 0; k < inputs.size(); ++k) {
+        garbled = chaosStrikes();
+        if (garbled) break;
+        const auto out = legacy.step(inputs[k]);
+        if (!out) {
+          refused = true;
+          break;
+        }
+        if (k > 0) outputs += ',';
+        outputs += util::json::quote(testing::encodeSignals(*out, table));
+        if (probe) {
+          states += ',' + util::json::quote(legacy.currentStateName());
+        }
+        if (!expect.empty() && !(*out == expect[k])) break;
+      }
+      if (garbled) continue;
+      auto resp = ok().raw("outputs", "[" + outputs + "]");
+      if (refused) resp.b("refused", true);
+      if (probe) resp.raw("states", "[" + states + "]");
+      respond(resp);
+      continue;
+    }
+    if (cmd == "step") {
+      if (chaosStrikes()) continue;
       std::string unknown;
       const auto inputs =
           testing::decodeSignals(req->str("inputs").value_or(""), table,
