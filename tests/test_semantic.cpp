@@ -158,6 +158,172 @@ TEST(Presolve, NeverThrowsOnGarbageProperty) {
   EXPECT_NE(outcome.explanation.find("parse"), std::string::npos);
 }
 
+// ---- Pre-solving under a state cap -----------------------------------------
+//
+// SemanticOptions::stateCap admits the first `stateCap` product states in
+// breadth-first order; edges to any further state are dropped, and the
+// admitted states are still expanded. A violation inside that prefix still
+// refutes; anything that needs the whole product is skipped.
+
+analysis::PresolveOutcome presolveCapped(const char* modelFile,
+                                         const char* pattern,
+                                         const char* role, const char* hidden,
+                                         const char* propertyOverride,
+                                         std::size_t cap) {
+  const muml::Model model = loadShipped(modelFile);
+  const auto binding = muml::bindIntegration(model, pattern, role, hidden);
+  analysis::SemanticOptions opts;
+  opts.stateCap = cap;
+  return analysis::presolveIntegration(
+      binding.scenario.context, *binding.legacy.hidden,
+      propertyOverride != nullptr ? propertyOverride
+                                  : binding.scenario.property,
+      opts);
+}
+
+std::string capMessage(std::size_t cap) {
+  return "state cap (" + std::to_string(cap) +
+         ") exceeded before a definitive verdict";
+}
+
+TEST(Presolve, StateCapRefutesAViolationInsideTheAdmittedPrefix) {
+  // deviceCrawl's product has 8 states; the violation sits at depth 3,
+  // inside the first 6.
+  EXPECT_EQ(presolveCapped("watchdog.muml", "Watchdog", "device",
+                           "deviceCrawl", nullptr, 50000)
+                .productStates,
+            8u);
+  const auto crawl = presolveCapped("watchdog.muml", "Watchdog", "device",
+                                    "deviceCrawl", nullptr, 6);
+  EXPECT_EQ(crawl.verdict, analysis::PresolveVerdict::Refuted);
+  EXPECT_EQ(crawl.ruleId, analysis::kGuaranteedViolation);
+  EXPECT_EQ(crawl.productStates, 6u);
+  EXPECT_EQ(crawl.explanation,
+            "presolved: real error - reachable state 'escalated@2|busy3' "
+            "(depth 3) violates 'AG (!(monitor.escalated))'");
+
+  const auto faulty =
+      presolveCapped("railcab.muml", "DistanceCoordination", "rearRole",
+                     "rearFaulty", nullptr, 4);
+  EXPECT_EQ(faulty.verdict, analysis::PresolveVerdict::Refuted);
+  EXPECT_EQ(faulty.productStates, 4u);
+  EXPECT_EQ(faulty.explanation,
+            "presolved: real error - reachable state "
+            "'noConvoy::answer@0|convoy::default' (depth 2) violates "
+            "'AG (!((rearRole.convoy && frontRole.noConvoy)))'");
+
+  // One state short of the witness: nothing to refute, nothing to prove.
+  const auto shorter = presolveCapped("watchdog.muml", "Watchdog", "device",
+                                      "deviceCrawl", nullptr, 5);
+  EXPECT_EQ(shorter.verdict, analysis::PresolveVerdict::Skipped);
+  EXPECT_EQ(shorter.explanation, capMessage(5));
+}
+
+TEST(Presolve, StateCapSkipsASafePropertyTheCapCutsShort) {
+  // rearShipped's product has 22 states and satisfies the AG constraint.
+  const char* safe = "AG !(rearRole.convoy && frontRole.noConvoy)";
+  for (const std::size_t cap : {1u, 6u, 21u}) {
+    const auto out = presolveCapped("railcab.muml", "DistanceCoordination",
+                                    "rearRole", "rearShipped", safe, cap);
+    EXPECT_EQ(out.verdict, analysis::PresolveVerdict::Skipped) << cap;
+    EXPECT_EQ(out.explanation, capMessage(cap));
+    EXPECT_EQ(out.productStates, cap);
+  }
+  const auto whole = presolveCapped("railcab.muml", "DistanceCoordination",
+                                    "rearRole", "rearShipped", safe, 22);
+  EXPECT_EQ(whole.verdict, analysis::PresolveVerdict::Proved);
+  EXPECT_EQ(whole.productStates, 22u);
+}
+
+TEST(Presolve, StateCapSkipsDeadlockFreedomAlthoughCutStatesHaveNoEdges) {
+  // States whose successors all lie past the cap keep no edges; they must
+  // not be taken for deadlocks.
+  for (const std::size_t cap : {1u, 6u, 21u}) {
+    const auto out = presolveCapped("railcab.muml", "DistanceCoordination",
+                                    "rearRole", "rearShipped", "", cap);
+    EXPECT_EQ(out.verdict, analysis::PresolveVerdict::Skipped) << cap;
+    EXPECT_EQ(out.explanation, capMessage(cap));
+    EXPECT_EQ(out.productStates, cap);
+  }
+  const auto whole = presolveCapped("railcab.muml", "DistanceCoordination",
+                                    "rearRole", "rearShipped", "", 22);
+  EXPECT_EQ(whole.verdict, analysis::PresolveVerdict::Proved);
+  EXPECT_EQ(whole.explanation,
+            "presolved: proven - deadlock freedom holds on all 22 reachable "
+            "product states");
+}
+
+/// A one-role pattern: its role composition is the role automaton wrapped
+/// as is (3 states), with a silent cycle s1 ↔ s2 that cannot be left.
+constexpr const char* kSpinModel = R"(
+rtsc spinRole {
+  output tick;
+  location s0;
+  location s1;
+  location s2;
+  initial s0;
+  s0 -> s1 : emit tick;
+  s1 -> s2 : ;
+  s2 -> s1 : ;
+}
+pattern Solo {
+  role r uses spinRole;
+  connector direct;
+}
+)";
+
+TEST(Presolve, StateCapRunSemanticKeepsRefutationsAndDropsCappedFindings) {
+  const muml::Model watchdog = loadShipped("watchdog.muml");
+  const auto full = analysis::runSemantic(watchdog);
+  ASSERT_NE(findDiag(full, analysis::kLivelockScc, "deviceMute"), nullptr);
+
+  // Cap 6: deviceMute's 10-state product is cut, so its livelock goes; the
+  // three refutations lie inside their prefixes and keep their messages.
+  // The 6-state role composition is not over the cap and keeps MUI104.
+  analysis::SemanticOptions six;
+  six.stateCap = 6;
+  const auto capped6 =
+      analysis::runSemantic(watchdog, analysis::RuleSet::all(), six);
+  for (const char* bad : {"deviceCrawl", "deviceMute", "deviceDeaf"}) {
+    const auto* d = findDiag(capped6, analysis::kGuaranteedViolation, bad);
+    const auto* ref = findDiag(full, analysis::kGuaranteedViolation, bad);
+    ASSERT_NE(d, nullptr) << bad;
+    ASSERT_NE(ref, nullptr) << bad;
+    EXPECT_EQ(d->message, ref->message) << bad;
+  }
+  EXPECT_EQ(countRule(capped6, analysis::kLivelockScc), 0u);
+  EXPECT_NE(findDiag(capped6, analysis::kDeadTransition, "Watchdog"),
+            nullptr);
+
+  // Cap 5 cuts the role composition too: no MUI104 for it.
+  analysis::SemanticOptions five;
+  five.stateCap = 5;
+  const auto capped5 =
+      analysis::runSemantic(watchdog, analysis::RuleSet::all(), five);
+  EXPECT_EQ(countRule(capped5, analysis::kDeadTransition), 0u);
+  EXPECT_EQ(countRule(capped5, analysis::kLivelockScc), 0u);
+  EXPECT_NE(findDiag(capped5, analysis::kGuaranteedViolation, "deviceDeaf"),
+            nullptr);
+
+  // A one-role pattern over the cap: no livelock finding either.
+  const muml::Model spin = muml::loadModel(kSpinModel, "spin.muml");
+  EXPECT_NE(findDiag(analysis::runSemantic(spin), analysis::kLivelockScc,
+                     "Solo"),
+            nullptr);
+  analysis::SemanticOptions three;
+  three.stateCap = 3;
+  EXPECT_NE(findDiag(analysis::runSemantic(spin, analysis::RuleSet::all(),
+                                           three),
+                     analysis::kLivelockScc, "Solo"),
+            nullptr);
+  analysis::SemanticOptions two;
+  two.stateCap = 2;
+  EXPECT_EQ(countRule(analysis::runSemantic(spin, analysis::RuleSet::all(),
+                                            two),
+                      analysis::kLivelockScc),
+            0u);
+}
+
 // ---- The MUI1xx rules over the shipped models ------------------------------
 
 TEST(Semantic, WatchdogFindings) {
