@@ -5,19 +5,18 @@
 #include <deque>
 #include <limits>
 #include <map>
+#include <memory>
 #include <optional>
-#include <set>
 #include <stdexcept>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
-#include "automata/chaos.hpp"
-#include "automata/compose.hpp"
+#include "automata/flat_product.hpp"
 #include "automata/incomplete.hpp"
 #include "automata/rename.hpp"
 #include "automata/signals.hpp"
+#include "automata/virtual_closure.hpp"
 #include "ctl/parser.hpp"
 #include "muml/channel.hpp"
 #include "muml/integration.hpp"
@@ -27,6 +26,7 @@ namespace mui::analysis {
 namespace {
 
 using automata::Automaton;
+using automata::FlatProduct;
 using automata::Interaction;
 using automata::SignalSet;
 using automata::StateId;
@@ -104,149 +104,80 @@ SafetyFragment splitSafety(const std::string& property) {
   return out;
 }
 
-// ---- Product exploration ---------------------------------------------------
+// ---- Products --------------------------------------------------------------
 
-/// The synchronous product context ‖ partner, explored breadth-first under a
-/// state cap with the exact matching rule of automata::compose (Def. 3).
-/// Keeps the per-node origin pair, the BFS tree (for witness paths), edge
-/// silence (for the livelock rule), and which partner transitions fired
-/// (for the dead-transition rule).
-struct ProductGraph {
-  struct Edge {
-    std::size_t to;
-    bool silent;  // the joint interaction exchanges no signals
-  };
+/// The components a product reads, on the heap so the product can move.
+using Parts = std::vector<std::unique_ptr<automata::AutomatonComponent>>;
 
-  const Automaton* ctx = nullptr;
-  const Automaton* stub = nullptr;
-  std::vector<StateId> ctxState;   // per node
-  std::vector<StateId> stubState;  // per node
-  std::vector<std::size_t> parent;  // BFS tree; self-index for initials
-  std::vector<std::vector<Edge>> succ;
-  std::vector<char> expanded;
-  std::size_t initialCount = 0;  // nodes [0, initialCount) are initial
-  bool capped = false;
-  /// firedStub[s] parallels stub->transitionsFrom(s): transition fired in
-  /// some explored product step.
-  std::vector<std::vector<char>> firedStub;
-
-  [[nodiscard]] std::size_t size() const { return ctxState.size(); }
-  [[nodiscard]] std::string name(std::size_t n) const {
-    return ctx->stateName(ctxState[n]) + "|" + stub->stateName(stubState[n]);
+/// Def. 3 over `automata` by composeFlat, at their common word stride and
+/// bounded by `cap` states (FlatProduct::capped() says whether the bound
+/// cut it). `parts` receives the components the product reads.
+FlatProduct composeCapped(const std::vector<const Automaton*>& automata,
+                          std::size_t cap, Parts& parts) {
+  const std::size_t stride = automata::strideFor(automata);
+  std::vector<const automata::FlatComponent*> components;
+  for (const Automaton* a : automata) {
+    parts.push_back(std::make_unique<automata::AutomatonComponent>(*a, stride));
+    components.push_back(parts.back().get());
   }
-  [[nodiscard]] std::size_t depth(std::size_t n) const {
-    std::size_t d = 0;
-    while (parent[n] != n) {
-      n = parent[n];
-      ++d;
-    }
-    return d;
+  return automata::composeFlat(std::move(components), cap);
+}
+
+/// Whether edge e exchanges no signals: its label words are all zero.
+bool silent(const FlatProduct& g, std::uint32_t e) {
+  const automata::Word* w = g.edgeWords(e);
+  return std::all_of(w, w + 2 * g.stride(),
+                     [](automata::Word x) { return x == 0; });
+}
+
+/// Breadth-first depth of every state from the initial states (kNone if
+/// unreachable).
+std::vector<std::size_t> depths(const FlatProduct& g) {
+  std::vector<std::size_t> depth(g.stateCount(), kNone);
+  std::vector<StateId> queue;
+  for (const StateId q : g.initialStates()) {
+    if (depth[q] != kNone) continue;
+    depth[q] = 0;
+    queue.push_back(q);
   }
-};
-
-ProductGraph explore(const Automaton& ctx, const Automaton& stub,
-                     std::size_t cap) {
-  ProductGraph g;
-  g.ctx = &ctx;
-  g.stub = &stub;
-  g.firedStub.resize(stub.stateCount());
-  for (StateId s = 0; s < stub.stateCount(); ++s) {
-    g.firedStub[s].assign(stub.transitionsFrom(s).size(), 0);
-  }
-
-  std::unordered_map<std::uint64_t, std::size_t> ids;
-  const auto key = [](StateId a, StateId b) {
-    return (std::uint64_t{a} << 32) | b;
-  };
-  std::deque<std::size_t> work;
-  const auto ensure = [&](StateId a, StateId b,
-                          std::size_t from) -> std::size_t {
-    const auto it = ids.find(key(a, b));
-    if (it != ids.end()) return it->second;
-    if (g.size() >= cap) {
-      g.capped = true;
-      return kNone;
-    }
-    const std::size_t n = g.size();
-    ids.emplace(key(a, b), n);
-    g.ctxState.push_back(a);
-    g.stubState.push_back(b);
-    g.parent.push_back(from == kNone ? n : from);
-    g.succ.emplace_back();
-    g.expanded.push_back(0);
-    work.push_back(n);
-    return n;
-  };
-
-  for (StateId qa : ctx.initialStates()) {
-    for (StateId qb : stub.initialStates()) {
-      ensure(qa, qb, kNone);
+  for (std::size_t head = 0; head < queue.size(); ++head) {
+    const StateId v = queue[head];
+    for (std::uint32_t e = g.edgeBegin(v); e < g.edgeEnd(v); ++e) {
+      const StateId w = g.edgeTarget(e);
+      if (depth[w] != kNone) continue;
+      depth[w] = depth[v] + 1;
+      queue.push_back(w);
     }
   }
-  g.initialCount = g.size();
-
-  while (!work.empty()) {
-    const std::size_t n = work.front();
-    work.pop_front();
-    const StateId sa = g.ctxState[n];
-    const StateId sb = g.stubState[n];
-    bool complete = true;
-    const auto& fromCtx = ctx.transitionsFrom(sa);
-    const auto& fromStub = stub.transitionsFrom(sb);
-    for (const auto& ta : fromCtx) {
-      for (std::size_t j = 0; j < fromStub.size(); ++j) {
-        const auto& tb = fromStub[j];
-        // Matching condition of Def. 3 (see automata/compose.cpp): what one
-        // side reads of the other's outputs must be exactly what the other
-        // writes into its inputs.
-        if ((ta.label.in & stub.outputs()) != (tb.label.out & ctx.inputs())) {
-          continue;
-        }
-        if ((tb.label.in & ctx.outputs()) != (ta.label.out & stub.inputs())) {
-          continue;
-        }
-        const std::size_t to = ensure(ta.to, tb.to, n);
-        if (to == kNone) {
-          complete = false;
-          continue;
-        }
-        g.firedStub[sb][j] = 1;
-        const Interaction joint{ta.label.in | tb.label.in,
-                                ta.label.out | tb.label.out};
-        g.succ[n].push_back({to, joint.idle()});
-      }
-    }
-    // A node whose successor set was truncated by the cap must not be
-    // mistaken for a deadlock.
-    g.expanded[n] = complete ? 1 : 0;
-  }
-  return g;
+  return depth;
 }
 
 // ---- Propositional evaluation ----------------------------------------------
 
-/// Evaluates a propositional body at one product node. Atom semantics mirror
-/// ctl::Checker exactly: an atom holds iff some component state of the node
-/// carries the label; unknown atoms are false. Op::Deadlock is structural
-/// (no outgoing product transition) and only trustworthy on expanded nodes.
+/// Evaluates a propositional body at one product state. Atom semantics
+/// mirror ctl::Checker exactly: an atom holds iff some component state of
+/// the product state carries the label; unknown atoms are false.
+/// Op::Deadlock is structural (no outgoing product edge) and only
+/// trustworthy on a product the cap did not cut.
 class PropEval {
  public:
-  explicit PropEval(const ProductGraph& g)
-      : g_(g), props_(*g.ctx->propTable()) {}
+  explicit PropEval(const FlatProduct& g) : g_(g), props_(*g.propTable()) {}
 
-  [[nodiscard]] bool eval(const ctl::Formula* f, std::size_t n) const {
+  [[nodiscard]] bool eval(const ctl::Formula* f, StateId n) const {
     switch (f->op) {
       case ctl::Op::True:
         return true;
       case ctl::Op::False:
         return false;
       case ctl::Op::Deadlock:
-        return g_.succ[n].empty();
+        return g_.edgeBegin(n) == g_.edgeEnd(n);
       case ctl::Op::Atom: {
         const auto id = props_.lookup(f->atom);
         if (!id) return false;
-        return g_.ctx->labels(g_.ctxState[n]).test(*id) ||
-               g_.stub->labels(g_.stubState[n]).test(*id);
+        for (std::size_t k = 0; k < g_.componentCount(); ++k) {
+          if (g_.component(k).labels(g_.origin(n, k)).test(*id)) return true;
+        }
+        return false;
       }
       case ctl::Op::Not:
         return !eval(f->lhs.get(), n);
@@ -262,34 +193,36 @@ class PropEval {
   }
 
  private:
-  const ProductGraph& g_;
+  const FlatProduct& g_;
   const util::NameTable& props_;
 };
 
 // ---- Dominators (must-pass analysis) ---------------------------------------
 
-/// Immediate dominators of the explored product graph under a virtual root
-/// that feeds every initial node (Cooper–Harvey–Kennedy iteration over
-/// reverse post-order). idom[n] == kNone means "dominated by the root only"
-/// (or unreachable). The chain idom*(target) is exactly the set of states
-/// every path from an initial state to `target` must pass through.
-std::vector<std::size_t> immediateDominators(const ProductGraph& g) {
-  const std::size_t n = g.size();
+/// Immediate dominators of the product graph under a virtual root that
+/// feeds every initial state (Cooper–Harvey–Kennedy iteration over reverse
+/// post-order). idom[n] == kNone means "dominated by the root only" (or
+/// unreachable). The chain idom*(target) is exactly the set of states every
+/// path from an initial state to `target` must pass through.
+std::vector<std::size_t> immediateDominators(const FlatProduct& g) {
+  const std::size_t n = g.stateCount();
+  std::vector<char> initial(n, 0);
+  for (const StateId r : g.initialStates()) initial[r] = 1;
   std::vector<std::size_t> order;  // post-order
   order.reserve(n);
   std::vector<char> seen(n, 0);
-  for (std::size_t r = 0; r < g.initialCount; ++r) {
+  for (const StateId r : g.initialStates()) {
     if (seen[r]) continue;
     // Iterative DFS with an explicit edge cursor.
-    std::vector<std::pair<std::size_t, std::size_t>> stack{{r, 0}};
+    std::vector<std::pair<StateId, std::uint32_t>> stack{{r, g.edgeBegin(r)}};
     seen[r] = 1;
     while (!stack.empty()) {
       auto& [v, cursor] = stack.back();
-      if (cursor < g.succ[v].size()) {
-        const std::size_t w = g.succ[v][cursor++].to;
+      if (cursor < g.edgeEnd(v)) {
+        const StateId w = g.edgeTarget(cursor++);
         if (!seen[w]) {
           seen[w] = 1;
-          stack.emplace_back(w, 0);
+          stack.emplace_back(w, g.edgeBegin(w));
         }
       } else {
         order.push_back(v);
@@ -303,14 +236,15 @@ std::vector<std::size_t> immediateDominators(const ProductGraph& g) {
     rpoIndex[order[i]] = order.size() - 1 - i;
   }
   std::vector<std::vector<std::size_t>> preds(n);
-  for (std::size_t v = 0; v < n; ++v) {
-    for (const auto& e : g.succ[v]) preds[e.to].push_back(v);
+  for (StateId v = 0; v < n; ++v) {
+    for (std::uint32_t e = g.edgeBegin(v); e < g.edgeEnd(v); ++e) {
+      preds[g.edgeTarget(e)].push_back(v);
+    }
   }
 
-  // idom in node indices; kNone plays the role of the virtual root.
+  // idom in state indices; kNone plays the role of the virtual root.
   std::vector<std::size_t> idom(n, kNone);
-  std::vector<char> processed(n, 0);
-  for (std::size_t r = 0; r < g.initialCount; ++r) processed[r] = 1;
+  std::vector<char> processed = initial;
 
   const auto intersect = [&](std::size_t a, std::size_t b) {
     // Walk both fingers up to the common dominator; kNone (the root)
@@ -334,7 +268,7 @@ std::vector<std::size_t> immediateDominators(const ProductGraph& g) {
     // order[] is post-order; iterating it back to front is RPO.
     for (std::size_t i = order.size(); i-- > 0;) {
       const std::size_t v = order[i];
-      if (v < g.initialCount) continue;  // initials: dominated by the root
+      if (initial[v]) continue;  // initials: dominated by the root
       std::size_t best = kNone;
       bool first = true;
       for (const std::size_t p : preds[v]) {
@@ -369,12 +303,11 @@ std::vector<std::size_t> mustPassChain(const std::vector<std::size_t>& idom,
 
 // ---- Tarjan SCCs -----------------------------------------------------------
 
-/// Iterative Tarjan over a successor-list graph. Returns the component id
-/// per node and the component count.
-std::vector<std::size_t> stronglyConnected(
-    const std::vector<std::vector<ProductGraph::Edge>>& succ,
-    std::size_t& componentCount) {
-  const std::size_t n = succ.size();
+/// Iterative Tarjan over the product graph. Returns the component id per
+/// state and the component count.
+std::vector<std::size_t> stronglyConnected(const FlatProduct& g,
+                                           std::size_t& componentCount) {
+  const std::size_t n = g.stateCount();
   std::vector<std::size_t> comp(n, kNone), low(n, 0), index(n, kNone);
   std::vector<std::size_t> stack;
   std::vector<char> onStack(n, 0);
@@ -382,10 +315,10 @@ std::vector<std::size_t> stronglyConnected(
   componentCount = 0;
 
   struct Frame {
-    std::size_t v;
-    std::size_t cursor;
+    StateId v;
+    std::uint32_t cursor;  // edges of v visited so far
   };
-  for (std::size_t root = 0; root < n; ++root) {
+  for (StateId root = 0; root < n; ++root) {
     if (index[root] != kNone) continue;
     std::vector<Frame> frames{{root, 0}};
     while (!frames.empty()) {
@@ -396,8 +329,8 @@ std::vector<std::size_t> stronglyConnected(
         stack.push_back(v);
         onStack[v] = 1;
       }
-      if (f.cursor < succ[v].size()) {
-        const std::size_t w = succ[v][f.cursor++].to;
+      if (g.edgeBegin(v) + f.cursor < g.edgeEnd(v)) {
+        const StateId w = g.edgeTarget(g.edgeBegin(v) + f.cursor++);
         if (index[w] == kNone) {
           frames.push_back({w, 0});
         } else if (onStack[w]) {
@@ -427,12 +360,15 @@ std::vector<std::size_t> stronglyConnected(
 // ---- Integration analysis (MUI101/MUI102 substrate) ------------------------
 
 struct IntegrationAnalysis {
-  ProductGraph graph;
+  Parts parts;  // what `graph` reads
+  FlatProduct graph;
   SafetyFragment fragment;
   PresolveOutcome outcome;
-  /// Refutation witness: violating/deadlocked node, and the violated AG
-  /// conjunct (nullptr for a deadlock or initial-state violation).
-  std::size_t witness = kNone;
+  /// Refutation witness: violating/deadlocked state and its BFS depth, and
+  /// the violated AG conjunct (nullptr for a deadlock or initial-state
+  /// violation).
+  StateId witness = 0;
+  std::size_t witnessDepth = 0;
   const ctl::Formula* violated = nullptr;
   bool witnessIsDeadlock = false;
 };
@@ -458,30 +394,34 @@ IntegrationAnalysis analyzeIntegration(const Automaton& context,
     out.explanation = "property does not parse";
     return a;
   }
-  // Even with no supported conjunct the exploration is worthwhile: a
+  // Even with no supported conjunct the product is worth composing: a
   // reachable deadlock refutes φ ∧ ¬δ outright.
-  a.graph = explore(context, hidden, opts.stateCap);
-  const ProductGraph& g = a.graph;
-  out.productStates = g.size();
+  a.graph = composeCapped({&context, &hidden}, opts.stateCap, a.parts);
+  const FlatProduct& g = a.graph;
+  out.productStates = g.stateCount();
   const PropEval eval(g);
+  const auto refute = [&](StateId n) {
+    a.witness = n;
+    a.witnessDepth = depths(g)[n];
+    out.verdict = PresolveVerdict::Refuted;
+    out.ruleId = kGuaranteedViolation;
+  };
 
   // Refutation 1: a reachable state violating a supported AG conjunct.
   // Sound even when capped or when other conjuncts are unsupported — one
   // failing conjunct fails the conjunction. Deadlock-mentioning bodies are
-  // only evaluated when the graph is complete (succ sets are exact).
+  // only evaluated when the cap did not cut the product (edges are exact).
   for (const ctl::Formula* ag : a.fragment.agConjuncts) {
     const ctl::Formula* body = ag->lhs.get();
-    if (g.capped && mentionsDeadlock(body)) continue;
-    for (std::size_t n = 0; n < g.size(); ++n) {
-      if (g.capped && !g.expanded[n] && mentionsDeadlock(body)) continue;
+    if (g.capped() && mentionsDeadlock(body)) continue;
+    for (StateId n = 0; n < g.stateCount(); ++n) {
       if (!eval.eval(body, n)) {
-        a.witness = n;
+        refute(n);
         a.violated = ag;
-        out.verdict = PresolveVerdict::Refuted;
-        out.ruleId = kGuaranteedViolation;
         out.explanation = "presolved: real error - reachable state '" +
-                          g.name(n) + "' (depth " + std::to_string(g.depth(n)) +
-                          ") violates '" + ag->toString() + "'";
+                          g.stateName(n) + "' (depth " +
+                          std::to_string(a.witnessDepth) + ") violates '" +
+                          ag->toString() + "'";
         return a;
       }
     }
@@ -490,14 +430,12 @@ IntegrationAnalysis analyzeIntegration(const Automaton& context,
   // Refutation 2: a top-level propositional conjunct failing at an initial
   // state.
   for (const ctl::Formula* now : a.fragment.nowConjuncts) {
-    if (g.capped && mentionsDeadlock(now)) continue;
-    for (std::size_t n = 0; n < g.initialCount; ++n) {
+    if (g.capped() && mentionsDeadlock(now)) continue;
+    for (const StateId n : g.initialStates()) {
       if (!eval.eval(now, n)) {
-        a.witness = n;
-        out.verdict = PresolveVerdict::Refuted;
-        out.ruleId = kGuaranteedViolation;
+        refute(n);
         out.explanation =
-            "presolved: real error - initial state '" + g.name(n) +
+            "presolved: real error - initial state '" + g.stateName(n) +
             "' violates '" + now->toString() + "'";
         return a;
       }
@@ -505,25 +443,23 @@ IntegrationAnalysis analyzeIntegration(const Automaton& context,
   }
 
   // Refutation 3: a reachable deadlock (¬δ is part of every integration
-  // check). Only trustworthy on a completely explored graph.
-  if (!g.capped) {
-    for (std::size_t n = 0; n < g.size(); ++n) {
-      if (g.succ[n].empty()) {
-        a.witness = n;
+  // check). Only trustworthy on a product the cap did not cut.
+  if (!g.capped()) {
+    for (StateId n = 0; n < g.stateCount(); ++n) {
+      if (g.edgeBegin(n) == g.edgeEnd(n)) {
+        refute(n);
         a.witnessIsDeadlock = true;
-        out.verdict = PresolveVerdict::Refuted;
-        out.ruleId = kGuaranteedViolation;
         out.explanation = "presolved: real error - reachable deadlock state '" +
-                          g.name(n) + "' (depth " +
-                          std::to_string(g.depth(n)) + ")";
+                          g.stateName(n) + "' (depth " +
+                          std::to_string(a.witnessDepth) + ")";
         return a;
       }
     }
   }
 
-  // Proof: every conjunct supported, none violated, no deadlock, graph
+  // Proof: every conjunct supported, none violated, no deadlock, product
   // complete.
-  if (a.fragment.complete && !g.capped) {
+  if (a.fragment.complete && !g.capped()) {
     out.verdict = PresolveVerdict::Proved;
     out.ruleId = kStaticallyProven;
     out.explanation =
@@ -531,11 +467,12 @@ IntegrationAnalysis analyzeIntegration(const Automaton& context,
         std::string(property.empty()
                         ? "deadlock freedom holds"
                         : "AG-safety property and deadlock freedom hold") +
-        " on all " + std::to_string(g.size()) + " reachable product states";
+        " on all " + std::to_string(g.stateCount()) +
+        " reachable product states";
     return a;
   }
 
-  out.explanation = g.capped
+  out.explanation = g.capped()
                         ? "state cap (" + std::to_string(opts.stateCap) +
                               ") exceeded before a definitive verdict"
                         : "property outside the AG-safety fragment";
@@ -611,96 +548,53 @@ class SemanticAnalyzer {
     }
   }
 
-  /// MUI103 + MUI104 over the full role composition.
+  /// MUI103 + MUI104 over the full role composition, unless it has more
+  /// states than the cap.
   void checkPatternProduct(const muml::CoordinationPattern& p,
                            const std::vector<Automaton>& parts,
                            const std::vector<std::string>& partNames,
                            const std::vector<char>& partIsRole,
                            const util::SourceLoc& loc) {
-    std::optional<automata::Product> composed;
+    std::vector<const Automaton*> ptrs;
+    ptrs.reserve(parts.size());
+    for (const auto& part : parts) ptrs.push_back(&part);
+    Parts components;
+    FlatProduct prod;
     try {
-      std::vector<const Automaton*> ptrs;
-      ptrs.reserve(parts.size());
-      for (const auto& part : parts) ptrs.push_back(&part);
-      composed = automata::composeAll(ptrs);
+      prod = composeCapped(ptrs, opts_.stateCap, components);
     } catch (const std::exception&) {
       return;  // not composable: MUI004 reports the cause
     }
-    const automata::Product& prod = *composed;
-    const Automaton& pa = prod.automaton;
-    if (pa.stateCount() > opts_.stateCap) return;
+    if (prod.capped()) return;
 
-    std::vector<std::vector<ProductGraph::Edge>> succ(pa.stateCount());
-    for (StateId s = 0; s < pa.stateCount(); ++s) {
-      for (const auto& t : pa.transitionsFrom(s)) {
-        succ[s].push_back({t.to, t.label.idle()});
-      }
-    }
-    reportLivelocks(p.name, "pattern '" + p.name + "'", loc, succ,
-                    [&](std::size_t s) {
-                      return pa.stateName(static_cast<StateId>(s));
-                    });
-
-    // MUI104: a role transition that fires in no reachable product step,
-    // although its source state is visited.
+    reportLivelocks(p.name, "pattern '" + p.name + "'", loc, prod);
     for (std::size_t k = 0; k < parts.size(); ++k) {
       if (!partIsRole[k]) continue;
-      std::set<std::string> fired;
-      std::vector<char> visited(parts[k].stateCount(), 0);
-      for (StateId ps = 0; ps < pa.stateCount(); ++ps) {
-        visited[prod.origins[ps][k]] = 1;
-        for (const auto& t : pa.transitionsFrom(ps)) {
-          fired.insert(transitionKey(parts[k], prod.origins[ps][k],
-                                     prod.projectInteraction(t.label, k),
-                                     prod.origins[t.to][k]));
-        }
-      }
-      for (StateId s = 0; s < parts[k].stateCount(); ++s) {
-        if (!visited[s]) continue;  // MUI001-style causes, not dead syncs
-        for (const auto& t : parts[k].transitionsFrom(s)) {
-          if (fired.count(transitionKey(parts[k], s, t.label, t.to))) continue;
-          emit(kDeadTransition, p.name,
-               "pattern '" + p.name + "': " + partNames[k] + " transition '" +
-                   parts[k].stateName(s) + " -" +
-                   parts[k].interactionToString(t.label) + "-> " +
-                   parts[k].stateName(t.to) +
-                   "' fires in no reachable step of the role composition",
-               loc);
-        }
-      }
+      reportDeadTransitions(p.name,
+                            "pattern '" + p.name + "': " + partNames[k],
+                            "role composition", loc, prod, k);
     }
   }
 
-  static std::string transitionKey(const Automaton& a, StateId from,
-                                   const Interaction& x, StateId to) {
-    return std::to_string(from) + "|" + a.interactionToString(x) + "|" +
-           std::to_string(to);
-  }
-
-  /// MUI103 over any transition system given as silent-flagged successor
-  /// lists: reachable non-trivial SCCs whose internal steps exchange no
-  /// signals and which cannot be left.
-  template <typename NameOf>
+  /// MUI103 over a product: reachable non-trivial SCCs whose internal steps
+  /// exchange no signals and which cannot be left.
   void reportLivelocks(const std::string& subject, const std::string& where,
-                       const util::SourceLoc& loc,
-                       const std::vector<std::vector<ProductGraph::Edge>>& succ,
-                       NameOf&& nameOf) {
-    const std::size_t stateCount = succ.size();
+                       const util::SourceLoc& loc, const FlatProduct& g) {
+    const std::size_t stateCount = g.stateCount();
     std::size_t componentCount = 0;
-    const std::vector<std::size_t> comp =
-        stronglyConnected(succ, componentCount);
+    const std::vector<std::size_t> comp = stronglyConnected(g, componentCount);
 
     std::vector<std::size_t> compSize(componentCount, 0);
     std::vector<char> nontrivial(componentCount, 0), exits(componentCount, 0),
         loud(componentCount, 0);
     for (std::size_t s = 0; s < stateCount; ++s) ++compSize[comp[s]];
-    for (std::size_t s = 0; s < stateCount; ++s) {
-      for (const auto& e : succ[s]) {
-        if (comp[e.to] != comp[s]) {
+    for (StateId s = 0; s < stateCount; ++s) {
+      for (std::uint32_t e = g.edgeBegin(s); e < g.edgeEnd(s); ++e) {
+        if (comp[g.edgeTarget(e)] != comp[s]) {
           exits[comp[s]] = 1;
         } else {
           nontrivial[comp[s]] = 1;  // an internal edge: cycle exists
-          if (!e.silent) loud[comp[s]] = 1;
+          if (!silent(g, e)) loud[comp[s]] = 1;
         }
       }
     }
@@ -709,12 +603,11 @@ class SemanticAnalyzer {
       std::vector<RelatedNote> related;
       std::string members;
       std::size_t listed = 0;
-      for (std::size_t s = 0; s < stateCount && listed < opts_.maxRelated;
-           ++s) {
+      for (StateId s = 0; s < stateCount && listed < opts_.maxRelated; ++s) {
         if (comp[s] != c) continue;
-        related.push_back({"cycle member '" + nameOf(s) + "'", {}});
+        related.push_back({"cycle member '" + g.stateName(s) + "'", {}});
         if (!members.empty()) members += ", ";
-        members += "'" + nameOf(s) + "'";
+        members += "'" + g.stateName(s) + "'";
         ++listed;
       }
       emit(kLivelockScc, subject,
@@ -724,6 +617,49 @@ class SemanticAnalyzer {
                " exchanges no signals and has no exit; the composition can "
                "diverge here",
            loc, std::move(related));
+    }
+  }
+
+  /// MUI104 on component k of a product: a transition of k whose source
+  /// state the product visits but which no product edge fires. An edge
+  /// fires the transitions of k that lead from k's state at the edge's
+  /// source to k's state at its target under the edge's label projected
+  /// onto k.
+  void reportDeadTransitions(const std::string& subject,
+                             const std::string& head,
+                             const char* composition,
+                             const util::SourceLoc& loc, const FlatProduct& g,
+                             std::size_t k) {
+    const Automaton& a = g.component(k).base();
+    std::vector<char> visited(a.stateCount(), 0);
+    std::vector<std::vector<char>> fired(a.stateCount());
+    for (StateId s = 0; s < a.stateCount(); ++s) {
+      fired[s].assign(a.transitionsFrom(s).size(), 0);
+    }
+    for (StateId p = 0; p < g.stateCount(); ++p) {
+      const StateId from = g.origin(p, k);
+      visited[from] = 1;
+      const auto& ts = a.transitionsFrom(from);
+      for (std::uint32_t e = g.edgeBegin(p); e < g.edgeEnd(p); ++e) {
+        const StateId to = g.origin(g.edgeTarget(e), k);
+        const Interaction x = g.projectInteraction(g.edgeLabel(e), k);
+        for (std::size_t j = 0; j < ts.size(); ++j) {
+          if (ts[j].to == to && ts[j].label == x) fired[from][j] = 1;
+        }
+      }
+    }
+    for (StateId s = 0; s < a.stateCount(); ++s) {
+      if (!visited[s]) continue;  // MUI001-style causes, not dead syncs
+      const auto& ts = a.transitionsFrom(s);
+      for (std::size_t j = 0; j < ts.size(); ++j) {
+        if (fired[s][j]) continue;
+        emit(kDeadTransition, subject,
+             head + " transition '" + a.stateName(s) + " -" +
+                 a.interactionToString(ts[j].label) + "-> " +
+                 a.stateName(ts[j].to) +
+                 "' fires in no reachable step of the " + composition,
+             loc);
+      }
     }
   }
 
@@ -775,10 +711,10 @@ class SemanticAnalyzer {
         emitRefutation(candName, where, candLoc, a, context, stub);
       }
 
-      if (!a.graph.capped && a.graph.size() > 0) {
-        reportLivelocks(candName, where, candLoc, a.graph.succ,
-                        [&](std::size_t n) { return a.graph.name(n); });
-        checkDeadStubTransitions(candName, where, candLoc, a.graph, stub);
+      if (!a.graph.capped() && a.graph.stateCount() > 0) {
+        reportLivelocks(candName, where, candLoc, a.graph);
+        reportDeadTransitions(candName, where + ":", "composition", candLoc,
+                              a.graph, 1);
       }
     }
   }
@@ -820,28 +756,6 @@ class SemanticAnalyzer {
     return model_.signals->name(static_cast<util::NameId>(bit));
   }
 
-  /// MUI104 on the stub side of context ‖ stub.
-  void checkDeadStubTransitions(const std::string& subject,
-                                const std::string& where,
-                                const util::SourceLoc& loc,
-                                const ProductGraph& g, const Automaton& stub) {
-    std::vector<char> visited(stub.stateCount(), 0);
-    for (std::size_t n = 0; n < g.size(); ++n) visited[g.stubState[n]] = 1;
-    for (StateId s = 0; s < stub.stateCount(); ++s) {
-      if (!visited[s]) continue;
-      const auto& ts = stub.transitionsFrom(s);
-      for (std::size_t j = 0; j < ts.size(); ++j) {
-        if (g.firedStub[s][j]) continue;
-        emit(kDeadTransition, subject,
-             where + ": transition '" + stub.stateName(s) + " -" +
-                 stub.interactionToString(ts[j].label) + "-> " +
-                 stub.stateName(ts[j].to) +
-                 "' fires in no reachable step of the composition",
-             loc);
-      }
-    }
-  }
-
   void emitProof(const std::string& subject, const std::string& where,
                  const util::SourceLoc& loc, const IntegrationAnalysis& a,
                  const std::string& property) {
@@ -849,7 +763,8 @@ class SemanticAnalyzer {
     for (const ctl::Formula* ag : a.fragment.agConjuncts) {
       if (related.size() >= opts_.maxRelated) break;
       related.push_back({"conjunct '" + ag->toString() + "': no reachable " +
-                             "state among " + std::to_string(a.graph.size()) +
+                             "state among " +
+                             std::to_string(a.graph.stateCount()) +
                              " can violate it",
                          {}});
     }
@@ -859,7 +774,7 @@ class SemanticAnalyzer {
              (property.empty() ? std::string("deadlock freedom holds")
                                : "the AG-safety property and deadlock "
                                  "freedom hold") +
-             " on all " + std::to_string(a.graph.size()) +
+             " on all " + std::to_string(a.graph.stateCount()) +
              " reachable product states; the engine pre-solves this "
              "integration to proven",
          loc, std::move(related));
@@ -875,13 +790,13 @@ class SemanticAnalyzer {
     for (const std::size_t d :
          mustPassChain(idom, a.witness, opts_.maxRelated)) {
       related.push_back({"every path to the violation passes through '" +
-                             a.graph.name(d) + "'",
+                             a.graph.stateName(d) + "'",
                          {}});
     }
     related.push_back(
         {a.witnessIsDeadlock
-             ? "witness '" + a.graph.name(a.witness) + "' deadlocks"
-             : "witness '" + a.graph.name(a.witness) + "' violates '" +
+             ? "witness '" + a.graph.stateName(a.witness) + "' deadlocks"
+             : "witness '" + a.graph.stateName(a.witness) + "' violates '" +
                    (a.violated ? a.violated->toString()
                                : std::string("an initial-state conjunct")) +
                    "'",
@@ -892,7 +807,7 @@ class SemanticAnalyzer {
              (a.witnessIsDeadlock
                   ? "a deadlock is reachable"
                   : "a property violation is reachable") +
-             " at depth " + std::to_string(a.graph.depth(a.witness)) +
+             " at depth " + std::to_string(a.witnessDepth) +
              "; the engine pre-solves this integration to real-error",
          loc, std::move(related));
   }
@@ -912,27 +827,30 @@ class SemanticAnalyzer {
         m0.markInitial(s);
         m0.labelWithStateName(s);
       }
-      const automata::Closure closure = automata::chaoticClosure(
+      const std::size_t stride = automata::strideFor({&context, &m0.base()});
+      const automata::AutomatonComponent ctx(context, stride);
+      const automata::VirtualClosure closure(
           m0,
           automata::makeAlphabet(stub.inputs(), stub.outputs(),
                                  automata::InteractionMode::AtMostOneSignal),
           automata::ClosureStyle::DeterministicTarget,
-          automata::ClosureCopies::Both);
-      const ProductGraph g =
-          explore(context, closure.automaton, opts_.stateCap);
-      for (std::size_t n = 0; n < g.size(); ++n) {
-        if (closure.isChaos(g.stubState[n])) {
+          automata::ClosureCopies::Both, stride);
+      const FlatProduct g =
+          automata::composeFlat({&ctx, &closure}, opts_.stateCap);
+      for (StateId n = 0; n < g.stateCount(); ++n) {
+        const StateId c = g.origin(n, 1);
+        if (closure.isChaos(c)) {
           return "the iteration-0 chaotic closure reaches chaos ('" +
-                 closure.automaton.stateName(g.stubState[n]) + "') at depth " +
-                 std::to_string(g.depth(n)) +
+                 closure.stateName(c) + "') at depth " +
+                 std::to_string(depths(g)[n]) +
                  "; the refinement loop must learn before concluding on its "
                  "own";
         }
       }
-      return g.capped ? "iteration-0 chaos reachability not decided (cap)"
-                      : "the iteration-0 chaotic closure never reaches "
-                        "chaos: the pessimistic product alone decides this "
-                        "integration";
+      return g.capped() ? "iteration-0 chaos reachability not decided (cap)"
+                        : "the iteration-0 chaotic closure never reaches "
+                          "chaos: the pessimistic product alone decides this "
+                          "integration";
     } catch (const std::exception& e) {
       return std::string("iteration-0 chaos analysis unavailable: ") +
              e.what();

@@ -4,11 +4,12 @@
 //
 // Where the MUI0xx rules look at each entity in isolation, this tier reasons
 // about the *composition* the verification loop would explore: it builds the
-// synchronous product of the pattern context with a concrete legacy stand-in
-// (and, for the chaos diagnostics, with the iteration-0 chaotic closure),
-// computes shared graph substrates once per job — forward reachability,
-// Tarjan SCCs, and a dominator-style must-pass analysis — and derives
-// verdict-level facts from them:
+// synchronous product (Def. 3) of the pattern context with a concrete legacy
+// stand-in (and, for the chaos diagnostics, with a VirtualClosure of the
+// iteration-0 model) with the loop's own composer, automata::composeFlat,
+// computes graph substrates on that CSR product — BFS depths, Tarjan SCCs,
+// and a dominator-style must-pass analysis — and derives verdict-level facts
+// from them:
 //
 //   MUI101 statically-proven property   every reachable product state
 //          satisfies the AG-safety property and none deadlocks — the
@@ -42,6 +43,13 @@
 //   automaton composable as that role's legacy stand-in) combination is
 //   analyzed, producing MUI1xx diagnostics with related-location chains.
 //
+// Every product is composed under SemanticOptions::stateCap: once it holds
+// that many states, edges to further states are dropped (the admitted states
+// are still expanded) and FlatProduct::capped() is set. A cut product keeps
+// the unbounded one's first states, so a violation among them still refutes;
+// proofs, deadlock findings, MUI103 and MUI104 need the whole product and
+// are withheld.
+//
 // Findings honor the same `allow MUIxxx;` suppression clauses and RuleSet
 // disabling as the syntactic tier. analysis::run never emits MUI1xx rules;
 // the tiers stay separate so the cheap lint pre-flight keeps its cost.
@@ -57,9 +65,9 @@
 namespace mui::analysis {
 
 struct SemanticOptions {
-  /// Product-state exploration budget. When a composition exceeds the cap,
-  /// proofs (MUI101) are withheld — only refutations found inside the
-  /// explored prefix remain definitive.
+  /// Product-state budget per composition. When a composition exceeds the
+  /// cap, proofs (MUI101) are withheld — only refutations found inside the
+  /// admitted prefix remain definitive.
   std::size_t stateCap = 50000;
   /// Cap on related-location notes attached per diagnostic (dominator
   /// chains, per-conjunct proof artifacts).

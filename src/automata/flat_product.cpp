@@ -75,7 +75,7 @@ FlatProduct FlatProduct::of(const Automaton& a) {
   FlatProduct p;
   p.owned_ = std::make_unique<AutomatonComponent>(a, strideFor({&a}));
   p.setComponents({p.owned_.get()});
-  p.copySingle();
+  p.copySingle(a.stateCount());
   return p;
 }
 
@@ -91,19 +91,24 @@ void FlatProduct::setComponents(std::vector<const FlatComponent*> comps) {
   }
 }
 
-void FlatProduct::copySingle() {
+void FlatProduct::copySingle(std::size_t maxStates) {
   const FlatComponent& c = *comps_.front();
+  const std::size_t n = std::min(c.stateCount(), maxStates);
+  capped_ = c.stateCount() > n;
   std::vector<EdgeRef> edges;
-  for (StateId s = 0; s < c.stateCount(); ++s) {
+  for (StateId s = 0; s < n; ++s) {
     origins_.push_back(s);
     c.edges(s, edges);
     for (const EdgeRef& e : edges) {
+      if (e.to >= n) continue;
       to_.push_back(e.to);
       labels_.insert(labels_.end(), e.label, e.label + 2 * stride_);
     }
     head_.push_back(static_cast<std::uint32_t>(to_.size()));
   }
-  initial_ = c.initialStates();
+  for (const StateId q : c.initialStates()) {
+    if (q < n) initial_.push_back(q);
+  }
 }
 
 Interaction FlatProduct::edgeLabel(std::uint32_t e) const {
@@ -187,10 +192,11 @@ class RowIndex {
  public:
   explicit RowIndex(std::size_t width) : width_(width), slots_(64, kEmpty) {}
 
-  /// The product state of `row`, or kEmpty after reserving its slot for
-  /// `next` (the caller then appends the row to `origins`).
+  /// The product state of `row`, or kEmpty. A new row's slot is reserved
+  /// for `next` if `admit` is set (the caller then appends the row to
+  /// `origins`).
   StateId findOrInsert(const StateId* row, const std::vector<StateId>& origins,
-                       StateId next) {
+                       StateId next, bool admit) {
     if (2 * (std::size_t{next} + 1) > slots_.size()) grow(origins, next);
     std::size_t i = hash(row) & (slots_.size() - 1);
     while (slots_[i] != kEmpty) {
@@ -199,7 +205,7 @@ class RowIndex {
       }
       i = (i + 1) & (slots_.size() - 1);
     }
-    slots_[i] = next;
+    if (admit) slots_[i] = next;
     return kEmpty;
   }
 
@@ -230,7 +236,8 @@ class RowIndex {
 
 }  // namespace
 
-FlatProduct composeFlat(std::vector<const FlatComponent*> components) {
+FlatProduct composeFlat(std::vector<const FlatComponent*> components,
+                        std::size_t maxStates) {
   if (components.empty()) {
     throw std::invalid_argument("composeFlat: no components");
   }
@@ -258,7 +265,7 @@ FlatProduct composeFlat(std::vector<const FlatComponent*> components) {
   p.setComponents(std::move(components));
   if (p.comps_.size() == 1) {
     // composeAll wraps a single component as is, unreachable states too.
-    p.copySingle();
+    p.copySingle(maxStates);
     countProduct(p.stateCount());
     return p;
   }
@@ -267,10 +274,17 @@ FlatProduct composeFlat(std::vector<const FlatComponent*> components) {
 
   RowIndex index(width);
   std::vector<StateId> row(width);  // the row being built or expanded
+  // The product state of `row`; kEmpty when it is new and over the bound.
   const auto ensure = [&]() {
     const auto next = static_cast<StateId>(p.origins_.size() / width);
-    const StateId found = index.findOrInsert(row.data(), p.origins_, next);
+    const bool admit = next < maxStates;
+    const StateId found =
+        index.findOrInsert(row.data(), p.origins_, next, admit);
     if (found != RowIndex::kEmpty) return found;
+    if (!admit) {
+      p.capped_ = true;
+      return RowIndex::kEmpty;
+    }
     p.origins_.insert(p.origins_.end(), row.begin(), row.end());
     return next;
   };
@@ -282,7 +296,9 @@ FlatProduct composeFlat(std::vector<const FlatComponent*> components) {
   }
   const auto seed = [&](auto&& self, std::size_t k) -> void {
     if (k == width) {
-      p.initial_.push_back(ensure());
+      if (const StateId q = ensure(); q != RowIndex::kEmpty) {
+        p.initial_.push_back(q);
+      }
       return;
     }
     for (const StateId q : initials[k]) {
@@ -301,7 +317,9 @@ FlatProduct composeFlat(std::vector<const FlatComponent*> components) {
   std::vector<StateId> from(width);
   const auto extend = [&](auto&& self, std::size_t k) -> void {
     if (k == width) {
-      p.to_.push_back(ensure());
+      const StateId to = ensure();
+      if (to == RowIndex::kEmpty) return;
+      p.to_.push_back(to);
       p.labels_.insert(p.labels_.end(), acc.begin() + width * w2,
                        acc.end());
       return;

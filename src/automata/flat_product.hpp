@@ -18,6 +18,7 @@
 // reference; fuzz oracle O7 checks that the two agree.
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -115,6 +116,9 @@ class FlatProduct {
   [[nodiscard]] const std::vector<StateId>& initialStates() const {
     return initial_;
   }
+  /// Whether composeFlat's bound dropped a state: the unbounded product is
+  /// larger than this one.
+  [[nodiscard]] bool capped() const { return capped_; }
   [[nodiscard]] const SignalTableRef& signalTable() const {
     return comps_.front()->base().signalTable();
   }
@@ -154,12 +158,14 @@ class FlatProduct {
   [[nodiscard]] std::string renderRun(const Run& run) const;
 
  private:
-  friend FlatProduct composeFlat(std::vector<const FlatComponent*>);
+  friend FlatProduct composeFlat(std::vector<const FlatComponent*>,
+                                 std::size_t);
 
   /// Sets the components and packs their interfaces at their stride.
   void setComponents(std::vector<const FlatComponent*> comps);
-  /// The single component's states, edges and initials, as they are.
-  void copySingle();
+  /// The single component's states, edges and initials, as they are, up
+  /// to its first `maxStates` states.
+  void copySingle(std::size_t maxStates);
 
   std::vector<const FlatComponent*> comps_;
   std::unique_ptr<FlatComponent> owned_;  // of(): the wrapped automaton
@@ -170,6 +176,7 @@ class FlatProduct {
   std::vector<StateId> to_;
   std::vector<Word> labels_;  // 2·stride words per edge
   std::vector<StateId> initial_;
+  bool capped_ = false;
 };
 
 /// Def. 3 over all components at once: the same states, numbering, edges,
@@ -178,6 +185,13 @@ class FlatProduct {
 /// composeAll does (no components, unshared tables, overlapping I or O)
 /// and on components of different strides. The components must outlive
 /// the product.
-FlatProduct composeFlat(std::vector<const FlatComponent*> components);
+///
+/// Once the product holds `maxStates` states, edges to further states
+/// (initial ones included) are dropped and capped() is set; the admitted
+/// states are still expanded. The result is the unbounded product's first
+/// `maxStates` states with their edges to those states, in the same order.
+FlatProduct composeFlat(
+    std::vector<const FlatComponent*> components,
+    std::size_t maxStates = std::numeric_limits<std::size_t>::max());
 
 }  // namespace mui::automata

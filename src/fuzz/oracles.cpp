@@ -1,5 +1,6 @@
 #include "fuzz/oracles.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "analysis/semantic.hpp"
@@ -468,8 +469,48 @@ std::string productDiff(const automata::Product& ref,
   return {};
 }
 
+/// What differs between `capped`, composed under a bound of `cap` states,
+/// and the first `cap` states of the unbounded product `full`, or "".
+std::string prefixDiff(const automata::FlatProduct& full,
+                       const automata::FlatProduct& capped, std::size_t cap) {
+  const std::size_t n = std::min(full.stateCount(), cap);
+  if (capped.stateCount() != n) {
+    return "state count " + std::to_string(capped.stateCount()) + " vs " +
+           std::to_string(n);
+  }
+  if (capped.capped() != (full.stateCount() > cap)) return "capped()";
+  std::vector<StateId> initials;
+  for (const StateId q : full.initialStates()) {
+    if (q < n) initials.push_back(q);
+  }
+  if (capped.initialStates() != initials) return "initial states";
+  const std::size_t words = 2 * full.stride();
+  for (StateId p = 0; p < n; ++p) {
+    const std::string at = " of product state '" + full.stateName(p) + "'";
+    if (capped.stateName(p) != full.stateName(p)) return "name" + at;
+    for (std::size_t k = 0; k < full.componentCount(); ++k) {
+      if (capped.origin(p, k) != full.origin(p, k)) return "origins" + at;
+    }
+    // The full product's edges into the prefix, in their order.
+    std::uint32_t e = capped.edgeBegin(p);
+    for (std::uint32_t f = full.edgeBegin(p); f < full.edgeEnd(p); ++f) {
+      if (full.edgeTarget(f) >= n) continue;
+      if (e == capped.edgeEnd(p) ||
+          capped.edgeTarget(e) != full.edgeTarget(f) ||
+          !std::equal(full.edgeWords(f), full.edgeWords(f) + words,
+                      capped.edgeWords(e))) {
+        return "edge #" + std::to_string(e - capped.edgeBegin(p)) + at;
+      }
+      ++e;
+    }
+    if (e != capped.edgeEnd(p)) return "edge count" + at;
+  }
+  return {};
+}
+
 OracleResult checkO7(const Scenario& s, const OracleOptions&) {
   util::Rng rng(s.seed * 0x94d049bb133111ebull + 0xf7);
+  util::Rng capRng(s.seed * 0xbf58476d1ce4e5b9ull + 0x5a);
   const auto alphabet =
       automata::makeAlphabet(s.hidden.inputs(), s.hidden.outputs(),
                              automata::InteractionMode::AtMostOneSignal);
@@ -522,6 +563,13 @@ OracleResult checkO7(const Scenario& s, const OracleOptions&) {
         const auto lean = automata::composeFlat({&context, &view});
         if (const auto d = productDiff(ref, lean); !d.empty()) {
           return violation("O7: lean product differs from composeAll: " + d +
+                           where);
+        }
+        const std::size_t cap = capRng.below(lean.stateCount() + 1);
+        const auto capped = automata::composeFlat({&context, &view}, cap);
+        if (const auto d = prefixDiff(lean, capped, cap); !d.empty()) {
+          return violation("O7: the product capped at " + std::to_string(cap) +
+                           " states is not the unbounded one's prefix: " + d +
                            where);
         }
         for (const auto& [f, opts] : checks) {
@@ -599,7 +647,8 @@ const char* describeOracle(OracleId id) {
              "truth";
     case OracleId::O7LeanProduct:
       return "lean product over virtual closures equals composeAll over "
-             "chaoticClosure; ctl::verify agrees on both";
+             "chaoticClosure; ctl::verify agrees on both; a capped product "
+             "is the unbounded one's prefix";
   }
   return "";
 }

@@ -26,6 +26,8 @@
 //       composeFlat(ctx, view) matches composeAll({ctx, chaos(M)}) state
 //       by state (numbering, initials, edges in order, origins, names,
 //       every atom), and ctl::verify returns identical results on both.
+//       composeFlat under a random bound c is the unbounded product's
+//       first c states, and capped() says whether the bound cut it.
 //
 // checkOracle never reports flaky results: everything derives from the
 // scenario seed. Violations carry the exposing formula so the shrinker

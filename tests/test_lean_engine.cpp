@@ -1,11 +1,13 @@
 // Tests for the lean product engine (automata/flat_product.hpp,
 // automata/virtual_closure.hpp): the virtual closure keeps
 // chaoticClosure's numbering, names, labels and edge order on the shipped
-// legacies, and composeFlat equals composeAll's fold for any number of
-// components and any signal count.
+// legacies, composeFlat equals composeAll's fold for any number of
+// components and any signal count, and under a state bound it keeps the
+// unbounded product's prefix.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -264,6 +266,56 @@ TEST(FlatProduct, OneComponentKeepsEveryState) {
     EXPECT_TRUE(p->atomSat(*t.props->lookup("a.unreachable")).test(1));
   }
   expectSameProduct(composeAll({&a}), composed);
+}
+
+/// `capped`, composed under a bound of `cap` states, is the first `cap`
+/// states of `full` with their edges into that prefix, in order.
+void expectPrefix(const FlatProduct& full, const FlatProduct& capped,
+                  std::size_t cap) {
+  const std::size_t n = std::min(full.stateCount(), cap);
+  ASSERT_EQ(capped.stateCount(), n) << "cap " << cap;
+  EXPECT_EQ(capped.capped(), full.stateCount() > cap) << "cap " << cap;
+  std::vector<StateId> initials;
+  for (const StateId q : full.initialStates()) {
+    if (q < n) initials.push_back(q);
+  }
+  EXPECT_EQ(capped.initialStates(), initials) << "cap " << cap;
+  for (StateId p = 0; p < n; ++p) {
+    EXPECT_EQ(capped.stateName(p), full.stateName(p));
+    for (std::size_t k = 0; k < full.componentCount(); ++k) {
+      EXPECT_EQ(capped.origin(p, k), full.origin(p, k));
+    }
+    std::vector<std::uint32_t> kept;
+    for (std::uint32_t e = full.edgeBegin(p); e < full.edgeEnd(p); ++e) {
+      if (full.edgeTarget(e) < n) kept.push_back(e);
+    }
+    ASSERT_EQ(capped.edgeEnd(p) - capped.edgeBegin(p), kept.size())
+        << "cap " << cap << " state " << p;
+    for (std::size_t i = 0; i < kept.size(); ++i) {
+      const auto e = static_cast<std::uint32_t>(capped.edgeBegin(p) + i);
+      EXPECT_EQ(capped.edgeTarget(e), full.edgeTarget(kept[i]));
+      EXPECT_EQ(capped.edgeLabel(e), full.edgeLabel(kept[i]));
+    }
+  }
+}
+
+TEST(FlatProduct, ABoundKeepsThePrefixOfTheUnboundedProduct) {
+  TwoPairs w;
+  const std::size_t stride = strideFor({&w.a, &w.b, &w.mirrorA, &w.mirrorB});
+  const AutomatonComponent a(w.a, stride), b(w.b, stride),
+      ma(w.mirrorA, stride), mb(w.mirrorB, stride);
+  const FlatProduct full = composeFlat({&ma, &a, &mb, &b});
+  ASSERT_GE(full.stateCount(), 10u);
+  EXPECT_FALSE(full.capped());
+  for (std::size_t cap = 0; cap <= full.stateCount() + 1; ++cap) {
+    expectPrefix(full, composeFlat({&ma, &a, &mb, &b}, cap), cap);
+  }
+  // One component is wrapped as is, unreachable states too: the bound
+  // keeps its first states in its own numbering.
+  const FlatProduct single = composeFlat({&a});
+  for (std::size_t cap = 0; cap <= single.stateCount(); ++cap) {
+    expectPrefix(single, composeFlat({&a}, cap), cap);
+  }
 }
 
 TEST(FlatProduct, RejectsWhatComposeAllRejects) {

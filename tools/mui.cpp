@@ -248,6 +248,15 @@ std::string readFileOrThrow(const std::string& path) {
   return buf.str();
 }
 
+/// The value of the flag at argv[i]; advances i past it. Throws "<flag>
+/// needs a value" when the flag is the last argument.
+const char* flagValue(int argc, char** argv, int& i) {
+  if (i + 1 >= argc) {
+    throw std::runtime_error(std::string(argv[i]) + " needs a value");
+  }
+  return argv[++i];
+}
+
 /// Shared --trace-out/--metrics-out/--journal-out handling for the verbs
 /// that run the verification loop (integrate, batch). Lifecycle:
 /// consume() the flags while parsing, beforeRun() before the loop starts,
@@ -261,22 +270,16 @@ struct ObsOptions {
   /// Consumes argv[i] (and its value) when it is an observability flag.
   /// Throws on a flag with a missing value.
   bool consume(int argc, char** argv, int& i) {
-    const auto flagValue = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        throw std::runtime_error(std::string(flag) + " needs a value");
-      }
-      return argv[++i];
-    };
     if (std::strcmp(argv[i], "--trace-out") == 0) {
-      traceOut = flagValue("--trace-out");
+      traceOut = flagValue(argc, argv, i);
       return true;
     }
     if (std::strcmp(argv[i], "--metrics-out") == 0) {
-      metricsOut = flagValue("--metrics-out");
+      metricsOut = flagValue(argc, argv, i);
       return true;
     }
     if (std::strcmp(argv[i], "--journal-out") == 0) {
-      journalOut = flagValue("--journal-out");
+      journalOut = flagValue(argc, argv, i);
       return true;
     }
     return false;
@@ -366,8 +369,8 @@ int cmdCompose(int argc, char** argv) {
   std::vector<const automata::Automaton*> parts;
   std::string formula;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--check") == 0 && i + 1 < argc) {
-      formula = argv[++i];
+    if (std::strcmp(argv[i], "--check") == 0) {
+      formula = flagValue(argc, argv, i);
     } else {
       parts.push_back(&findAutomaton(model, argv[i]));
     }
@@ -534,51 +537,56 @@ int cmdDot(int argc, char** argv) {
                            argv[1] + "'");
 }
 
-int cmdLint(int argc, char** argv) {
+/// The arguments of `mui lint` and `mui analyze`: one model path and any
+/// --format and --disable flags, in any order.
+struct ReportArgs {
   const char* modelPath = nullptr;
   bool json = false;
   analysis::RuleSet rules = analysis::RuleSet::all();
-  // Flags and the model path may come in any order.
+};
+
+/// Parses `verb`'s arguments into `args`. Returns 0, or the exit code of
+/// the usage error it reported.
+int parseReportArgs(const char* verb, int argc, char** argv,
+                    ReportArgs& args) {
   for (int i = 0; i < argc; ++i) {
-    const auto flagValue = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        throw std::runtime_error(std::string(flag) + " needs a value");
-      }
-      return argv[++i];
-    };
     if (std::strcmp(argv[i], "--format") == 0) {
-      const std::string format = flagValue("--format");
-      if (format == "json") {
-        json = true;
-      } else if (format == "text") {
-        json = false;
-      } else {
+      const std::string format = flagValue(argc, argv, i);
+      if (format != "json" && format != "text") {
         return usageError("--format expects 'text' or 'json'");
       }
+      args.json = format == "json";
     } else if (std::strcmp(argv[i], "--disable") == 0) {
-      const char* id = flagValue("--disable");
+      const char* id = flagValue(argc, argv, i);
       if (analysis::findRule(id) == nullptr) {
         return usageError(std::string("unknown lint rule '") + id + "'");
       }
-      rules.disable(id);
+      args.rules.disable(id);
     } else if (argv[i][0] == '-') {
-      return usageError(std::string("unknown lint flag '") + argv[i] + "'");
-    } else if (modelPath == nullptr) {
-      modelPath = argv[i];
+      return usageError(std::string("unknown ") + verb + " flag '" +
+                        argv[i] + "'");
+    } else if (args.modelPath == nullptr) {
+      args.modelPath = argv[i];
     } else {
-      return usageError(std::string("unexpected lint argument '") + argv[i] +
-                        "'");
+      return usageError(std::string("unexpected ") + verb + " argument '" +
+                        argv[i] + "'");
     }
   }
-  if (modelPath == nullptr) {
-    return usageError(
-        "lint expects <model.muml> [--format text|json] [--disable MUIxxx]");
+  if (args.modelPath == nullptr) {
+    return usageError(std::string(verb) +
+                      " expects <model.muml> [--format text|json] "
+                      "[--disable MUIxxx]");
   }
+  return 0;
+}
 
-  const muml::Model model = loadFile(modelPath);
-  const auto report = analysis::run(model, rules);
-  std::printf("%s", json ? analysis::writeSarif(report).c_str()
-                         : analysis::renderText(report).c_str());
+int cmdLint(int argc, char** argv) {
+  ReportArgs args;
+  if (const int rc = parseReportArgs("lint", argc, argv, args)) return rc;
+  const muml::Model model = loadFile(args.modelPath);
+  const auto report = analysis::run(model, args.rules);
+  std::printf("%s", args.json ? analysis::writeSarif(report).c_str()
+                              : analysis::renderText(report).c_str());
   return report.clean() ? 0 : 1;
 }
 
@@ -588,55 +596,17 @@ int cmdLint(int argc, char** argv) {
 /// notes do not fail the exit code — the semantic tier is advisory; only
 /// error-level findings exit 1.
 int cmdAnalyze(int argc, char** argv) {
-  const char* modelPath = nullptr;
-  bool json = false;
-  analysis::RuleSet rules = analysis::RuleSet::all();
-  for (int i = 0; i < argc; ++i) {
-    const auto flagValue = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        throw std::runtime_error(std::string(flag) + " needs a value");
-      }
-      return argv[++i];
-    };
-    if (std::strcmp(argv[i], "--format") == 0) {
-      const std::string format = flagValue("--format");
-      if (format == "json") {
-        json = true;
-      } else if (format == "text") {
-        json = false;
-      } else {
-        return usageError("--format expects 'text' or 'json'");
-      }
-    } else if (std::strcmp(argv[i], "--disable") == 0) {
-      const char* id = flagValue("--disable");
-      if (analysis::findRule(id) == nullptr) {
-        return usageError(std::string("unknown lint rule '") + id + "'");
-      }
-      rules.disable(id);
-    } else if (argv[i][0] == '-') {
-      return usageError(std::string("unknown analyze flag '") + argv[i] + "'");
-    } else if (modelPath == nullptr) {
-      modelPath = argv[i];
-    } else {
-      return usageError(std::string("unexpected analyze argument '") + argv[i] +
-                        "'");
-    }
-  }
-  if (modelPath == nullptr) {
-    return usageError(
-        "analyze expects <model.muml> [--format text|json] [--disable "
-        "MUIxxx]");
-  }
-
-  const muml::Model model = loadFile(modelPath);
-  analysis::Report report = analysis::run(model, rules);
-  analysis::Report semantic = analysis::runSemantic(model, rules);
+  ReportArgs args;
+  if (const int rc = parseReportArgs("analyze", argc, argv, args)) return rc;
+  const muml::Model model = loadFile(args.modelPath);
+  analysis::Report report = analysis::run(model, args.rules);
+  analysis::Report semantic = analysis::runSemantic(model, args.rules);
   report.suppressed += semantic.suppressed;
   for (auto& d : semantic.diagnostics) {
     report.diagnostics.push_back(std::move(d));
   }
-  std::printf("%s", json ? analysis::writeSarif(report).c_str()
-                         : analysis::renderText(report).c_str());
+  std::printf("%s", args.json ? analysis::writeSarif(report).c_str()
+                              : analysis::renderText(report).c_str());
   return report.hasErrors() ? 1 : 0;
 }
 
@@ -669,29 +639,23 @@ int cmdBatch(int argc, char** argv) {
   std::string outPath;
   std::string cachePath;
   for (int i = 1; i < argc; ++i) {
-    const auto flagValue = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        throw std::runtime_error(std::string(flag) + " needs a value");
-      }
-      return argv[++i];
-    };
     std::uint64_t v = 0;
     if (obsOpts.consume(argc, argv, i)) {
       continue;
     } else if (std::strcmp(argv[i], "--jobs") == 0) {
-      if (!parseUint(flagValue("--jobs"), v)) {
+      if (!parseUint(flagValue(argc, argv, i), v)) {
         return usageError("--jobs expects a non-negative integer");
       }
       options.threads = static_cast<std::size_t>(v);
     } else if (std::strcmp(argv[i], "--timeout-ms") == 0) {
-      if (!parseUint(flagValue("--timeout-ms"), v)) {
+      if (!parseUint(flagValue(argc, argv, i), v)) {
         return usageError("--timeout-ms expects a non-negative integer");
       }
       options.defaultTimeoutMs = v;
     } else if (std::strcmp(argv[i], "--out") == 0) {
-      outPath = flagValue("--out");
+      outPath = flagValue(argc, argv, i);
     } else if (std::strcmp(argv[i], "--cache") == 0) {
-      cachePath = flagValue("--cache");
+      cachePath = flagValue(argc, argv, i);
     } else if (std::strcmp(argv[i], "--no-lint") == 0) {
       options.lintPreflight = false;
     } else if (std::strcmp(argv[i], "--no-presolve") == 0) {
@@ -746,53 +710,47 @@ int cmdServe(int argc, char** argv) {
   std::string portFile;
   bool compactOnly = false;
   for (int i = 0; i < argc; ++i) {
-    const auto flagValue = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        throw std::runtime_error(std::string(flag) + " needs a value");
-      }
-      return argv[++i];
-    };
     std::uint64_t v = 0;
     if (obsOpts.consume(argc, argv, i)) {
       continue;
     } else if (std::strcmp(argv[i], "--host") == 0) {
-      options.host = flagValue("--host");
+      options.host = flagValue(argc, argv, i);
     } else if (std::strcmp(argv[i], "--port") == 0) {
-      if (!parseUint(flagValue("--port"), v) || v > 65535) {
+      if (!parseUint(flagValue(argc, argv, i), v) || v > 65535) {
         return usageError("--port expects a port number (0 = auto)");
       }
       options.port = static_cast<std::uint16_t>(v);
     } else if (std::strcmp(argv[i], "--port-file") == 0) {
-      portFile = flagValue("--port-file");
+      portFile = flagValue(argc, argv, i);
     } else if (std::strcmp(argv[i], "--threads") == 0) {
-      if (!parseUint(flagValue("--threads"), v)) {
+      if (!parseUint(flagValue(argc, argv, i), v)) {
         return usageError("--threads expects a non-negative integer");
       }
       options.threads = static_cast<std::size_t>(v);
     } else if (std::strcmp(argv[i], "--queue-limit") == 0) {
-      if (!parseUint(flagValue("--queue-limit"), v) || v == 0) {
+      if (!parseUint(flagValue(argc, argv, i), v) || v == 0) {
         return usageError("--queue-limit expects a positive integer");
       }
       options.queueLimit = static_cast<std::size_t>(v);
     } else if (std::strcmp(argv[i], "--timeout-ms") == 0) {
-      if (!parseUint(flagValue("--timeout-ms"), v)) {
+      if (!parseUint(flagValue(argc, argv, i), v)) {
         return usageError("--timeout-ms expects a non-negative integer");
       }
       options.defaultTimeoutMs = v;
     } else if (std::strcmp(argv[i], "--max-timeout-ms") == 0) {
-      if (!parseUint(flagValue("--max-timeout-ms"), v)) {
+      if (!parseUint(flagValue(argc, argv, i), v)) {
         return usageError("--max-timeout-ms expects a non-negative integer");
       }
       options.maxTimeoutMs = v;
     } else if (std::strcmp(argv[i], "--retry-after-ms") == 0) {
-      if (!parseUint(flagValue("--retry-after-ms"), v)) {
+      if (!parseUint(flagValue(argc, argv, i), v)) {
         return usageError("--retry-after-ms expects a non-negative integer");
       }
       options.retryAfterMs = v;
     } else if (std::strcmp(argv[i], "--cache") == 0) {
-      options.cachePath = flagValue("--cache");
+      options.cachePath = flagValue(argc, argv, i);
     } else if (std::strcmp(argv[i], "--cache-max-entries") == 0) {
-      if (!parseUint(flagValue("--cache-max-entries"), v) || v == 0) {
+      if (!parseUint(flagValue(argc, argv, i), v) || v == 0) {
         return usageError("--cache-max-entries expects a positive integer");
       }
       options.cacheMaxEntries = static_cast<std::size_t>(v);
@@ -875,37 +833,31 @@ int cmdSubmit(int argc, char** argv) {
   std::string traceOut;
   bool portSet = false;
   for (int i = 1; i < argc; ++i) {
-    const auto flagValue = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        throw std::runtime_error(std::string(flag) + " needs a value");
-      }
-      return argv[++i];
-    };
     std::uint64_t v = 0;
     if (std::strcmp(argv[i], "--host") == 0) {
-      options.host = flagValue("--host");
+      options.host = flagValue(argc, argv, i);
     } else if (std::strcmp(argv[i], "--port") == 0) {
-      if (!parseUint(flagValue("--port"), v) || v == 0 || v > 65535) {
+      if (!parseUint(flagValue(argc, argv, i), v) || v == 0 || v > 65535) {
         return usageError("--port expects the daemon's port number");
       }
       options.port = static_cast<std::uint16_t>(v);
       portSet = true;
     } else if (std::strcmp(argv[i], "--deadline-ms") == 0) {
-      if (!parseUint(flagValue("--deadline-ms"), v)) {
+      if (!parseUint(flagValue(argc, argv, i), v)) {
         return usageError("--deadline-ms expects a non-negative integer");
       }
       options.deadlineMs = v;
     } else if (std::strcmp(argv[i], "--retry-rounds") == 0) {
-      if (!parseUint(flagValue("--retry-rounds"), v)) {
+      if (!parseUint(flagValue(argc, argv, i), v)) {
         return usageError("--retry-rounds expects a non-negative integer");
       }
       options.maxRetryRounds = static_cast<std::size_t>(v);
     } else if (std::strcmp(argv[i], "--out") == 0) {
-      outPath = flagValue("--out");
+      outPath = flagValue(argc, argv, i);
     } else if (std::strcmp(argv[i], "--trace-out") == 0) {
-      traceOut = flagValue("--trace-out");
+      traceOut = flagValue(argc, argv, i);
     } else if (std::strcmp(argv[i], "--trace-context") == 0) {
-      options.trace = flagValue("--trace-context");
+      options.trace = flagValue(argc, argv, i);
     } else {
       return usageError(std::string("unknown submit flag '") + argv[i] + "'");
     }
@@ -964,14 +916,8 @@ int cmdStats(int argc, char** argv) {
   std::vector<std::string> baselinePaths;
   obs::TrendOptions trendOpts;
   for (int i = 0; i < argc; ++i) {
-    const auto flagValue = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        throw std::runtime_error(std::string(flag) + " needs a value");
-      }
-      return argv[++i];
-    };
     if (std::strcmp(argv[i], "--format") == 0) {
-      const std::string format = flagValue("--format");
+      const std::string format = flagValue(argc, argv, i);
       if (format == "json") {
         json = true;
       } else if (format == "text") {
@@ -980,14 +926,14 @@ int cmdStats(int argc, char** argv) {
         return usageError("--format expects 'text' or 'json'");
       }
     } else if (std::strcmp(argv[i], "--baseline") == 0) {
-      baselinePaths.emplace_back(flagValue("--baseline"));
+      baselinePaths.emplace_back(flagValue(argc, argv, i));
     } else if (std::strcmp(argv[i], "--threshold") == 0) {
-      if (!parseNonNegDouble(flagValue("--threshold"),
+      if (!parseNonNegDouble(flagValue(argc, argv, i),
                              trendOpts.thresholdPct)) {
         return usageError("--threshold expects a non-negative percentage");
       }
     } else if (std::strcmp(argv[i], "--latency-threshold") == 0) {
-      if (!parseNonNegDouble(flagValue("--latency-threshold"),
+      if (!parseNonNegDouble(flagValue(argc, argv, i),
                              trendOpts.latencyThresholdPct)) {
         return usageError(
             "--latency-threshold expects a non-negative percentage");
@@ -1041,27 +987,21 @@ int cmdTop(int argc, char** argv) {
   std::uint64_t intervalMs = 1000;
   std::uint64_t frames = 0;  // 0 = until interrupted
   for (int i = 0; i < argc; ++i) {
-    const auto flagValue = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        throw std::runtime_error(std::string(flag) + " needs a value");
-      }
-      return argv[++i];
-    };
     std::uint64_t v = 0;
     if (std::strcmp(argv[i], "--host") == 0) {
-      host = flagValue("--host");
+      host = flagValue(argc, argv, i);
     } else if (std::strcmp(argv[i], "--port") == 0) {
-      if (!parseUint(flagValue("--port"), v) || v == 0 || v > 65535) {
+      if (!parseUint(flagValue(argc, argv, i), v) || v == 0 || v > 65535) {
         return usageError("--port expects the daemon's port number");
       }
       port = static_cast<std::uint16_t>(v);
     } else if (std::strcmp(argv[i], "--interval-ms") == 0) {
-      if (!parseUint(flagValue("--interval-ms"), v) || v == 0) {
+      if (!parseUint(flagValue(argc, argv, i), v) || v == 0) {
         return usageError("--interval-ms expects a positive integer");
       }
       intervalMs = v;
     } else if (std::strcmp(argv[i], "--count") == 0) {
-      if (!parseUint(flagValue("--count"), v) || v == 0) {
+      if (!parseUint(flagValue(argc, argv, i), v) || v == 0) {
         return usageError("--count expects a positive integer");
       }
       frames = v;
@@ -1127,41 +1067,35 @@ int cmdFuzz(int argc, char** argv) {
   std::vector<std::string> replayPaths;
   bool replayMode = false;
   for (int i = 0; i < argc; ++i) {
-    const auto flagValue = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        throw std::runtime_error(std::string(flag) + " needs a value");
-      }
-      return argv[++i];
-    };
     std::uint64_t v = 0;
     if (obsOpts.consume(argc, argv, i)) {
       continue;
     } else if (std::strcmp(argv[i], "--replay") == 0) {
       replayMode = true;
     } else if (std::strcmp(argv[i], "--seed") == 0) {
-      if (!parseUint(flagValue("--seed"), v)) {
+      if (!parseUint(flagValue(argc, argv, i), v)) {
         return usageError("--seed expects a non-negative integer");
       }
       options.seed = v;
     } else if (std::strcmp(argv[i], "--runs") == 0) {
-      if (!parseUint(flagValue("--runs"), v)) {
+      if (!parseUint(flagValue(argc, argv, i), v)) {
         return usageError("--runs expects a non-negative integer");
       }
       options.runs = static_cast<std::size_t>(v);
     } else if (std::strcmp(argv[i], "--jobs") == 0) {
-      if (!parseUint(flagValue("--jobs"), v)) {
+      if (!parseUint(flagValue(argc, argv, i), v)) {
         return usageError("--jobs expects a non-negative integer");
       }
       options.jobs = static_cast<std::size_t>(v);
     } else if (std::strcmp(argv[i], "--time-budget") == 0) {
-      if (!parseUint(flagValue("--time-budget"), v)) {
+      if (!parseUint(flagValue(argc, argv, i), v)) {
         return usageError("--time-budget expects seconds");
       }
       options.timeBudgetSec = v;
     } else if (std::strcmp(argv[i], "--out") == 0) {
-      options.outDir = flagValue("--out");
+      options.outDir = flagValue(argc, argv, i);
     } else if (std::strcmp(argv[i], "--oracles") == 0) {
-      std::string list = flagValue("--oracles");
+      std::string list = flagValue(argc, argv, i);
       std::size_t pos = 0;
       while (pos <= list.size()) {
         const std::size_t comma = list.find(',', pos);
@@ -1183,7 +1117,7 @@ int cmdFuzz(int argc, char** argv) {
         return usageError("--oracles expects a comma-separated oracle list");
       }
     } else if (std::strcmp(argv[i], "--inject-bug") == 0) {
-      const char* name = flagValue("--inject-bug");
+      const char* name = flagValue(argc, argv, i);
       const auto bug = fuzz::bugInjectionFromString(name);
       if (!bug) {
         return usageError(std::string("unknown bug injection '") + name +
