@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -19,6 +21,7 @@
 #include "automata/rename.hpp"
 #include "ctl/counterexample.hpp"
 #include "ctl/parser.hpp"
+#include "fuzz/scenario.hpp"
 #include "muml/integration.hpp"
 #include "muml/loader.hpp"
 
@@ -514,6 +517,45 @@ TEST(SemanticGolden, WatchdogSarifSnapshot) {
 
 TEST(SemanticGolden, RailcabSarifSnapshot) {
   expectGoldenSarif("railcab.muml", "railcab.analysis.sarif");
+}
+
+/// presolveIntegration on the seeded fuzz scenarios 1-200, at the default
+/// cap and at cap 5: verdict, rule, product size and explanation (witness
+/// names and depths included), one line per run. Regenerate (from the repo
+/// root) with:
+///   MUI_REGENERATE_GOLDENS=1 build/tests/mui_tests
+///       --gtest_filter=SemanticGolden.PresolveOnFuzzScenarios
+TEST(SemanticGolden, PresolveOnFuzzScenarios) {
+  std::string text;
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    const fuzz::Scenario s = fuzz::generateScenario(seed);
+    for (const std::size_t cap :
+         {analysis::SemanticOptions{}.stateCap, std::size_t{5}}) {
+      analysis::SemanticOptions opts;
+      opts.stateCap = cap;
+      const auto pre =
+          analysis::presolveIntegration(s.context, s.hidden, s.property, opts);
+      text += "seed " + std::to_string(seed) + " cap " + std::to_string(cap) +
+              ": " + analysis::presolveVerdictName(pre.verdict) + " " +
+              (pre.ruleId.empty() ? "-" : pre.ruleId) + " states " +
+              std::to_string(pre.productStates) + ": " + pre.explanation +
+              "\n";
+    }
+  }
+  const std::string path = std::string(MUI_GOLDEN_DIR) + "/presolve_fuzz.txt";
+  if (const char* regen = std::getenv("MUI_REGENERATE_GOLDENS");
+      regen != nullptr && std::string(regen) == "1") {
+    std::ofstream(path) << text;
+    return;
+  }
+  std::istringstream expected(readFile(path)), actual(text);
+  std::string want, got;
+  for (std::size_t line = 1;; ++line) {
+    const bool hasWant = static_cast<bool>(std::getline(expected, want));
+    const bool hasGot = static_cast<bool>(std::getline(actual, got));
+    if (!hasWant && !hasGot) break;
+    EXPECT_EQ(got, want) << "tests/golden/presolve_fuzz.txt line " << line;
+  }
 }
 
 }  // namespace

@@ -2,10 +2,11 @@
 # for the bci firmware (in-process mirror, C shim, mirror behind the
 # reference adapter), the watchdog fixture device (in process and behind the
 # reference adapter), railcab rearShipped/rearFaulty and the five watchdog
-# devices, and the `--out` rows and journal of `mui batch
+# devices, the `--out` rows and journal of `mui batch
 # examples/presolve_campaign.manifest --jobs 1` (presolve witnesses and
-# depths). Every `*Ms` field, ulid and pid is masked, so a golden holds what
-# the run decided and learned, not how long it took. Invoked as the ctest
+# depths), and the `--out` rows of the integration and bci campaigns. Every
+# `*Ms` field, ulid and pid is masked, so a golden holds what the run
+# decided and learned, not how long it took. Invoked as the ctest
 # journal_goldens from tools/CMakeLists.txt:
 #   cmake -DMUI=<mui> -DSOURCE=<repo root> -DOUT=<output dir>
 #         -P journal_golden.cmake
@@ -68,20 +69,27 @@ foreach(run IN LISTS runs)
   check_golden("${journal}" "${stem}.${hidden}.journal.jsonl")
 endforeach()
 
-# Run from the repo root so the rows name the models by relative path.
-set(rows "${OUT}/presolve_campaign.out.jsonl")
-set(journal "${OUT}/presolve_campaign.journal.jsonl")
-file(REMOVE "${rows}" "${journal}")
-execute_process(COMMAND "${MUI}" batch examples/presolve_campaign.manifest
-                        --jobs 1 --out "${rows}" --journal-out "${journal}"
-                WORKING_DIRECTORY "${SOURCE}"
-                OUTPUT_VARIABLE out ERROR_VARIABLE err RESULT_VARIABLE rc)
-if(NOT rc MATCHES "^[01]$")
-  message(FATAL_ERROR "mui batch presolve_campaign exited ${rc}:\n"
-                      "${out}${err}")
-endif()
-check_golden("${rows}" "presolve_campaign.out.jsonl")
-check_golden("${journal}" "presolve_campaign.journal.jsonl")
+# The masked `--out` rows of the presolve, integration and bci campaigns,
+# and the presolve campaign's journal. Run from the repo root so the rows
+# name the models by relative path; the bci adapters resolve through
+# MUI_ADAPTER_PATH.
+foreach(campaign presolve_campaign integration_campaign bci_campaign)
+  set(rows "${OUT}/${campaign}.out.jsonl")
+  set(journal "${OUT}/${campaign}.journal.jsonl")
+  file(REMOVE "${rows}" "${journal}")
+  execute_process(COMMAND "${MUI}" batch examples/${campaign}.manifest
+                          --jobs 1 --out "${rows}" --journal-out "${journal}"
+                  WORKING_DIRECTORY "${SOURCE}"
+                  OUTPUT_VARIABLE out ERROR_VARIABLE err RESULT_VARIABLE rc)
+  if(NOT rc MATCHES "^[01]$")
+    message(FATAL_ERROR "mui batch ${campaign} exited ${rc}:\n"
+                        "${out}${err}")
+  endif()
+  check_golden("${rows}" "${campaign}.out.jsonl")
+  if(campaign STREQUAL "presolve_campaign")
+    check_golden("${journal}" "${campaign}.journal.jsonl")
+  endif()
+endforeach()
 
 if(failures)
   message(FATAL_ERROR "journal goldens differ:${failures}")
