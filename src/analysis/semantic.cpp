@@ -17,6 +17,8 @@
 #include "automata/rename.hpp"
 #include "automata/signals.hpp"
 #include "automata/virtual_closure.hpp"
+#include "ctl/checker.hpp"
+#include "ctl/counterexample.hpp"
 #include "ctl/parser.hpp"
 #include "muml/channel.hpp"
 #include "muml/integration.hpp"
@@ -35,25 +37,6 @@ constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
 
 // ---- AG-safety fragment ----------------------------------------------------
 
-bool isPropositional(const ctl::Formula* f) {
-  if (f == nullptr) return false;
-  switch (f->op) {
-    case ctl::Op::True:
-    case ctl::Op::False:
-    case ctl::Op::Deadlock:
-    case ctl::Op::Atom:
-      return true;
-    case ctl::Op::Not:
-      return isPropositional(f->lhs.get());
-    case ctl::Op::And:
-    case ctl::Op::Or:
-    case ctl::Op::Implies:
-      return isPropositional(f->lhs.get()) && isPropositional(f->rhs.get());
-    default:
-      return false;
-  }
-}
-
 bool mentionsDeadlock(const ctl::Formula* f) {
   if (f == nullptr) return false;
   if (f->op == ctl::Op::Deadlock) return true;
@@ -66,9 +49,8 @@ bool mentionsDeadlock(const ctl::Formula* f) {
 /// property falls into the fragment — required for proving; refuting only
 /// needs one violated conjunct.
 struct SafetyFragment {
-  ctl::FormulaPtr root;  // keeps conjunct pointers alive
-  std::vector<const ctl::Formula*> agConjuncts;  // the AG nodes
-  std::vector<const ctl::Formula*> nowConjuncts;
+  std::vector<ctl::FormulaPtr> agConjuncts;  // the AG nodes
+  std::vector<ctl::FormulaPtr> nowConjuncts;
   bool parsed = false;
   bool complete = false;
 };
@@ -78,24 +60,24 @@ SafetyFragment splitSafety(const std::string& property) {
   out.parsed = true;
   out.complete = true;
   if (property.empty()) return out;
+  std::deque<ctl::FormulaPtr> work;
   try {
-    out.root = ctl::parseFormula(property);
+    work.push_back(ctl::parseFormula(property));
   } catch (const std::exception&) {
     out.parsed = false;
     out.complete = false;
     return out;
   }
-  std::deque<const ctl::Formula*> work{out.root.get()};
   while (!work.empty()) {
-    const ctl::Formula* f = work.front();
+    const ctl::FormulaPtr f = work.front();
     work.pop_front();
     if (f->op == ctl::Op::And) {
-      work.push_back(f->lhs.get());
-      work.push_back(f->rhs.get());
+      work.push_back(f->lhs);
+      work.push_back(f->rhs);
     } else if (f->op == ctl::Op::AG && !f->bound.bounded() &&
-               f->bound.lo == 0 && isPropositional(f->lhs.get())) {
+               f->bound.lo == 0 && ctl::isPropositional(f->lhs)) {
       out.agConjuncts.push_back(f);
-    } else if (isPropositional(f)) {
+    } else if (ctl::isPropositional(f)) {
       out.nowConjuncts.push_back(f);
     } else {
       out.complete = false;
@@ -130,72 +112,17 @@ bool silent(const FlatProduct& g, std::uint32_t e) {
                      [](automata::Word x) { return x == 0; });
 }
 
-/// Breadth-first depth of every state from the initial states (kNone if
-/// unreachable).
-std::vector<std::size_t> depths(const FlatProduct& g) {
-  std::vector<std::size_t> depth(g.stateCount(), kNone);
-  std::vector<StateId> queue;
-  for (const StateId q : g.initialStates()) {
-    if (depth[q] != kNone) continue;
-    depth[q] = 0;
-    queue.push_back(q);
-  }
-  for (std::size_t head = 0; head < queue.size(); ++head) {
-    const StateId v = queue[head];
-    for (std::uint32_t e = g.edgeBegin(v); e < g.edgeEnd(v); ++e) {
-      const StateId w = g.edgeTarget(e);
-      if (depth[w] != kNone) continue;
-      depth[w] = depth[v] + 1;
-      queue.push_back(w);
-    }
-  }
-  return depth;
+/// The shortest run from an initial state of `g` to a state of `target`,
+/// if one is reachable. composeFlat numbers states in the breadth-first
+/// order this search visits them in, so the run ends in the lowest-numbered
+/// target and its length is that state's depth.
+std::optional<automata::Run> shortestRunTo(const FlatProduct& g,
+                                           const ctl::SatSet& target) {
+  if (!target.any()) return std::nullopt;
+  auto runs = ctl::searchPaths(g, target, 1, ctl::CexSearch::Shortest);
+  if (runs.empty()) return std::nullopt;
+  return std::move(runs.front());
 }
-
-// ---- Propositional evaluation ----------------------------------------------
-
-/// Evaluates a propositional body at one product state. Atom semantics
-/// mirror ctl::Checker exactly: an atom holds iff some component state of
-/// the product state carries the label; unknown atoms are false.
-/// Op::Deadlock is structural (no outgoing product edge) and only
-/// trustworthy on a product the cap did not cut.
-class PropEval {
- public:
-  explicit PropEval(const FlatProduct& g) : g_(g), props_(*g.propTable()) {}
-
-  [[nodiscard]] bool eval(const ctl::Formula* f, StateId n) const {
-    switch (f->op) {
-      case ctl::Op::True:
-        return true;
-      case ctl::Op::False:
-        return false;
-      case ctl::Op::Deadlock:
-        return g_.edgeBegin(n) == g_.edgeEnd(n);
-      case ctl::Op::Atom: {
-        const auto id = props_.lookup(f->atom);
-        if (!id) return false;
-        for (std::size_t k = 0; k < g_.componentCount(); ++k) {
-          if (g_.component(k).labels(g_.origin(n, k)).test(*id)) return true;
-        }
-        return false;
-      }
-      case ctl::Op::Not:
-        return !eval(f->lhs.get(), n);
-      case ctl::Op::And:
-        return eval(f->lhs.get(), n) && eval(f->rhs.get(), n);
-      case ctl::Op::Or:
-        return eval(f->lhs.get(), n) || eval(f->rhs.get(), n);
-      case ctl::Op::Implies:
-        return !eval(f->lhs.get(), n) || eval(f->rhs.get(), n);
-      default:
-        return false;  // unreachable: bodies are pre-checked propositional
-    }
-  }
-
- private:
-  const FlatProduct& g_;
-  const util::NameTable& props_;
-};
 
 // ---- Dominators (must-pass analysis) ---------------------------------------
 
@@ -364,12 +291,12 @@ struct IntegrationAnalysis {
   FlatProduct graph;
   SafetyFragment fragment;
   PresolveOutcome outcome;
-  /// Refutation witness: violating/deadlocked state and its BFS depth, and
-  /// the violated AG conjunct (nullptr for a deadlock or initial-state
-  /// violation).
+  /// Refutation witness: violating/deadlocked state and the length of the
+  /// shortest run to it, and the violated AG conjunct (null for a deadlock
+  /// or initial-state violation).
   StateId witness = 0;
   std::size_t witnessDepth = 0;
-  const ctl::Formula* violated = nullptr;
+  ctl::FormulaPtr violated;
   bool witnessIsDeadlock = false;
 };
 
@@ -399,62 +326,61 @@ IntegrationAnalysis analyzeIntegration(const Automaton& context,
   a.graph = composeCapped({&context, &hidden}, opts.stateCap, a.parts);
   const FlatProduct& g = a.graph;
   out.productStates = g.stateCount();
-  const PropEval eval(g);
-  const auto refute = [&](StateId n) {
-    a.witness = n;
-    a.witnessDepth = depths(g)[n];
+  ctl::Checker checker(g);
+  // Refutes at the end of the shortest run to a state of `bad`, if any.
+  const auto refute = [&](const ctl::SatSet& bad) {
+    const std::optional<automata::Run> run = shortestRunTo(g, bad);
+    if (!run) return false;
+    a.witness = run->states.back();
+    a.witnessDepth = run->labels.size();
     out.verdict = PresolveVerdict::Refuted;
     out.ruleId = kGuaranteedViolation;
+    return true;
   };
 
   // Refutation 1: a reachable state violating a supported AG conjunct.
   // Sound even when capped or when other conjuncts are unsupported — one
   // failing conjunct fails the conjunction. Deadlock-mentioning bodies are
   // only evaluated when the cap did not cut the product (edges are exact).
-  for (const ctl::Formula* ag : a.fragment.agConjuncts) {
-    const ctl::Formula* body = ag->lhs.get();
-    if (g.capped() && mentionsDeadlock(body)) continue;
-    for (StateId n = 0; n < g.stateCount(); ++n) {
-      if (!eval.eval(body, n)) {
-        refute(n);
-        a.violated = ag;
-        out.explanation = "presolved: real error - reachable state '" +
-                          g.stateName(n) + "' (depth " +
-                          std::to_string(a.witnessDepth) + ") violates '" +
-                          ag->toString() + "'";
-        return a;
-      }
+  for (const ctl::FormulaPtr& ag : a.fragment.agConjuncts) {
+    if (g.capped() && mentionsDeadlock(ag->lhs.get())) continue;
+    ctl::SatSet bad = checker.evaluate(ag->lhs);
+    bad.flip();
+    if (refute(bad)) {
+      a.violated = ag;
+      out.explanation = "presolved: real error - reachable state '" +
+                        g.stateName(a.witness) + "' (depth " +
+                        std::to_string(a.witnessDepth) + ") violates '" +
+                        ag->toString() + "'";
+      return a;
     }
   }
 
   // Refutation 2: a top-level propositional conjunct failing at an initial
   // state.
-  for (const ctl::Formula* now : a.fragment.nowConjuncts) {
-    if (g.capped() && mentionsDeadlock(now)) continue;
+  for (const ctl::FormulaPtr& now : a.fragment.nowConjuncts) {
+    if (g.capped() && mentionsDeadlock(now.get())) continue;
+    const ctl::SatSet sat = checker.evaluate(now);
+    ctl::SatSet bad(g.stateCount());
     for (const StateId n : g.initialStates()) {
-      if (!eval.eval(now, n)) {
-        refute(n);
-        out.explanation =
-            "presolved: real error - initial state '" + g.stateName(n) +
-            "' violates '" + now->toString() + "'";
-        return a;
-      }
+      if (!sat[n]) bad.set(n);
+    }
+    if (refute(bad)) {
+      out.explanation = "presolved: real error - initial state '" +
+                        g.stateName(a.witness) + "' violates '" +
+                        now->toString() + "'";
+      return a;
     }
   }
 
   // Refutation 3: a reachable deadlock (¬δ is part of every integration
   // check). Only trustworthy on a product the cap did not cut.
-  if (!g.capped()) {
-    for (StateId n = 0; n < g.stateCount(); ++n) {
-      if (g.edgeBegin(n) == g.edgeEnd(n)) {
-        refute(n);
-        a.witnessIsDeadlock = true;
-        out.explanation = "presolved: real error - reachable deadlock state '" +
-                          g.stateName(n) + "' (depth " +
-                          std::to_string(a.witnessDepth) + ")";
-        return a;
-      }
-    }
+  if (!g.capped() && refute(ctl::deadlockStates(g))) {
+    a.witnessIsDeadlock = true;
+    out.explanation = "presolved: real error - reachable deadlock state '" +
+                      g.stateName(a.witness) + "' (depth " +
+                      std::to_string(a.witnessDepth) + ")";
+    return a;
   }
 
   // Proof: every conjunct supported, none violated, no deadlock, product
@@ -760,7 +686,7 @@ class SemanticAnalyzer {
                  const util::SourceLoc& loc, const IntegrationAnalysis& a,
                  const std::string& property) {
     std::vector<RelatedNote> related;
-    for (const ctl::Formula* ag : a.fragment.agConjuncts) {
+    for (const ctl::FormulaPtr& ag : a.fragment.agConjuncts) {
       if (related.size() >= opts_.maxRelated) break;
       related.push_back({"conjunct '" + ag->toString() + "': no reachable " +
                              "state among " +
@@ -837,15 +763,16 @@ class SemanticAnalyzer {
           automata::ClosureCopies::Both, stride);
       const FlatProduct g =
           automata::composeFlat({&ctx, &closure}, opts_.stateCap);
+      ctl::SatSet chaos(g.stateCount());
       for (StateId n = 0; n < g.stateCount(); ++n) {
-        const StateId c = g.origin(n, 1);
-        if (closure.isChaos(c)) {
-          return "the iteration-0 chaotic closure reaches chaos ('" +
-                 closure.stateName(c) + "') at depth " +
-                 std::to_string(depths(g)[n]) +
-                 "; the refinement loop must learn before concluding on its "
-                 "own";
-        }
+        if (closure.isChaos(g.origin(n, 1))) chaos.set(n);
+      }
+      if (const auto run = shortestRunTo(g, chaos)) {
+        return "the iteration-0 chaotic closure reaches chaos ('" +
+               closure.stateName(g.origin(run->states.back(), 1)) +
+               "') at depth " + std::to_string(run->labels.size()) +
+               "; the refinement loop must learn before concluding on its "
+               "own";
       }
       return g.capped() ? "iteration-0 chaos reachability not decided (cap)"
                         : "the iteration-0 chaotic closure never reaches "

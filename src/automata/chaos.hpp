@@ -63,7 +63,6 @@ struct Closure {
     const Kind k = origins[s].kind;
     return k == Kind::ChaosAll || k == Kind::ChaosDelta;
   }
-  [[nodiscard]] bool isKnown(StateId s) const { return !isChaos(s); }
   /// Known-model state behind a Copy0/Copy1 closure state. Paper Sec. 4.2:
   /// runs treat (s, i) as equivalent to s.
   [[nodiscard]] StateId knownOrigin(StateId s) const {

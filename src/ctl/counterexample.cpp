@@ -37,47 +37,6 @@ Run buildRun(const FlatProduct& m, const std::vector<Node>& nodes,
   return run;
 }
 
-/// Finds up to k runs from the initial states to distinct target states.
-std::vector<Run> searchPaths(const FlatProduct& m, const SatSet& target,
-                             std::size_t k, CexSearch order) {
-  std::vector<PathNode> nodes;
-  std::vector<char> visited(m.stateCount(), 0);
-  std::deque<std::size_t> work;
-  std::vector<Run> out;
-  std::unordered_set<StateId> hitTargets;
-
-  const auto visit = [&](StateId s, std::size_t parent, std::uint32_t via,
-                         bool root) {
-    if (visited[s]) return;
-    visited[s] = 1;
-    const std::size_t idx = nodes.size();
-    nodes.push_back({s, root ? idx : parent, via});
-    work.push_back(idx);
-  };
-
-  for (StateId q : m.initialStates()) visit(q, 0, 0, true);
-
-  while (!work.empty() && out.size() < k) {
-    std::size_t idx;
-    if (order == CexSearch::Shortest) {
-      idx = work.front();
-      work.pop_front();
-    } else {
-      idx = work.back();
-      work.pop_back();
-    }
-    const StateId s = nodes[idx].s;
-    if (target[s] && hitTargets.insert(s).second) {
-      out.push_back(buildRun(m, nodes, idx));
-      if (out.size() >= k) break;
-    }
-    for (std::uint32_t e = m.edgeBegin(s); e < m.edgeEnd(s); ++e) {
-      visit(m.edgeTarget(e), idx, e, false);
-    }
-  }
-  return out;
-}
-
 /// Depth-window search for windowed AG violations: runs of length in
 /// [lo, hi] ending in a target state. Nodes are keyed on (state, depth);
 /// for hi = ∞ every depth ≥ lo shares the key lo, so a target-free cycle
@@ -165,26 +124,6 @@ bool appendNotAFWitness(Checker& checker, const FlatProduct& m, Run& run,
     }
     if (!advanced) return false;  // should not happen if cur violates AF
     ++i;
-  }
-}
-
-/// Propositional formulas (boolean combinations of literals) are witnessed
-/// by the violating state itself.
-bool isPropositional(const FormulaPtr& f) {
-  switch (f->op) {
-    case Op::True:
-    case Op::False:
-    case Op::Atom:
-    case Op::Deadlock:
-      return true;
-    case Op::Not:
-    case Op::And:
-    case Op::Or:
-    case Op::Implies:
-      return isPropositional(f->lhs) &&
-             (f->rhs == nullptr || isPropositional(f->rhs));
-    default:
-      return false;
   }
 }
 
@@ -332,6 +271,46 @@ void collectPropertyCexs(Checker& checker, const FlatProduct& m,
 }
 
 }  // namespace
+
+std::vector<Run> searchPaths(const FlatProduct& m, const SatSet& target,
+                             std::size_t k, CexSearch order) {
+  std::vector<PathNode> nodes;
+  std::vector<char> visited(m.stateCount(), 0);
+  std::deque<std::size_t> work;
+  std::vector<Run> out;
+  std::unordered_set<StateId> hitTargets;
+
+  const auto visit = [&](StateId s, std::size_t parent, std::uint32_t via,
+                         bool root) {
+    if (visited[s]) return;
+    visited[s] = 1;
+    const std::size_t idx = nodes.size();
+    nodes.push_back({s, root ? idx : parent, via});
+    work.push_back(idx);
+  };
+
+  for (StateId q : m.initialStates()) visit(q, 0, 0, true);
+
+  while (!work.empty() && out.size() < k) {
+    std::size_t idx;
+    if (order == CexSearch::Shortest) {
+      idx = work.front();
+      work.pop_front();
+    } else {
+      idx = work.back();
+      work.pop_back();
+    }
+    const StateId s = nodes[idx].s;
+    if (target[s] && hitTargets.insert(s).second) {
+      out.push_back(buildRun(m, nodes, idx));
+      if (out.size() >= k) break;
+    }
+    for (std::uint32_t e = m.edgeBegin(s); e < m.edgeEnd(s); ++e) {
+      visit(m.edgeTarget(e), idx, e, false);
+    }
+  }
+  return out;
+}
 
 VerifyResult verify(const Automaton& m, const FormulaPtr& phi,
                     const VerifyOptions& opts) {

@@ -44,6 +44,14 @@ enum class CexSearch {
   DepthFirst  // DFS: first violating run found depth-first (often longer)
 };
 
+/// Finds up to k runs from the initial states of `m` to distinct states of
+/// `target`. In Shortest order the search is a BFS from the initial states
+/// along each state's edges in order, so the first run ends in the first
+/// target that BFS dequeues, and its length is that state's BFS depth.
+std::vector<automata::Run> searchPaths(const automata::FlatProduct& m,
+                                       const SatSet& target, std::size_t k,
+                                       CexSearch order);
+
 struct VerifyOptions {
   bool requireDeadlockFree = true;
   /// Maximum number of counterexamples to produce (E7: handing the testing

@@ -102,6 +102,24 @@ std::string boundStr(const Bound& b) {
 
 bool Formula::isACTL() const { return isACTLImpl(*this, false); }
 
+bool isPropositional(const FormulaPtr& f) {
+  switch (f->op) {
+    case Op::True:
+    case Op::False:
+    case Op::Atom:
+    case Op::Deadlock:
+      return true;
+    case Op::Not:
+    case Op::And:
+    case Op::Or:
+    case Op::Implies:
+      return isPropositional(f->lhs) &&
+             (f->rhs == nullptr || isPropositional(f->rhs));
+    default:
+      return false;
+  }
+}
+
 std::string Formula::toString() const {
   switch (op) {
     case Op::True:

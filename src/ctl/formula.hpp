@@ -86,6 +86,11 @@ class Formula {
   [[nodiscard]] std::string toString() const;
 };
 
+/// True iff `f` is a boolean combination of atoms, constants and δ: a
+/// state formula that each state decides on its own, so a violating state
+/// witnesses its failure by itself.
+bool isPropositional(const FormulaPtr& f);
+
 /// Number of nodes in the formula tree (atoms and constants count 1). The
 /// fuzzer's shrinker (src/fuzz/shrink.hpp) uses this as its simplification
 /// order: a replacement candidate is accepted only if it is strictly smaller.

@@ -39,11 +39,6 @@ class ThreadPool {
 
   [[nodiscard]] std::size_t threadCount() const { return workers_.size(); }
 
-  /// Stable worker ids, "worker-0" .. "worker-N-1".
-  [[nodiscard]] const std::vector<std::string>& workerNames() const {
-    return workerNames_;
-  }
-
   /// The name of the pool worker executing the calling thread's current
   /// task, or "" when called off-pool (e.g. from main).
   static const std::string& currentWorkerName();

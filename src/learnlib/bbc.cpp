@@ -16,7 +16,8 @@ BlackBoxChecker::BlackBoxChecker(automata::Automaton context,
 BbcResult BlackBoxChecker::run() {
   BbcResult res;
   const auto alphabet =
-      automata::makeAlphabet(legacy_.inputs(), legacy_.outputs(), config_.mode);
+      automata::makeAlphabet(legacy_.inputs(), legacy_.outputs(),
+                             automata::InteractionMode::AtMostOneSignal);
   std::unordered_map<automata::Interaction, Symbol, automata::InteractionHash>
       symbolOf;
   for (Symbol a = 0; a < alphabet.size(); ++a) symbolOf.emplace(alphabet[a], a);

@@ -25,7 +25,6 @@ struct BbcConfig {
   /// only).
   std::string property;
   bool requireDeadlockFree = true;
-  automata::InteractionMode mode = automata::InteractionMode::AtMostOneSignal;
   /// Assumed upper bound on the component's state count — the W-method's
   /// soundness assumption (paper Sec. 6, "A has at most as many states as
   /// M").

@@ -8,7 +8,6 @@
 #include <stdexcept>
 
 #include "util/json.hpp"
-#include "util/text_table.hpp"
 
 namespace mui::obs {
 
@@ -80,22 +79,6 @@ std::string labelSet(
   }
   out += "}";
   return out;
-}
-
-/// Smallest bucket upper bound whose cumulative count reaches
-/// `count * q`; 0 when the histogram is empty. Coarse by construction
-/// (log2 buckets) but plenty for end-of-run tables.
-std::uint64_t quantileBound(const Histogram& h, double q) {
-  const std::uint64_t total = h.count();
-  if (total == 0) return 0;
-  const auto target =
-      static_cast<std::uint64_t>(static_cast<double>(total) * q);
-  std::uint64_t cum = 0;
-  for (std::size_t i = 0; i < Histogram::kBuckets; ++i) {
-    cum += h.bucketCount(i);
-    if (cum > target || cum == total) return Histogram::bucketBound(i);
-  }
-  return Histogram::bucketBound(Histogram::kBuckets - 1);
 }
 
 std::size_t highestNonEmptyBucket(const Histogram& h) {
@@ -175,37 +158,6 @@ void Registry::setInfo(
   Entry& e = impl_->findOrCreate(name, help, "", Kind::Info);
   std::lock_guard lock(impl_->mu);
   e.labels = std::move(labels);
-}
-
-std::string Registry::renderText() const {
-  std::lock_guard lock(impl_->mu);
-  util::TextTable table({"metric", "kind", "value", "help"});
-  for (const auto& [name, e] : impl_->entries) {
-    std::string value;
-    switch (e.kind) {
-      case Kind::Counter:
-        value = std::to_string(e.counter->value());
-        break;
-      case Kind::Gauge:
-        value = std::to_string(e.gauge->value());
-        break;
-      case Kind::Histogram: {
-        const Histogram& h = *e.histogram;
-        value = "n=" + std::to_string(h.count()) +
-                " sum=" + std::to_string(h.sum()) +
-                " p50<=" + std::to_string(quantileBound(h, 0.50)) +
-                " p95<=" + std::to_string(quantileBound(h, 0.95));
-        break;
-      }
-      case Kind::Info:
-        value = labelSet(e.labels);
-        break;
-    }
-    std::string help = e.help;
-    if (!e.unit.empty()) help += " [" + e.unit + "]";
-    table.row({name, kindName(e.kind), value, help});
-  }
-  return table.str();
 }
 
 std::string Registry::renderJson() const {

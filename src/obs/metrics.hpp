@@ -16,7 +16,7 @@
 //
 // Registry::global() is the process-wide instance the pipeline instruments;
 // tests construct their own Registry for golden renderer output. Renderers
-// (text table, JSON, Prometheus exposition) take a consistent-enough
+// (JSON, Prometheus exposition) take a consistent-enough
 // snapshot for end-of-run reporting; they do not pause writers.
 
 #include <atomic>
@@ -111,8 +111,6 @@ class Registry {
   void setInfo(const std::string& name, const std::string& help,
                std::vector<std::pair<std::string, std::string>> labels);
 
-  /// Human-readable table (histograms show count/sum/p50/p95).
-  std::string renderText() const;
   /// {"metrics":[{"name":...,"kind":...,...}]} — one object per instrument.
   std::string renderJson() const;
   /// Prometheus text exposition format 0.0.4.

@@ -166,7 +166,6 @@ class Server {
   void serveConnection(const std::shared_ptr<Conn>& conn);
   void jsonlSession(LineReader& reader, const std::shared_ptr<Conn>& conn,
                     const std::string& firstLine);
-  void handleLine(const std::shared_ptr<Conn>& conn, const std::string& line);
   void handleJob(const std::shared_ptr<Conn>& conn, std::uint64_t id,
                  engine::Job job);
   void handleHttp(LineReader& reader, Conn& conn,

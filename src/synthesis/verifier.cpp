@@ -40,7 +40,7 @@ IntegrationVerifier::IntegrationVerifier(
         initialModel(*legacy, context_.signalTable(), context_.propTable()));
     alphabets_.push_back(
         automata::makeAlphabet(legacy->inputs(), legacy->outputs(),
-                               config_.mode));
+                               automata::InteractionMode::AtMostOneSignal));
   }
   for (const auto& m : models_) interfaces.push_back(&m.base());
   stride_ = automata::strideFor(interfaces);
@@ -316,6 +316,8 @@ IntegrationResult IntegrationVerifier::run() {
         res.verdict = Verdict::AdapterFailure;
         res.explanation = e.what();
         adapterFailed = true;
+      } catch (const testing::JobDeadlineExceeded&) {
+        wasCancelled = true;  // the job's deadline passed inside an exchange
       }
     }
     rec.testMs = lapMs();

@@ -52,7 +52,6 @@ struct IntegrationConfig {
   /// propositions of the context and the legacy state names.
   std::string property;
   bool requireDeadlockFree = true;
-  automata::InteractionMode mode = automata::InteractionMode::AtMostOneSignal;
   automata::ClosureStyle closureStyle =
       automata::ClosureStyle::DeterministicTarget;
   ctl::CexSearch search = ctl::CexSearch::Shortest;

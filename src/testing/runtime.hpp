@@ -27,7 +27,6 @@ class PeriodicRuntime {
   /// deadlock). Returns the number of periods executed.
   std::uint64_t run(std::uint64_t periods, Recorder& recorder);
 
-  [[nodiscard]] automata::StateId environmentState() const { return envState_; }
   void reset();
 
  private:
