@@ -351,6 +351,17 @@ TEST(Batch, DeadlineJobTimesOutWithoutHurtingTheBatch) {
   std::filesystem::remove(slowStart);
 }
 
+TEST(Batch, ADeadlineTooFarToRepresentNeverFires) {
+  // 10^13 ms from now overflows steady_clock's signed nanoseconds; the job
+  // runs as if it had no deadline instead of timing out at once.
+  Job far = watchdogJob("far", "deviceCompliant");
+  far.timeoutMs = 10'000'000'000'000;
+  const auto report = engine::runBatch({far}, engine::BatchOptions{});
+  ASSERT_EQ(report.results.size(), 1u);
+  EXPECT_EQ(report.results[0].status, JobStatus::Proven)
+      << report.results[0].explanation;
+}
+
 TEST(Batch, BrokenJobsBecomeEngineErrorRows) {
   std::vector<Job> jobs;
   Job missingFile = watchdogJob("missing-file", "deviceCompliant");
