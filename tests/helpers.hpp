@@ -1,9 +1,13 @@
 #pragma once
 // Shared helpers for the MUI test suite.
 
+#include <gtest/gtest.h>
+
+#include <cstdlib>
 #include <fstream>
 #include <initializer_list>
 #include <memory>
+#include <sstream>
 #include <string>
 
 #include "automata/automaton.hpp"
@@ -70,6 +74,28 @@ inline void writeSlowStartWatchdog(const std::string& path) {
          "  arg \"sleep 0.05; exec '" MUI_ADAPTER_DIR "/adapter_automaton' '"
       << watchdog << "' deviceCompliant --instance device\";\n"
       << "}\n";
+}
+
+/// Compares `text` line by line with tests/golden/<name>, or, with
+/// MUI_REGENERATE_GOLDENS=1 in the environment, writes it there instead.
+inline void expectGoldenLines(const std::string& name,
+                              const std::string& text) {
+  const std::string path = std::string(MUI_GOLDEN_DIR) + "/" + name;
+  if (const char* regen = std::getenv("MUI_REGENERATE_GOLDENS");
+      regen != nullptr && std::string(regen) == "1") {
+    std::ofstream(path) << text;
+    return;
+  }
+  std::ifstream file(path);
+  ASSERT_TRUE(file) << "cannot open " << path;
+  std::istringstream actual(text);
+  std::string want, got;
+  for (std::size_t line = 1;; ++line) {
+    const bool hasWant = static_cast<bool>(std::getline(file, want));
+    const bool hasGot = static_cast<bool>(std::getline(actual, got));
+    if (!hasWant && !hasGot) break;
+    EXPECT_EQ(got, want) << "tests/golden/" << name << " line " << line;
+  }
 }
 
 }  // namespace mui::test

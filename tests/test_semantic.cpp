@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -22,6 +21,7 @@
 #include "ctl/counterexample.hpp"
 #include "ctl/parser.hpp"
 #include "fuzz/scenario.hpp"
+#include "helpers.hpp"
 #include "muml/integration.hpp"
 #include "muml/loader.hpp"
 
@@ -542,20 +542,7 @@ TEST(SemanticGolden, PresolveOnFuzzScenarios) {
               "\n";
     }
   }
-  const std::string path = std::string(MUI_GOLDEN_DIR) + "/presolve_fuzz.txt";
-  if (const char* regen = std::getenv("MUI_REGENERATE_GOLDENS");
-      regen != nullptr && std::string(regen) == "1") {
-    std::ofstream(path) << text;
-    return;
-  }
-  std::istringstream expected(readFile(path)), actual(text);
-  std::string want, got;
-  for (std::size_t line = 1;; ++line) {
-    const bool hasWant = static_cast<bool>(std::getline(expected, want));
-    const bool hasGot = static_cast<bool>(std::getline(actual, got));
-    if (!hasWant && !hasGot) break;
-    EXPECT_EQ(got, want) << "tests/golden/presolve_fuzz.txt line " << line;
-  }
+  test::expectGoldenLines("presolve_fuzz.txt", text);
 }
 
 }  // namespace

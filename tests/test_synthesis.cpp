@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
+#include <sstream>
 #include <type_traits>
 
 #include "automata/compose.hpp"
@@ -15,6 +17,7 @@
 #include "ctl/parser.hpp"
 #include "helpers.hpp"
 #include "synthesis/initial.hpp"
+#include "synthesis/report.hpp"
 #include "synthesis/verifier.hpp"
 #include "testing/legacy.hpp"
 #include "testing/legacy_shuttle.hpp"
@@ -301,6 +304,120 @@ TEST(Strategies, SearchAndBatchVariantsAgreeOnTheVerdict) {
       EXPECT_EQ(res.verdict, expected);
     }
   }
+}
+
+// ---- Pinned loop rounds ----------------------------------------------------
+
+/// `count` random legacies "l0", "l1", ... from consecutive seeds and the
+/// composition of their mirrors as the joint context, as
+/// MultiLegacy.TwoComponentsAgainstAJointContext builds them.
+struct MirroredLegacies {
+  Tables t;
+  std::vector<automata::Automaton> hidden;
+  automata::Automaton context;
+
+  MirroredLegacies(std::size_t count, std::uint64_t seed)
+      : hidden(legacies(count, seed)), context(jointMirror()) {}
+
+  std::vector<automata::Automaton> legacies(std::size_t count,
+                                            std::uint64_t seed) const {
+    std::vector<automata::Automaton> out;
+    for (std::size_t k = 0; k < count; ++k) {
+      automata::RandomSpec spec;
+      spec.states = 4;
+      spec.inputs = 1;
+      spec.outputs = 1;
+      spec.seed = seed + k;
+      spec.name = "l" + std::to_string(k);
+      out.push_back(automata::randomAutomaton(spec, t.signals, t.props));
+    }
+    return out;
+  }
+
+  [[nodiscard]] automata::Automaton jointMirror() const {
+    std::vector<automata::Automaton> mirrors;
+    for (std::size_t k = 0; k < hidden.size(); ++k) {
+      mirrors.push_back(
+          automata::mirrored(hidden[k], "c" + std::to_string(k)));
+    }
+    std::vector<const automata::Automaton*> parts;
+    for (const auto& m : mirrors) parts.push_back(&m);
+    return automata::composeAll(parts).automaton;
+  }
+};
+
+/// Runs the loop on `context` and fresh legacies over `hidden` under the
+/// default configuration, three counterexamples per check and depth-first
+/// search, and appends the verdict, one line per round and every rendered
+/// counterexample to `text`.
+void recordLoopRounds(const std::string& scenario,
+                      const automata::Automaton& context,
+                      const std::vector<const automata::Automaton*>& hidden,
+                      const std::string& property, std::string& text) {
+  for (const char* variant : {"default", "cex3", "dfs"}) {
+    IntegrationConfig cfg;
+    cfg.property = property;
+    cfg.keepTraces = true;
+    if (std::string(variant) == "cex3") cfg.counterexamplesPerCheck = 3;
+    if (std::string(variant) == "dfs") cfg.search = ctl::CexSearch::DepthFirst;
+    std::vector<std::unique_ptr<testing::AutomatonLegacy>> owned;
+    std::vector<testing::LegacyComponent*> legacies;
+    for (const automata::Automaton* h : hidden) {
+      owned.push_back(std::make_unique<testing::AutomatonLegacy>(*h));
+      legacies.push_back(owned.back().get());
+    }
+    const auto res = IntegrationVerifier(context, legacies, cfg).run();
+    text += scenario + " " + variant + ": " + verdictName(res.verdict) +
+            " after " + std::to_string(res.iterations) + " iterations\n";
+    for (const auto& rec : res.journal) {
+      text += "  round " + std::to_string(rec.iteration) + ": productStates " +
+              std::to_string(rec.productStates) + " statesNew " +
+              std::to_string(rec.productStatesNew) + " closureStates " +
+              std::to_string(rec.closureStates) + " cexKind " +
+              (rec.checkPassed      ? "-"
+               : rec.cexWasDeadlock ? "deadlock"
+                                    : "property") +
+              " cexLength " + std::to_string(rec.cexLength) +
+              " learnedFacts " + std::to_string(rec.learnedFacts) +
+              " testPeriods " + std::to_string(rec.testPeriods) + "\n";
+      std::istringstream cex(rec.cexText);
+      for (std::string line; std::getline(cex, line);) {
+        text += "    " + line + "\n";
+      }
+    }
+  }
+}
+
+/// The loop's rounds on two- and three-legacy scenarios and on the RailCab,
+/// each under the default configuration, three counterexamples per check
+/// and depth-first search: verdict, iterations, per round the product and
+/// closure sizes, the counterexample's kind and length, the learned facts
+/// and test periods, and every rendered counterexample. Regenerate (from
+/// the repo root) with:
+///   MUI_REGENERATE_GOLDENS=1 build/tests/mui_tests
+///       --gtest_filter=SynthesisGolden.LoopRounds
+TEST(SynthesisGolden, LoopRounds) {
+  std::string text;
+  for (const std::size_t count : {2, 3}) {
+    for (const std::uint64_t seed : {3, 7, 11}) {
+      const MirroredLegacies w(count, seed);
+      std::vector<const automata::Automaton*> hidden;
+      for (const auto& h : w.hidden) hidden.push_back(&h);
+      const std::string scenario = std::to_string(count) + " legacies seed " +
+                                   std::to_string(seed);
+      recordLoopRounds(scenario, w.context, hidden, "", text);
+      recordLoopRounds(scenario + " AG !l1.l1_q3", w.context, hidden,
+                       "AG !l1.l1_q3", text);
+    }
+  }
+  const test::Railcab rc;
+  for (const char* legacy : {"rearShipped", "rearFaulty"}) {
+    const auto binding = rc.bind(legacy);
+    recordLoopRounds(std::string("railcab ") + legacy,
+                     binding.scenario.context, {&*binding.legacy.hidden},
+                     rc.constraint(), text);
+  }
+  test::expectGoldenLines("loop_rounds.txt", text);
 }
 
 }  // namespace

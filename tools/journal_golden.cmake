@@ -6,8 +6,8 @@
 # examples/presolve_campaign.manifest --jobs 1` (presolve witnesses and
 # depths), and the `--out` rows of the integration and bci campaigns. Every
 # `*Ms` field, ulid and pid is masked, so a golden holds what the run
-# decided and learned, not how long it took. Invoked as the ctest
-# journal_goldens from tools/CMakeLists.txt:
+# decided and learned, not how long it took (golden_mask.cmake). Invoked
+# as the ctest journal_goldens from tools/CMakeLists.txt:
 #   cmake -DMUI=<mui> -DSOURCE=<repo root> -DOUT=<output dir>
 #         -P journal_golden.cmake
 # with MUI_ADAPTER_PATH pointing at the adapter binaries. Regenerate the
@@ -26,16 +26,14 @@ set(runs
     "watchdog|models/watchdog.muml|Watchdog|device|deviceCrawl"
     "watchdog|models/watchdog.muml|Watchdog|device|deviceMute"
     "watchdog|models/watchdog.muml|Watchdog|device|deviceDeaf")
+include("${CMAKE_CURRENT_LIST_DIR}/golden_mask.cmake")
 file(MAKE_DIRECTORY "${OUT}")
 set(failures "")
 
 # Masks `file` and writes it to, or compares it with, tests/golden/<name>.
 function(check_golden file name)
   file(READ "${file}" text)
-  string(REGEX REPLACE "\"([A-Za-z]*Ms)\":[-+.0-9eE]+" "\"\\1\":\"*\""
-         text "${text}")
-  string(REGEX REPLACE "\"ulid\":\"[^\"]*\"" "\"ulid\":\"*\"" text "${text}")
-  string(REGEX REPLACE "\"pid\":[0-9]+" "\"pid\":\"*\"" text "${text}")
+  mask_golden_text(text)
   set(golden "${SOURCE}/tests/golden/${name}")
   if("$ENV{MUI_REGENERATE_GOLDENS}" STREQUAL "1")
     file(WRITE "${golden}" "${text}")
