@@ -29,8 +29,9 @@ int main() {
       "sub-behavior, deadlock-freedom requirement. Iterations grow roughly "
       "with the context-reachable part, not with the full component "
       "(Sec. 4.4 / Thm. 2: knowledge strictly increases and is bounded by "
-      "the complete model). 'composed' counts the product states built over "
-      "all iterations.");
+      "the complete model). 'composed' sums the iterations' statesNew: the "
+      "states of the pessimistic (Def. 9) products checked, which the loop "
+      "reads off the doubled view of the copy-1 product it composes.");
 
   util::TextTable table({"legacy states", "hidden trans", "verdict",
                          "iterations", "learned states", "learned trans",

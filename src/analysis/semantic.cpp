@@ -741,7 +741,9 @@ class SemanticAnalyzer {
   /// Iteration-0 chaos diagnosis: does the chaotic closure of the empty
   /// behavioral model (interface + initial state only, Lemma 4) already
   /// reach chaos when composed with the context? If so the pessimistic
-  /// product cannot prove anything before learning.
+  /// product cannot prove anything before learning. The copy-1 closure
+  /// answers for Def. 9's: chaos is entered from (s, 1) copies only, so
+  /// both products reach s_all first, at the same depth.
   [[nodiscard]] std::string chaosNote(const Automaton& context,
                                       const Automaton& stub) const {
     try {
@@ -759,8 +761,7 @@ class SemanticAnalyzer {
           m0,
           automata::makeAlphabet(stub.inputs(), stub.outputs(),
                                  automata::InteractionMode::AtMostOneSignal),
-          automata::ClosureStyle::DeterministicTarget,
-          automata::ClosureCopies::Both, stride);
+          automata::ClosureStyle::DeterministicTarget, stride);
       const FlatProduct g =
           automata::composeFlat({&ctx, &closure}, opts_.stateCap);
       ctl::SatSet chaos(g.stateCount());

@@ -50,28 +50,26 @@ Run Product::projectRun(const Run& run, std::size_t k) const {
 std::string Product::renderRun(const Run& run) const {
   return renderProductRun(
       run, *automaton.signalTable(), componentNames, componentInputs,
-      componentOutputs, [this](StateId p, std::size_t k, std::string& out) {
-        out += componentStateNames[k][origins[p][k]];
+      componentOutputs, [&](std::size_t i, std::size_t k, std::string& out) {
+        out += componentStateNames[k][origins[run.states[i]][k]];
       });
 }
 
-std::string renderProductRun(
-    const Run& run, const SignalTable& sig,
-    const std::vector<std::string>& componentNames,
-    const std::vector<SignalSet>& componentInputs,
-    const std::vector<SignalSet>& componentOutputs,
-    const std::function<void(StateId, std::size_t, std::string&)>&
-        appendState) {
+std::string renderProductRun(const Run& run, const SignalTable& sig,
+                             const std::vector<std::string>& componentNames,
+                             const std::vector<SignalSet>& componentInputs,
+                             const std::vector<SignalSet>& componentOutputs,
+                             const StateAppender& appendState) {
   std::string out;
   // Two lines of roughly 16 chars per component and step is a good first
   // guess; appending in place below avoids the per-step temporaries.
   out.reserve(run.states.size() * componentNames.size() * 32 + 16);
-  const auto appendStateLine = [&](StateId p) {
+  const auto appendStateLine = [&](std::size_t i) {
     for (std::size_t k = 0; k < componentNames.size(); ++k) {
       if (k) out += ", ";
       out += componentNames[k];
       out += '.';
-      appendState(p, k, out);
+      appendState(i, k, out);
     }
   };
   const auto appendInteractionLine = [&](const Interaction& x) {
@@ -101,21 +99,21 @@ std::string renderProductRun(
   const std::size_t regularSteps =
       run.deadlock ? run.labels.size() - 1 : run.labels.size();
   for (std::size_t i = 0; i < regularSteps; ++i) {
-    appendStateLine(run.states[i]);
+    appendStateLine(i);
     out += '\n';
     appendInteractionLine(run.labels[i]);
     out += '\n';
   }
   if (run.deadlock) {
     if (!run.labels.empty()) {
-      appendStateLine(run.states.back());
+      appendStateLine(run.states.size() - 1);
       out += '\n';
       appendInteractionLine(run.labels.back());
       out += "  [blocked]\n";
     }
     out += "DEADLOCK\n";
   } else {
-    appendStateLine(run.states.back());
+    appendStateLine(run.states.size() - 1);
     out += '\n';
   }
   return out;

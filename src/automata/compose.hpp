@@ -54,15 +54,17 @@ Product composeAll(const std::vector<const Automaton*>& components);
 /// metrics (composeAll and composeFlat both report here).
 void countProduct(std::size_t states);
 
+/// Names component k's state at position i of a run: appendState(i, k,
+/// out) appends it to `out`.
+using StateAppender =
+    std::function<void(std::size_t, std::size_t, std::string&)>;
+
 /// The Listing 1.1 rendering behind Product::renderRun and
-/// FlatProduct::renderRun: `appendState(p, k, out)` appends the name of
-/// component k's state in product state p.
-std::string renderProductRun(
-    const Run& run, const SignalTable& signals,
-    const std::vector<std::string>& componentNames,
-    const std::vector<SignalSet>& componentInputs,
-    const std::vector<SignalSet>& componentOutputs,
-    const std::function<void(StateId, std::size_t, std::string&)>&
-        appendState);
+/// FlatProduct::renderRun.
+std::string renderProductRun(const Run& run, const SignalTable& signals,
+                             const std::vector<std::string>& componentNames,
+                             const std::vector<SignalSet>& componentInputs,
+                             const std::vector<SignalSet>& componentOutputs,
+                             const StateAppender& appendState);
 
 }  // namespace mui::automata

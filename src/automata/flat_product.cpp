@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "automata/compose.hpp"
-
 namespace mui::automata {
 
 std::size_t strideFor(const std::vector<const Automaton*>& interfaces) {
@@ -103,6 +101,7 @@ void FlatProduct::copySingle(std::size_t maxStates) {
       if (e.to >= n) continue;
       to_.push_back(e.to);
       labels_.insert(labels_.end(), e.label, e.label + 2 * stride_);
+      branch_.push_back(0);
     }
     head_.push_back(static_cast<std::uint32_t>(to_.size()));
   }
@@ -168,6 +167,13 @@ Interaction FlatProduct::projectInteraction(const Interaction& x,
 }
 
 std::string FlatProduct::renderRun(const Run& run) const {
+  return renderRun(run, [&](std::size_t i, std::size_t k, std::string& out) {
+    out += comps_[k]->stateName(origin(run.states[i], k));
+  });
+}
+
+std::string FlatProduct::renderRun(const Run& run,
+                                   const StateAppender& appendState) const {
   std::vector<std::string> names;
   std::vector<SignalSet> ins, outs;
   for (const FlatComponent* c : comps_) {
@@ -175,11 +181,8 @@ std::string FlatProduct::renderRun(const Run& run) const {
     ins.push_back(c->base().inputs());
     outs.push_back(c->base().outputs());
   }
-  return renderProductRun(
-      run, *signalTable(), names, ins, outs,
-      [this](StateId p, std::size_t k, std::string& out) {
-        out += comps_[k]->stateName(origin(p, k));
-      });
+  return renderProductRun(run, *signalTable(), names, ins, outs,
+                          appendState);
 }
 
 // ---- composeFlat -----------------------------------------------------------
@@ -310,8 +313,11 @@ FlatProduct composeFlat(std::vector<const FlatComponent*> components,
 
   // Breadth-first: states are expanded in id order, so each state's edges
   // are appended contiguously and head_ grows in step. The joint label of
-  // the edges chosen for components < k accumulates in acc[k].
+  // the edges chosen for components < k accumulates in acc[k], and
+  // `branch` is the lowest component whose choice moved since the last
+  // edge was appended.
   std::vector<std::vector<EdgeRef>> edges(width);
+  std::size_t branch = 0;
   std::vector<const Word*> chosen(width);
   std::vector<Word> acc((width + 1) * w2, 0);
   std::vector<StateId> from(width);
@@ -322,6 +328,9 @@ FlatProduct composeFlat(std::vector<const FlatComponent*> components,
       p.to_.push_back(to);
       p.labels_.insert(p.labels_.end(), acc.begin() + width * w2,
                        acc.end());
+      p.branch_.push_back(
+          static_cast<std::uint8_t>(std::min<std::size_t>(branch, 255)));
+      branch = width;
       return;
     }
     const Word* prev = acc.data() + k * w2;
@@ -332,6 +341,7 @@ FlatProduct composeFlat(std::vector<const FlatComponent*> components,
         ok = p.matches(j, chosen[j], k, e.label);
       }
       if (!ok) continue;
+      branch = std::min(branch, k);
       chosen[k] = e.label;
       row[k] = e.to;
       for (std::size_t w = 0; w < w2; ++w) next[w] = prev[w] | e.label[w];
@@ -343,6 +353,7 @@ FlatProduct composeFlat(std::vector<const FlatComponent*> components,
     for (std::size_t k = 0; k < width; ++k) {
       p.comps_[k]->edges(from[k], edges[k]);
     }
+    branch = 0;
     extend(extend, 0);
     p.head_.push_back(static_cast<std::uint32_t>(p.to_.size()));
   }

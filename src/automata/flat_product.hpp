@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "automata/automaton.hpp"
+#include "automata/compose.hpp"
 #include "util/bitset.hpp"
 
 namespace mui::automata {
@@ -136,6 +137,13 @@ class FlatProduct {
     return labels_.data() + std::size_t{e} * 2 * stride_;
   }
   [[nodiscard]] Interaction edgeLabel(std::uint32_t e) const;
+  /// The first component whose edge choice differs between edge e and the
+  /// edge before it in its state's range (0 for a state's first edge).
+  /// Edges that share their choices for components 0..k-1 are contiguous,
+  /// so this marks where each component's choice begins and ends.
+  [[nodiscard]] std::size_t edgeBranch(std::uint32_t e) const {
+    return branch_[e];
+  }
 
   /// States carrying proposition `prop` (Def. 3: L''(p) is the union of
   /// the components' labels at p's origins).
@@ -156,6 +164,9 @@ class FlatProduct {
 
   /// Product::renderRun's Listing 1.1 rendering, byte for byte.
   [[nodiscard]] std::string renderRun(const Run& run) const;
+  /// The same rendering with the state names that `appendState` gives.
+  [[nodiscard]] std::string renderRun(const Run& run,
+                                      const StateAppender& appendState) const;
 
  private:
   friend FlatProduct composeFlat(std::vector<const FlatComponent*>,
@@ -175,6 +186,7 @@ class FlatProduct {
   std::vector<std::uint32_t> head_{0};
   std::vector<StateId> to_;
   std::vector<Word> labels_;  // 2·stride words per edge
+  std::vector<std::uint8_t> branch_;  // per edge, see edgeBranch
   std::vector<StateId> initial_;
   bool capped_ = false;
 };

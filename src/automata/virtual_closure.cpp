@@ -1,18 +1,17 @@
 #include "automata/virtual_closure.hpp"
 
+#include <bit>
 #include <stdexcept>
 
 namespace mui::automata {
 
 VirtualClosure::VirtualClosure(const IncompleteAutomaton& m,
                                const std::vector<Interaction>& alphabet,
-                               ClosureStyle style, ClosureCopies copies,
-                               std::size_t stride,
+                               ClosureStyle style, std::size_t stride,
                                const std::string& chaosProp)
     : FlatComponent(m.base(), stride),
       m_(m),
-      known_(m.base().stateCount()),
-      copies_(copies == ClosureCopies::Both ? 2 : 1) {
+      known_(m.base().stateCount()) {
   const Automaton& base = m.base();
   const std::size_t w2 = 2 * stride;
   chaosLabels_.set(base.propTable()->intern(chaosProp));
@@ -60,21 +59,15 @@ VirtualClosure::VirtualClosure(const IncompleteAutomaton& m,
 std::string VirtualClosure::stateName(StateId c) const {
   if (c == sAll()) return "s_all";
   if (c == sDelta()) return "s_delta";
-  const std::string& name = m_.base().stateName(knownOrigin(c));
-  return copies_ == 2 && c % 2 == 1 ? name + "'" : name;
+  return m_.base().stateName(c);
 }
 
 const PropSet& VirtualClosure::labels(StateId c) const {
-  return isChaos(c) ? chaosLabels_ : m_.base().labels(knownOrigin(c));
+  return isChaos(c) ? chaosLabels_ : m_.base().labels(c);
 }
 
 std::vector<StateId> VirtualClosure::initialStates() const {
-  std::vector<StateId> out;
-  for (const StateId q : m_.base().initialStates()) {
-    if (copies_ == 2) out.push_back(2 * q);
-    out.push_back(copy1(q));
-  }
-  return out;
+  return m_.base().initialStates();
 }
 
 void VirtualClosure::edges(StateId c, std::vector<EdgeRef>& out) const {
@@ -91,27 +84,152 @@ void VirtualClosure::edges(StateId c, std::vector<EdgeRef>& out) const {
     }
     return;
   }
-  const StateId s = knownOrigin(c);
-  // Known transitions re-choose the copy bit: (s, 0) lists (t, 0) before
-  // (t, 1), (s, 1) lists (t, 1) before (t, 0).
-  const bool copy0 = copies_ == 2 && c % 2 == 0;
-  for (std::uint32_t e = knownHead_[s]; e < knownHead_[s + 1]; ++e) {
-    const Word* label = &knownWords_[std::size_t{e} * w2];
-    const StateId t = knownTo_[e];
-    if (copies_ == 1) {
-      out.push_back({label, t});
-    } else if (copy0) {
-      out.push_back({label, 2 * t});
-      out.push_back({label, 2 * t + 1});
-    } else {
-      out.push_back({label, 2 * t + 1});
-      out.push_back({label, 2 * t});
-    }
+  for (std::uint32_t e = knownHead_[c]; e < knownHead_[c + 1]; ++e) {
+    out.push_back({&knownWords_[std::size_t{e} * w2], knownTo_[e]});
   }
-  if (copy0) return;  // unknown interactions deadlock at (s, 0)
-  for (std::uint32_t j = chaosHead_[s]; j < chaosHead_[s + 1]; ++j) {
+  for (std::uint32_t j = chaosHead_[c]; j < chaosHead_[c + 1]; ++j) {
     chaosPair(chaosAlpha_[j]);
   }
+}
+
+// ---- DoubledProduct ---------------------------------------------------------
+
+DoubledProduct::DoubledProduct(const FlatProduct& copy1,
+                               const std::vector<VirtualClosure>& closures)
+    : p_(copy1) {
+  if (copy1.capped()) {
+    throw std::invalid_argument("DoubledProduct: the product is capped");
+  }
+  if (closures.empty() || closures.size() > 32 ||
+      copy1.componentCount() != closures.size() + 1) {
+    throw std::invalid_argument(
+        "DoubledProduct: expects a context and 1 to 32 closures");
+  }
+  sAll_.push_back(0);
+  initialCount_.push_back(copy1.component(0).initialStates().size());
+  for (std::size_t k = 0; k < closures.size(); ++k) {
+    if (&copy1.component(k + 1) !=
+        static_cast<const FlatComponent*>(&closures[k])) {
+      throw std::invalid_argument(
+          "DoubledProduct: closure " + std::to_string(k) +
+          " is not component " + std::to_string(k + 1) + " of the product");
+    }
+    sAll_.push_back(closures[k].sAll());
+    initialCount_.push_back(closures[k].initialStates().size());
+  }
+  knownMask_.reserve(copy1.stateCount());
+  for (StateId p = 0; p < copy1.stateCount(); ++p) {
+    std::uint32_t mask = 0;
+    for (std::size_t k = 1; k < sAll_.size(); ++k) {
+      if (known(p, k)) mask |= 1u << (k - 1);
+    }
+    knownMask_.push_back(mask);
+    states_ += std::size_t{1} << std::popcount(mask);
+  }
+}
+
+std::vector<DoubledProduct::Node> DoubledProduct::initialNodes() const {
+  // composeFlat seeds the rows lexicographically over the components'
+  // initial states, and the two-copy closure lists (q, 0), (q, 1) for each
+  // initial q: row r of the copy-1 product is the mixed-radix number of the
+  // components' initial-state indices.
+  std::vector<Node> out;
+  const std::vector<StateId>& rows = p_.initialStates();
+  const auto seed = [&](auto&& self, std::size_t k, std::size_t row,
+                        std::uint32_t copies) -> void {
+    if (k == initialCount_.size()) {
+      out.push_back({rows[row], copies});
+      return;
+    }
+    for (std::size_t i = 0; i < initialCount_[k]; ++i) {
+      const std::size_t r = row * initialCount_[k] + i;
+      if (k == 0) {
+        self(self, 1, r, copies);
+      } else {
+        self(self, k + 1, r, copies);
+        self(self, k + 1, r, copies | 1u << (k - 1));
+      }
+    }
+  };
+  seed(seed, 0, 0, 0);
+  return out;
+}
+
+void DoubledProduct::successors(Node n, std::vector<Step>& out) const {
+  out.clear();
+  expand(n, 1, p_.edgeBegin(n.state), p_.edgeEnd(n.state), 0, out);
+}
+
+void DoubledProduct::expand(Node n, std::size_t k, std::uint32_t lo,
+                            std::uint32_t hi, std::uint32_t copies,
+                            std::vector<Step>& out) const {
+  const bool last = k + 1 == sAll_.size();
+  const std::uint32_t bit = 1u << (k - 1);
+  const bool fromKnown = (knownMask_[n.state] & bit) != 0;
+  const std::uint32_t b = n.copies & bit;
+  for (std::uint32_t e = lo; e < hi;) {
+    // [e, end) are the edges that make legacy k's choice of edge e.
+    std::uint32_t end = e + 1;
+    while (!last && end < hi && p_.edgeBranch(end) > k) ++end;
+    const auto next = [&](std::uint32_t c) {
+      if (last) {
+        out.push_back({{p_.edgeTarget(e), c}, e});
+      } else {
+        expand(n, k + 1, e, end, c, out);
+      }
+    };
+    if (!fromKnown) {
+      next(copies);
+    } else if (known(p_.edgeTarget(e), k)) {
+      next(copies | b);
+      next(copies | (b ^ bit));
+    } else if (b != 0) {
+      next(copies);
+    }
+    e = end;
+  }
+}
+
+bool DoubledProduct::deadlocked(Node n) const {
+  // The legacies at an (s, 0) copy drop every edge that takes them into
+  // chaos; the node is stuck when that drops all of its state's edges.
+  const std::uint32_t zero = knownMask_[n.state] & ~n.copies;
+  for (std::uint32_t e = p_.edgeBegin(n.state); e < p_.edgeEnd(n.state);
+       ++e) {
+    bool kept = true;
+    for (std::uint32_t m = zero; m != 0 && kept; m &= m - 1) {
+      kept = known(p_.edgeTarget(e),
+                   static_cast<std::size_t>(std::countr_zero(m)) + 1);
+    }
+    if (kept) return false;
+  }
+  return true;
+}
+
+bool DoubledProduct::anyDeadlock() const {
+  for (StateId p = 0; p < knownMask_.size(); ++p) {
+    if (deadlocked({p, 0})) return true;
+  }
+  return false;
+}
+
+std::string DoubledProduct::stateName(Node n) const {
+  std::string out;
+  for (std::size_t k = 0; k < sAll_.size(); ++k) {
+    if (k) out += '|';
+    out += p_.component(k).stateName(p_.origin(n.state, k));
+    if (k > 0 && (n.copies >> (k - 1) & 1u) != 0) out += '\'';
+  }
+  return out;
+}
+
+std::string DoubledProduct::renderRun(
+    const Run& run, const std::vector<std::uint32_t>& copies) const {
+  return p_.renderRun(run, [&](std::size_t i, std::size_t k,
+                               std::string& out) {
+    out += p_.component(k).stateName(p_.origin(run.states[i], k));
+    if (k > 0 && (copies[i] >> (k - 1) & 1u) != 0) out += '\'';
+  });
 }
 
 }  // namespace mui::automata

@@ -1,18 +1,23 @@
 #pragma once
-// chaos(M) (paper Def. 9) as a view for the lean product engine
-// (flat_product.hpp): the closure's successors are enumerated on demand
-// from the incomplete automaton and the alphabet instead of being built
-// into an Automaton every refinement round.
+// chaos(M) (paper Def. 9) as views for the lean product engine
+// (flat_product.hpp).
 //
-// The view keeps chaoticClosure's state numbering, names, labels, initial
-// states and per-state edge order (chaos.hpp), so a product over it equals
-// composeAll over chaoticClosure(...).automaton:
-//   - ClosureCopies::Both: (s, 0) = 2s, (s, 1) = 2s+1, s_∀ = 2n, s_δ = 2n+1;
-//   - ClosureCopies::Copy1Only: (s, 1) = s, s_∀ = n, s_δ = n+1.
-// Construction only packs the known transitions and computes, per known
-// state, which alphabet interactions continue into chaos (the chaos
+// VirtualClosure is the optimistic closure, chaoticClosure(..., Copy1Only):
+// its successors are enumerated on demand from the incomplete automaton and
+// the alphabet instead of being built into an Automaton every refinement
+// round. It keeps chaoticClosure's state numbering ((s, 1) = s, s_∀ = n,
+// s_δ = n+1), names, labels, initial states and per-state edge order
+// (chaos.hpp), so a product over it equals composeAll over the Copy1Only
+// closure. Construction only packs the known transitions and computes, per
+// known state, which alphabet interactions continue into chaos (the chaos
 // mask); it costs O(|T| + |S|·|alphabet|) and allocates no names.
+//
+// DoubledProduct is Def. 9's two-copy (pessimistic) product seen through
+// the copy-1 one, so deadlock freedom is decided without composing it: the
+// two copies of a known state differ only in that (s, 0) has no chaos
+// edges, and every known edge reaches both (t, 0) and (t, 1).
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -24,8 +29,8 @@ namespace mui::automata {
 
 class VirtualClosure final : public FlatComponent {
  public:
-  /// The view of chaoticClosure(m, alphabet, style, copies, chaosProp) at
-  /// word stride `stride`; interns `chaosProp` as chaoticClosure does.
+  /// The view of chaoticClosure(m, alphabet, style, Copy1Only, chaosProp)
+  /// at word stride `stride`; interns `chaosProp` as chaoticClosure does.
   /// `alphabet` must be duplicate-free, as makeAlphabet returns it. Throws
   /// std::invalid_argument if an alphabet interaction lies outside m's
   /// interface. `m` must outlive the view. Learning may extend it
@@ -33,36 +38,22 @@ class VirtualClosure final : public FlatComponent {
   /// view keeps the transitions and the chaos mask it was built with.
   VirtualClosure(const IncompleteAutomaton& m,
                  const std::vector<Interaction>& alphabet, ClosureStyle style,
-                 ClosureCopies copies, std::size_t stride,
+                 std::size_t stride,
                  const std::string& chaosProp = kChaosProp);
 
-  [[nodiscard]] std::size_t stateCount() const override {
-    return copies_ * known_ + 2;
-  }
+  [[nodiscard]] std::size_t stateCount() const override { return known_ + 2; }
   [[nodiscard]] std::string stateName(StateId c) const override;
   [[nodiscard]] const PropSet& labels(StateId c) const override;
   [[nodiscard]] std::vector<StateId> initialStates() const override;
   void edges(StateId c, std::vector<EdgeRef>& out) const override;
 
-  [[nodiscard]] StateId sAll() const {
-    return static_cast<StateId>(copies_ * known_);
-  }
+  [[nodiscard]] StateId sAll() const { return static_cast<StateId>(known_); }
   [[nodiscard]] StateId sDelta() const { return sAll() + 1; }
   [[nodiscard]] bool isChaos(StateId c) const { return c >= sAll(); }
-  /// Known-model state behind a copy state; 0 for the chaos states (as
-  /// Closure::knownOrigin).
-  [[nodiscard]] StateId knownOrigin(StateId c) const {
-    return isChaos(c) ? 0 : static_cast<StateId>(c / copies_);
-  }
-  /// The (s, 1) copy of known state s.
-  [[nodiscard]] StateId copy1(StateId s) const {
-    return static_cast<StateId>(s * copies_ + copies_ - 1);
-  }
 
  private:
   const IncompleteAutomaton& m_;
-  std::size_t known_;   // |S| of the known model
-  std::size_t copies_;  // 2 for Both, 1 for Copy1Only
+  std::size_t known_;  // |S| of the known model
   PropSet chaosLabels_;
   std::vector<std::uint32_t> knownHead_;  // CSR over T, size |S|+1
   std::vector<StateId> knownTo_;
@@ -70,6 +61,81 @@ class VirtualClosure final : public FlatComponent {
   std::vector<Word> alphabetWords_;       // 2·stride words per interaction
   std::vector<std::uint32_t> chaosHead_;  // chaos mask as CSR, size |S|+1
   std::vector<std::uint32_t> chaosAlpha_; // alphabet indices
+};
+
+/// Def. 9's pessimistic product, the context composed with every legacy's
+/// two-copy closure chaoticClosure(M_l, ..., Both), as a view over `copy1`,
+/// the context (component 0) composed with the legacies' VirtualClosures
+/// (components 1..K) by composeFlat without a bound.
+///
+/// A node is a copy-1 product state plus the copy bit of each legacy that
+/// sits at a known state; a legacy in chaos has no copy bit. Every node is
+/// reachable, so stateCount() is the pessimistic product's size. Nodes,
+/// initial nodes and successors come in the order composeFlat gives the
+/// pessimistic product:
+///   - initial nodes: for each initial row, legacy k's copies 0 and 1 in
+///     turn, legacy 1 outermost;
+///   - successors of a node, per edge of its state: a legacy at a known
+///     state s moving to a known state t reaches (t, b) and then (t, 1−b),
+///     where b is its copy bit; one moving into chaos takes the edge only
+///     from (s, 1); a legacy in chaos keeps its own edges. With several
+///     legacies, edges are ordered by (context edge, legacy-1 edge, its
+///     copy, legacy-2 edge, its copy, ...), read off FlatProduct::edgeBranch.
+class DoubledProduct {
+ public:
+  struct Node {
+    StateId state;          // the copy-1 product state
+    std::uint32_t copies;   // bit k-1: legacy k sits at the (s, 1) copy
+  };
+  /// One successor: the node and the copy-1 product edge it follows.
+  struct Step {
+    Node to;
+    std::uint32_t edge;
+  };
+
+  /// `closures[k]` is component k+1 of `copy1`. Throws
+  /// std::invalid_argument if copy1 was capped, has other components, or
+  /// composes more than 32 legacies.
+  DoubledProduct(const FlatProduct& copy1,
+                 const std::vector<VirtualClosure>& closures);
+
+  [[nodiscard]] const FlatProduct& product() const { return p_; }
+  /// Σ over copy-1 states of 2^(legacies at a known state).
+  [[nodiscard]] std::size_t stateCount() const { return states_; }
+  /// A number of the node below slotCount(), distinct per node.
+  [[nodiscard]] std::size_t index(Node n) const {
+    return (std::size_t{n.state} << (sAll_.size() - 1)) | n.copies;
+  }
+  [[nodiscard]] std::size_t slotCount() const {
+    return p_.stateCount() << (sAll_.size() - 1);
+  }
+  [[nodiscard]] std::vector<Node> initialNodes() const;
+  /// Replaces `out` with the successors of n, in order.
+  void successors(Node n, std::vector<Step>& out) const;
+  [[nodiscard]] bool deadlocked(Node n) const;
+  /// Whether some node is deadlocked: some state whose every edge takes a
+  /// legacy from a known state into chaos (its all-copy-0 node is stuck).
+  [[nodiscard]] bool anyDeadlock() const;
+  /// "ctx|a'|s_all": copy-1 states of known legacy states are primed, as
+  /// chaoticClosure names them.
+  [[nodiscard]] std::string stateName(Node n) const;
+  /// FlatProduct::renderRun with copies[i] as the copy bits at run
+  /// position i.
+  [[nodiscard]] std::string renderRun(
+      const Run& run, const std::vector<std::uint32_t>& copies) const;
+
+ private:
+  [[nodiscard]] bool known(StateId p, std::size_t k) const {
+    return p_.origin(p, k) < sAll_[k];
+  }
+  void expand(Node n, std::size_t k, std::uint32_t lo, std::uint32_t hi,
+              std::uint32_t copies, std::vector<Step>& out) const;
+
+  const FlatProduct& p_;
+  std::vector<StateId> sAll_;              // per component; 0 for the context
+  std::vector<std::size_t> initialCount_;  // per component
+  std::vector<std::uint32_t> knownMask_;   // per copy-1 state
+  std::size_t states_ = 0;
 };
 
 }  // namespace mui::automata

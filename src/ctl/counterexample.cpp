@@ -9,16 +9,11 @@
 namespace mui::ctl {
 
 using automata::Automaton;
+using automata::DoubledProduct;
 using automata::FlatProduct;
 using automata::Run;
 
 namespace {
-
-struct PathNode {
-  StateId s;
-  std::size_t parent;  // self-index for roots
-  std::uint32_t edge;  // edge from parent (labels are built for runs only)
-};
 
 /// The run from a root to nodes[idx]; `Node` has s, parent and edge.
 template <typename Node>
@@ -36,6 +31,120 @@ Run buildRun(const FlatProduct& m, const std::vector<Node>& nodes,
   std::reverse(run.labels.begin(), run.labels.end());
   return run;
 }
+
+/// A path the search found: its nodes from a root, and the edge taken
+/// into each node after the first.
+template <typename Node>
+struct Path {
+  std::vector<Node> nodes;
+  std::vector<std::uint32_t> edges;
+};
+
+/// The search loop of searchPaths and of the doubled view's deadlock
+/// search. From the initial nodes, in order, it takes nodes breadth-first
+/// (Shortest) or last-in-first-out (DepthFirst), marks each node when it is
+/// first reached, and follows each taken node's successors in order; it
+/// returns the paths to the first k target nodes taken. `G` provides
+///   Node; nodeCount(); index(Node) < nodeCount(), distinct per node;
+///   initialNodes(); isTarget(Node); forEachSuccessor(Node, f), calling
+///   f(Node, edge), which follows isTarget for the same node.
+template <typename G>
+std::vector<Path<typename G::Node>> searchGraph(const G& g, std::size_t k,
+                                                CexSearch order) {
+  using Node = typename G::Node;
+  struct Entry {
+    Node node;
+    std::size_t parent;  // self-index for roots
+    std::uint32_t edge;  // edge from parent (labels are built for runs only)
+  };
+  std::vector<Entry> nodes;
+  std::vector<char> visited(g.nodeCount(), 0);
+  std::deque<std::size_t> work;
+  std::vector<Path<Node>> out;
+
+  const auto visit = [&](Node n, std::size_t parent, std::uint32_t via,
+                         bool root) {
+    char& seen = visited[g.index(n)];
+    if (seen) return;
+    seen = 1;
+    const std::size_t idx = nodes.size();
+    nodes.push_back({n, root ? idx : parent, via});
+    work.push_back(idx);
+  };
+
+  for (const Node n : g.initialNodes()) visit(n, 0, 0, true);
+
+  while (!work.empty() && out.size() < k) {
+    std::size_t idx;
+    if (order == CexSearch::Shortest) {
+      idx = work.front();
+      work.pop_front();
+    } else {
+      idx = work.back();
+      work.pop_back();
+    }
+    const Node n = nodes[idx].node;
+    if (g.isTarget(n)) {
+      Path<Node>& path = out.emplace_back();
+      for (std::size_t i = idx;; i = nodes[i].parent) {
+        path.nodes.push_back(nodes[i].node);
+        if (nodes[i].parent == i) break;
+        path.edges.push_back(nodes[i].edge);
+      }
+      std::reverse(path.nodes.begin(), path.nodes.end());
+      std::reverse(path.edges.begin(), path.edges.end());
+      if (out.size() >= k) break;
+    }
+    g.forEachSuccessor(n, [&](Node to, std::uint32_t e) {
+      visit(to, idx, e, false);
+    });
+  }
+  return out;
+}
+
+/// A flat product's states toward a target set, for searchGraph.
+struct ProductGraph {
+  using Node = StateId;
+  const FlatProduct& m;
+  const SatSet& target;
+
+  [[nodiscard]] std::size_t nodeCount() const { return m.stateCount(); }
+  [[nodiscard]] std::size_t index(StateId s) const { return s; }
+  [[nodiscard]] const std::vector<StateId>& initialNodes() const {
+    return m.initialStates();
+  }
+  [[nodiscard]] bool isTarget(StateId s) const { return target[s]; }
+  template <typename F>
+  void forEachSuccessor(StateId s, F&& f) const {
+    for (std::uint32_t e = m.edgeBegin(s); e < m.edgeEnd(s); ++e) {
+      f(m.edgeTarget(e), e);
+    }
+  }
+};
+
+/// The doubled view toward its deadlocked nodes, for searchGraph. A node
+/// is deadlocked when it has no successors, so isTarget lists them, and
+/// forEachSuccessor, which searchGraph calls next for the same node, reads
+/// that list.
+struct DoubledGraph {
+  using Node = DoubledProduct::Node;
+  const DoubledProduct& v;
+  mutable std::vector<DoubledProduct::Step> steps;
+
+  [[nodiscard]] std::size_t nodeCount() const { return v.slotCount(); }
+  [[nodiscard]] std::size_t index(Node n) const { return v.index(n); }
+  [[nodiscard]] std::vector<Node> initialNodes() const {
+    return v.initialNodes();
+  }
+  [[nodiscard]] bool isTarget(Node n) const {
+    v.successors(n, steps);
+    return steps.empty();
+  }
+  template <typename F>
+  void forEachSuccessor(Node, F&& f) const {
+    for (const auto& [to, e] : steps) f(to, e);
+  }
+};
 
 /// Depth-window search for windowed AG violations: runs of length in
 /// [lo, hi] ending in a target state. Nodes are keyed on (state, depth);
@@ -274,39 +383,12 @@ void collectPropertyCexs(Checker& checker, const FlatProduct& m,
 
 std::vector<Run> searchPaths(const FlatProduct& m, const SatSet& target,
                              std::size_t k, CexSearch order) {
-  std::vector<PathNode> nodes;
-  std::vector<char> visited(m.stateCount(), 0);
-  std::deque<std::size_t> work;
   std::vector<Run> out;
-  std::unordered_set<StateId> hitTargets;
-
-  const auto visit = [&](StateId s, std::size_t parent, std::uint32_t via,
-                         bool root) {
-    if (visited[s]) return;
-    visited[s] = 1;
-    const std::size_t idx = nodes.size();
-    nodes.push_back({s, root ? idx : parent, via});
-    work.push_back(idx);
-  };
-
-  for (StateId q : m.initialStates()) visit(q, 0, 0, true);
-
-  while (!work.empty() && out.size() < k) {
-    std::size_t idx;
-    if (order == CexSearch::Shortest) {
-      idx = work.front();
-      work.pop_front();
-    } else {
-      idx = work.back();
-      work.pop_back();
-    }
-    const StateId s = nodes[idx].s;
-    if (target[s] && hitTargets.insert(s).second) {
-      out.push_back(buildRun(m, nodes, idx));
-      if (out.size() >= k) break;
-    }
-    for (std::uint32_t e = m.edgeBegin(s); e < m.edgeEnd(s); ++e) {
-      visit(m.edgeTarget(e), idx, e, false);
+  for (auto& path : searchGraph(ProductGraph{m, target}, k, order)) {
+    Run& run = out.emplace_back();
+    run.states = std::move(path.nodes);
+    for (const std::uint32_t e : path.edges) {
+      run.labels.push_back(m.edgeLabel(e));
     }
   }
   return out;
@@ -350,6 +432,33 @@ VerifyResult verify(const FlatProduct& m, const FormulaPtr& phi,
   }
 
   result.holds = cexs.empty();
+  return result;
+}
+
+VerifyResult verifyDeadlockFree(const DoubledProduct& v,
+                                const VerifyOptions& opts) {
+  const obs::ObsSpan span("verify", opts.traceId);
+  VerifyResult result;
+  result.stateCount = v.stateCount();
+  if (v.anyDeadlock()) {
+    for (const auto& path : searchGraph(DoubledGraph{v, {}},
+                                        opts.maxCounterexamples,
+                                        opts.search)) {
+      Counterexample cex;
+      cex.kind = Counterexample::Kind::Deadlock;
+      for (const DoubledProduct::Node n : path.nodes) {
+        cex.run.states.push_back(n.state);
+        cex.copies.push_back(n.copies);
+      }
+      for (const std::uint32_t e : path.edges) {
+        cex.run.labels.push_back(v.product().edgeLabel(e));
+      }
+      cex.note =
+          "reachable deadlock state '" + v.stateName(path.nodes.back()) + "'";
+      result.counterexamples.push_back(std::move(cex));
+    }
+  }
+  result.holds = result.counterexamples.empty();
   return result;
 }
 

@@ -10,9 +10,11 @@
 // read off one distance labelling (Checker::afPositions). Deadlock freedom
 // ¬δ is checked as a reachability question and witnessed by a shortest path
 // to a stuck state; the deadlock-only check (phi == nullptr) builds no
-// Checker, since the deadlock set is the product's empty edge ranges. For
-// formulas outside this fragment a non-exact witness (the violating initial
-// state) is returned and flagged.
+// Checker, since the deadlock set is the product's empty edge ranges. The
+// refinement loop decides ¬δ on Def. 9's pessimistic product without
+// composing it, by the same search over the optimistic product's doubled
+// view (verifyDeadlockFree). For formulas outside this fragment a non-exact
+// witness (the violating initial state) is returned and flagged.
 
 #include <optional>
 #include <string>
@@ -21,6 +23,7 @@
 #include "automata/automaton.hpp"
 #include "automata/flat_product.hpp"
 #include "automata/run.hpp"
+#include "automata/virtual_closure.hpp"
 #include "ctl/checker.hpp"
 #include "ctl/formula.hpp"
 
@@ -30,6 +33,9 @@ struct Counterexample {
   enum class Kind { Property, Deadlock };
   Kind kind = Kind::Property;
   automata::Run run;
+  /// Runs of verifyDeadlockFree only: per run position, the copy bits of
+  /// the legacies (DoubledProduct::Node::copies); empty otherwise.
+  std::vector<std::uint32_t> copies;
   /// False when only an approximate witness could be constructed (formula
   /// shape outside the supported ACTL fragment).
   bool pathExact = true;
@@ -87,5 +93,13 @@ VerifyResult verify(const automata::FlatProduct& m, const FormulaPtr& phi,
 /// verify() on m's one-component product (FlatProduct::of).
 VerifyResult verify(const automata::Automaton& m, const FormulaPtr& phi,
                     const VerifyOptions& opts = {});
+
+/// verify(pess, nullptr, opts) for the pessimistic product `pess` that `v`
+/// views, without composing it: the same holds, stateCount, runs and notes
+/// (opts.requireDeadlockFree is not read). A run's states are v's copy-1
+/// product states and its copy bits are in Counterexample::copies; render
+/// it with DoubledProduct::renderRun.
+VerifyResult verifyDeadlockFree(const automata::DoubledProduct& v,
+                                const VerifyOptions& opts = {});
 
 }  // namespace mui::ctl

@@ -1,6 +1,6 @@
 #include "engine/manifest.hpp"
 
-#include <cctype>
+#include <cstdint>
 #include <filesystem>
 #include <optional>
 #include <utility>
@@ -14,7 +14,8 @@ namespace {
 struct Token {
   std::string key;
   std::string value;
-  std::size_t col = 1;  // 1-based column of the key
+  std::size_t col = 1;       // 1-based column of the key
+  std::size_t valueCol = 1;  // 1-based column of the value
 };
 
 class LineLexer {
@@ -35,6 +36,7 @@ class LineLexer {
       fail("expected key=value, got '" + tok.key + "'", tok.col);
     }
     ++pos_;  // '='
+    tok.valueCol = pos_ + 1;
     if (!atEnd() && line_[pos_] == '"') {
       ++pos_;
       while (!atEnd() && line_[pos_] != '"') {
@@ -84,13 +86,16 @@ class LineLexer {
 std::uint64_t parseCount(const Token& tok, const LineLexer& lex) {
   if (tok.value.empty()) lex.fail("empty value for " + tok.key, tok.col);
   std::uint64_t v = 0;
-  for (const char c : tok.value) {
-    if (!std::isdigit(static_cast<unsigned char>(c))) {
-      lex.fail("value of " + tok.key + " must be a non-negative integer, got '" +
-                   tok.value + "'",
-               tok.col);
-    }
-    v = v * 10 + static_cast<std::uint64_t>(c - '0');
+  const std::errc ec = util::parseUint64(tok.value, v);
+  if (ec == std::errc::result_out_of_range) {
+    lex.fail("value of " + tok.key + " is out of range (at most " +
+                 std::to_string(UINT64_MAX) + "), got '" + tok.value + "'",
+             tok.valueCol);
+  }
+  if (ec != std::errc()) {
+    lex.fail("value of " + tok.key + " must be a non-negative integer, got '" +
+                 tok.value + "'",
+             tok.col);
   }
   return v;
 }

@@ -21,13 +21,16 @@
 //       with ctl::verify on the concrete composition; Skipped is always
 //       acceptable.
 //   O7  The lean product engine equals the reference: for partially
-//       learned models of the legacy, both ClosureCopies and both
-//       ClosureStyles, the virtual closure matches chaoticClosure and
+//       learned models of the legacy and both ClosureStyles, the virtual
+//       closure matches chaoticClosure's copy-1 closure and
 //       composeFlat(ctx, view) matches composeAll({ctx, chaos(M)}) state
 //       by state (numbering, initials, edges in order, origins, names,
 //       every atom), and ctl::verify returns identical results on both.
 //       composeFlat under a random bound c is the unbounded product's
-//       first c states, and capped() says whether the bound cut it.
+//       first c states, and capped() says whether the bound cut it. The
+//       deadlock search over the doubled view of the lean product returns
+//       what ctl::verify returns on composeAll over Def. 9's two-copy
+//       closure (doubledViewDiff).
 //
 // checkOracle never reports flaky results: everything derives from the
 // scenario seed. Violations carry the exposing formula so the shrinker
@@ -38,6 +41,10 @@
 #include <string_view>
 #include <vector>
 
+#include "automata/chaos.hpp"
+#include "automata/compose.hpp"
+#include "automata/virtual_closure.hpp"
+#include "ctl/counterexample.hpp"
 #include "fuzz/scenario.hpp"
 
 namespace mui::fuzz {
@@ -98,5 +105,16 @@ struct OracleResult {
 /// ordinary violations.
 OracleResult checkOracle(OracleId id, const Scenario& s,
                          const OracleOptions& opts = {});
+
+/// What differs between ctl::verify(pess, nullptr, opts), where `pess` is
+/// composeAll of the context and the two-copy closures `both`, and
+/// ctl::verifyDeadlockFree(view, opts), where `view` doubles the product of
+/// the context and the same models' VirtualClosures; "" when nothing does.
+/// Runs compare per position as the context state and each legacy's
+/// closure state and copy bit, then as labels, notes and renderings.
+std::string doubledViewDiff(const automata::Product& pess,
+                            const std::vector<const automata::Closure*>& both,
+                            const automata::DoubledProduct& view,
+                            const ctl::VerifyOptions& opts);
 
 }  // namespace mui::fuzz

@@ -103,8 +103,8 @@ IntegrationResult IntegrationVerifier::run() {
 
   // Which abstractions the configuration actually needs: no property means
   // the optimistic product would be checked against nothing, and deadlock
-  // freedom off means the pessimistic product would be, too. Skipping them
-  // is the degenerate case of sharing exploration between the abstractions.
+  // freedom off means the pessimistic product would be, too. The one
+  // composed product serves both.
   const bool needOpt = phi != nullptr;
   const bool needPess = config_.requireDeadlockFree;
   // The context is component 0 of every product; its labels are packed once.
@@ -167,8 +167,8 @@ IntegrationResult IntegrationVerifier::run() {
       return ms;
     };
 
-    // 1. Closures and compositions with the context. Two abstractions are
-    // checked per round (see ClosureCopies):
+    // 1. Closures and the composition with the context. Two abstractions
+    // are checked per round:
     //  - the *pessimistic* product (Def. 9 verbatim, both copies) decides
     //    deadlock freedom — unknown interactions may be refusals;
     //  - the *optimistic* product (copy-1 only) decides the property —
@@ -178,53 +178,44 @@ IntegrationResult IntegrationVerifier::run() {
     //    combination is sound: once the pessimistic ¬δ check passes, the
     //    real system has no unlearned refusals on reachable paths, and
     //    ACTL properties transfer through the optimistic abstraction.
-    // The closures are views (automata/virtual_closure.hpp): setting one up
-    // packs the learned transitions and the chaos mask; the composer then
-    // enumerates their successors on demand.
-    std::vector<automata::VirtualClosure> closuresPess, closuresOpt;
+    // Only the optimistic product is composed: the pessimistic one is its
+    // doubled view (automata::DoubledProduct). The closures are views
+    // (automata/virtual_closure.hpp): setting one up packs the learned
+    // transitions and the chaos mask; the composer then enumerates their
+    // successors on demand.
+    std::vector<automata::VirtualClosure> closures;
     {
       const obs::ObsSpan span("closure", config_.ulid);
       if (progress != nullptr) progress->setPhase("closure");
-      closuresPess.reserve(models_.size());
-      closuresOpt.reserve(models_.size());
-      for (std::size_t k = 0; k < models_.size(); ++k) {
-        if (needPess) {
-          closuresPess.emplace_back(models_[k], alphabets_[k],
-                                    config_.closureStyle,
-                                    automata::ClosureCopies::Both, stride_);
-        }
-        if (needOpt) {
-          closuresOpt.emplace_back(models_[k], alphabets_[k],
-                                   config_.closureStyle,
-                                   automata::ClosureCopies::Copy1Only,
-                                   stride_);
-        }
-        if (needPess || needOpt) {
-          rec.closureStates +=
-              (needPess ? closuresPess : closuresOpt).back().stateCount();
-        }
+      closures.reserve(models_.size());
+      for (std::size_t k = 0; k < models_.size() && (needPess || needOpt);
+           ++k) {
+        closures.emplace_back(models_[k], alphabets_[k], config_.closureStyle,
+                              stride_);
+        // Def. 9's closure has 2|S|+2 states; the copy-1 one has |S|+2.
+        rec.closureStates += closures.back().stateCount() +
+                             (needPess ? models_[k].base().stateCount() : 0);
       }
     }
     rec.closureMs = lapMs();
 
-    const auto composeWith =
-        [&](const std::vector<automata::VirtualClosure>& cs) {
-          std::vector<const automata::FlatComponent*> parts{&context};
-          for (const auto& c : cs) parts.push_back(&c);
-          automata::FlatProduct p = automata::composeFlat(std::move(parts));
-          rec.productStatesNew += p.stateCount();
-          return p;
-        };
-    std::optional<automata::FlatProduct> productPess, productOpt;
+    std::optional<automata::FlatProduct> product;
+    std::optional<automata::DoubledProduct> pessimistic;
     {
       const obs::ObsSpan span("compose", config_.ulid);
       if (progress != nullptr) progress->setPhase("compose");
-      if (needPess) productPess = composeWith(closuresPess);
-      if (needOpt) productOpt = composeWith(closuresOpt);
+      if (!closures.empty()) {
+        std::vector<const automata::FlatComponent*> parts{&context};
+        for (const auto& c : closures) parts.push_back(&c);
+        product = automata::composeFlat(std::move(parts));
+      }
+      if (needPess) pessimistic.emplace(*product, closures);
     }
-    rec.productStates = productPess ? productPess->stateCount()
-                        : productOpt ? productOpt->stateCount()
-                                     : 0;
+    if (needPess) rec.productStatesNew += pessimistic->stateCount();
+    if (needOpt) rec.productStatesNew += product->stateCount();
+    rec.productStates = needPess  ? pessimistic->stateCount()
+                        : needOpt ? product->stateCount()
+                                  : 0;
     rec.composeMs = lapMs();
 
     // 2. Verification step (Sec. 4.1).
@@ -238,9 +229,8 @@ IntegrationResult IntegrationVerifier::run() {
       vo.search = config_.search;
       vo.traceId = config_.ulid;
       vo.requireDeadlockFree = false;
-      if (needOpt) propRes = ctl::verify(*productOpt, phi, vo);
-      vo.requireDeadlockFree = true;
-      if (needPess) dlRes = ctl::verify(*productPess, nullptr, vo);
+      if (needOpt) propRes = ctl::verify(*product, phi, vo);
+      if (needPess) dlRes = ctl::verifyDeadlockFree(*pessimistic, vo);
     }
     rec.checkPassed = propRes.holds && dlRes.holds;
     rec.checkMs = lapMs();
@@ -273,14 +263,17 @@ IntegrationResult IntegrationVerifier::run() {
     rec.cexLength = firstCex.run.length();
     bool realError = false;
     bool unsupported = false;
-    const auto process =
-        [&](const ctl::VerifyResult& vres,
-            const automata::FlatProduct& product,
-            const std::vector<automata::VirtualClosure>& closures) {
+    // Deadlock runs name the pessimistic product's states: copy-1 states
+    // of known legacy states are primed.
+    const auto render = [&](const ctl::Counterexample& cex) {
+      return cex.copies.empty() ? product->renderRun(cex.run)
+                                : pessimistic->renderRun(cex.run, cex.copies);
+    };
+    const auto process = [&](const ctl::VerifyResult& vres) {
       for (const auto& cex : vres.counterexamples) {
         if (cancelled()) return;
         if (config_.keepTraces) {
-          rec.cexText += product.renderRun(cex.run);
+          rec.cexText += render(cex);
           rec.cexText += "--\n";
         }
         if (!cex.pathExact) {
@@ -288,11 +281,11 @@ IntegrationResult IntegrationVerifier::run() {
           continue;
         }
         const auto handling =
-            handleCounterexample(cex, product, closures, rec);
+            handleCounterexample(cex, *product, closures, rec);
         if (handling.realError) {
           res.verdict = Verdict::RealError;
           res.explanation = handling.errorText;
-          res.counterexampleText = product.renderRun(cex.run);
+          res.counterexampleText = render(cex);
           realError = true;
           return;
         }
@@ -308,10 +301,8 @@ IntegrationResult IntegrationVerifier::run() {
       // tearing down the harness (the component could not be observed, so
       // neither Lemma 5 nor Lemma 6 applies).
       try {
-        if (!propRes.holds) process(propRes, *productOpt, closuresOpt);
-        if (!realError && !dlRes.holds) {
-          process(dlRes, *productPess, closuresPess);
-        }
+        if (!propRes.holds) process(propRes);
+        if (!realError && !dlRes.holds) process(dlRes);
       } catch (const testing::AdapterFailure& e) {
         res.verdict = Verdict::AdapterFailure;
         res.explanation = e.what();
@@ -469,9 +460,8 @@ IntegrationVerifier::CexHandling IntegrationVerifier::handleCounterexample(
     bool anyUnknown = false;
     bool anyEscape = false;
     for (std::size_t k = 0; k < legacies_.size(); ++k) {
-      const automata::StateId cs = product.origin(p, k + 1);
-      const automata::StateId sk = closures[k].knownOrigin(cs);
-      for (const auto& x : jointOffers(product, closures, p, k)) {
+      const automata::StateId sk = product.origin(p, k + 1);
+      for (const auto& x : jointOffers(product, p, k)) {
         if (models_[k].base().hasTransition(sk, x)) {
           // The offer is already known to be accepted. This happens when a
           // previous counterexample of the same batch taught it (the stuck
@@ -511,8 +501,7 @@ IntegrationVerifier::CexHandling IntegrationVerifier::handleCounterexample(
 }
 
 std::vector<automata::Interaction> IntegrationVerifier::jointOffers(
-    const automata::FlatProduct& product,
-    const std::vector<automata::VirtualClosure>& closures, automata::StateId p,
+    const automata::FlatProduct& product, automata::StateId p,
     std::size_t legacyIdx) const {
   const std::size_t stride = product.stride();
   std::vector<automata::Word> legacyIn(stride), legacyOut(stride);
@@ -521,19 +510,14 @@ std::vector<automata::Interaction> IntegrationVerifier::jointOffers(
                       legacyOut.data());
 
   // The participating components other than the legacy, and their edges at
-  // p (another legacy's closure at the copy-1 twin, so its chaotic —
+  // p (another legacy's closure at its copy-1 state, so its chaotic —
   // possible-but-unknown — moves participate in the offers).
   std::vector<std::size_t> others;
   std::vector<std::vector<automata::EdgeRef>> edges;
   for (std::size_t i = 0; i < product.componentCount(); ++i) {
     if (i == legacyIdx + 1) continue;
-    automata::StateId s = product.origin(p, i);
-    if (i > 0) {
-      const auto& cl = closures[i - 1];
-      s = cl.copy1(cl.knownOrigin(s));
-    }
     others.push_back(i);
-    product.component(i).edges(s, edges.emplace_back());
+    product.component(i).edges(product.origin(p, i), edges.emplace_back());
   }
 
   std::vector<automata::Interaction> offers;

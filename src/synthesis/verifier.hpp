@@ -116,14 +116,20 @@ struct IterationRecord {
   std::size_t modelStates = 0;
   std::size_t modelTransitions = 0;
   std::size_t modelForbidden = 0;
-  std::size_t closureStates = 0;  // summed closure sizes
+  /// Summed sizes of the closures the checked abstractions use: 2|S|+2
+  /// per legacy when ¬δ is checked (Def. 9), |S|+2 otherwise.
+  std::size_t closureStates = 0;
+  /// The pessimistic product's size when ¬δ is checked, else the
+  /// optimistic one's.
   std::size_t productStates = 0;
   bool checkPassed = false;
   bool cexWasDeadlock = false;
   std::size_t cexLength = 0;
   std::size_t learnedFacts = 0;      // knowledge delta during this iteration
   std::uint64_t testPeriods = 0;     // legacy periods driven this iteration
-  /// Product states built this iteration, summed over the products.
+  /// States of the round's abstractions: the pessimistic (Def. 9) product
+  /// when ¬δ is checked plus the optimistic one when a property is. Only
+  /// the optimistic product is composed (see IntegrationVerifier::run).
   std::size_t productStatesNew = 0;
   /// Wall-clock phase breakdown of this iteration, in milliseconds.
   double closureMs = 0;  // chaotic closures (Def. 9)
@@ -185,21 +191,21 @@ class IntegrationVerifier {
     std::string errorText;
   };
 
-  /// `product` composes the context (component 0) with `closures`.
+  /// `product` composes the context (component 0) with `closures`, the
+  /// copy-1 closures; a deadlock run's copy bits are not read.
   CexHandling handleCounterexample(
       const ctl::Counterexample& cex, const automata::FlatProduct& product,
       const std::vector<automata::VirtualClosure>& closures,
       IterationRecord& record);
 
   /// Legacy-k interactions required by some joint move of all *other*
-  /// components at product state `p` (deduplicated). Other legacies are
-  /// taken at their copy-1 twin so their *possible* (chaotic) moves count —
-  /// a real deadlock must be unescapable for every behavior the others
-  /// might still reveal.
+  /// components at product state `p` (deduplicated). Other legacies move
+  /// from their copy-1 state so their *possible* (chaotic) moves count — a
+  /// real deadlock must be unescapable for every behavior the others might
+  /// still reveal.
   std::vector<automata::Interaction> jointOffers(
-      const automata::FlatProduct& product,
-      const std::vector<automata::VirtualClosure>& closures,
-      automata::StateId p, std::size_t legacyIdx) const;
+      const automata::FlatProduct& product, automata::StateId p,
+      std::size_t legacyIdx) const;
 
   bool applyOutcome(std::size_t legacyIdx, const testing::TestOutcome& outcome);
 

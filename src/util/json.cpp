@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "util/parse.hpp"
 #include "util/text_table.hpp"
 
 namespace mui::util::json {
@@ -388,12 +389,8 @@ std::optional<bool> Value::flag(std::string_view key) const {
 std::optional<std::uint64_t> Value::u64(std::string_view key) const {
   const Value* v = member(*this, key, Kind::Number);
   if (v == nullptr) return std::nullopt;
-  const char* end = v->text.data() + v->text.size();
   std::uint64_t n = 0;
-  // from_chars takes no sign and reports overflow; the whole token must
-  // be digits.
-  const auto [ptr, ec] = std::from_chars(v->text.data(), end, n);
-  if (ec != std::errc() || ptr != end) return std::nullopt;
+  if (parseUint64(v->text, n) != std::errc()) return std::nullopt;
   return n;
 }
 

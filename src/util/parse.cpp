@@ -1,8 +1,20 @@
 #include "util/parse.hpp"
 
 #include <cctype>
+#include <charconv>
 
 namespace mui::util {
+
+std::errc parseUint64(std::string_view text, std::uint64_t& out) {
+  const char* end = text.data() + text.size();
+  std::uint64_t v = 0;
+  // from_chars takes no sign for an unsigned type and reports overflow.
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  if (text.empty() || ptr != end) return std::errc::invalid_argument;
+  if (ec != std::errc()) return ec;
+  out = v;
+  return {};
+}
 
 char Cursor::advance() {
   const char c = text_[pos_++];

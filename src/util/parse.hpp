@@ -2,11 +2,19 @@
 // Minimal recursive-descent parsing kit shared by the CCTL formula parser
 // (ctl/parser) and the .muml model-file parser (muml/loader).
 
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <system_error>
 
 namespace mui::util {
+
+/// Reads `text` as a decimal std::uint64_t written in digits only: no
+/// sign, space or base prefix. Returns std::errc{} and sets `out`;
+/// std::errc::invalid_argument when `text` is empty or holds anything but
+/// digits; std::errc::result_out_of_range when it exceeds 2^64 − 1.
+std::errc parseUint64(std::string_view text, std::uint64_t& out);
 
 /// A position in a source text, as carried by parser diagnostics and by the
 /// loader's per-definition bookkeeping (muml::ModelSource). Line/column are

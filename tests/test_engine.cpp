@@ -8,6 +8,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cstdint>
 #include <filesystem>
 #include <sstream>
 #include <stdexcept>
@@ -132,6 +133,31 @@ TEST(Manifest, RejectsBadInput) {
   EXPECT_THROW(
       engine::parseManifest("job model=m pattern=P role=r hidden=h color=red\n"),
       util::ParseError);
+}
+
+TEST(Manifest, IntegersPastTwoToTheSixtyFourAreOutOfRange) {
+  const std::string head = "job model=m pattern=P role=r hidden=h ";
+  for (const std::string key : {"max-iterations", "timeout-ms"}) {
+    const auto jobs =
+        engine::parseManifest(head + key + "=18446744073709551615\n");
+    ASSERT_EQ(jobs.size(), 1u);
+    EXPECT_EQ(key == "timeout-ms" ? jobs[0].timeoutMs
+                                  : std::uint64_t{jobs[0].maxIterations},
+              UINT64_MAX);
+    for (const char* value : {"18446744073709551616", "18446744073709551617"}) {
+      try {
+        engine::parseManifest(head + key + "=" + value + "\n",
+                              "camp.manifest");
+        ADD_FAILURE() << key << "=" << value << " was accepted";
+      } catch (const util::ParseError& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("out of range"), std::string::npos) << what;
+        // The error points at the value's first digit.
+        EXPECT_EQ(e.col(), head.size() + key.size() + 2) << what;
+        EXPECT_NE(what.find("camp.manifest:1:"), std::string::npos) << what;
+      }
+    }
+  }
 }
 
 TEST(Manifest, WriteRoundTrips) {

@@ -164,6 +164,7 @@
 #include "testing/legacy.hpp"
 #include "testing/subprocess.hpp"
 #include "util/json.hpp"
+#include "util/parse.hpp"
 
 #ifndef MUI_VERSION
 #define MUI_VERSION "0.0.0-dev"
@@ -610,13 +611,10 @@ int cmdAnalyze(int argc, char** argv) {
   return report.hasErrors() ? 1 : 0;
 }
 
-/// Parses a non-negative integer CLI argument; returns false on garbage.
+/// Parses a non-negative integer CLI argument: digits only, at most
+/// 2^64 − 1; returns false otherwise.
 bool parseUint(const char* text, std::uint64_t& out) {
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(text, &end, 10);
-  if (end == text || *end != '\0') return false;
-  out = v;
-  return true;
+  return util::parseUint64(text, out) == std::errc();
 }
 
 /// Parses a non-negative decimal CLI argument (threshold percentages).
