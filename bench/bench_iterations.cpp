@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "bench_util.hpp"
+#include "obs/metrics.hpp"
 #include "testing/legacy.hpp"
 
 int main() {
@@ -31,12 +32,15 @@ int main() {
       "(Sec. 4.4 / Thm. 2: knowledge strictly increases and is bounded by "
       "the complete model). 'composed' sums the iterations' statesNew: the "
       "states of the pessimistic (Def. 9) products checked, which the loop "
-      "reads off the doubled view of the copy-1 product it composes.");
+      "reads off the doubled view of the copy-1 product it composes. "
+      "'built' counts the product states the loop actually composed "
+      "(mui_compose_product_states_new_total): each round's learned states "
+      "and each state of the run's chaos region once.");
 
   util::TextTable table({"legacy states", "hidden trans", "verdict",
                          "iterations", "learned states", "learned trans",
                          "learned refusals", "test periods",
-                         "ms p50 [p25-p75]", "composed"});
+                         "ms p50 [p25-p75]", "composed", "built"});
   const std::vector<std::size_t> sizes =
       smoke ? std::vector<std::size_t>{4, 8}
             : std::vector<std::size_t>{4, 8, 16, 32, 64};
@@ -44,6 +48,8 @@ int main() {
   json += smoke ? "true" : "false";
   json += ",\"sizes\":[";
   constexpr int kRepeats = 7;
+  const obs::Counter& statesBuilt = obs::Registry::global().counter(
+      "mui_compose_product_states_new_total", "Product states built");
   for (std::size_t si = 0; si < sizes.size(); ++si) {
     const std::size_t states = sizes[si];
     // Aggregate a few seeds per size; the counts come from one repeat
@@ -51,6 +57,7 @@ int main() {
     std::vector<double> ms(kRepeats, 0.0);
     std::size_t iters = 0, lStates = 0, lTrans = 0, lForb = 0, hTrans = 0;
     std::size_t composed = 0;
+    std::uint64_t built = 0;
     std::uint64_t periods = 0;
     std::string verdicts;
     constexpr int kSeeds = 5;
@@ -60,9 +67,11 @@ int main() {
       synthesis::IntegrationResult res;
       for (double& repeatMs : ms) {
         testing::AutomatonLegacy legacy(sc.hidden);
+        const std::uint64_t before = statesBuilt.value();
         bench::Stopwatch w;
         res = synthesis::runIntegration(sc.context, legacy, {});
         repeatMs += w.ms();
+        if (&repeatMs == &ms.front()) built += statesBuilt.value() - before;
       }
 
       composed += res.totalProductStatesNew;
@@ -87,7 +96,7 @@ int main() {
                avg(static_cast<std::size_t>(periods)),
                util::fmt(p50, 2) + " [" + util::fmt(p25, 2) + "-" +
                    util::fmt(p75, 2) + "]",
-               avg(composed)});
+               avg(composed), avg(static_cast<std::size_t>(built))});
     if (si) json += ',';
     json += "{\"legacyStates\":" + std::to_string(states) +
             ",\"seeds\":" + std::to_string(kSeeds) +
@@ -96,7 +105,8 @@ int main() {
             ",\"scratchMs\":" + util::fmt(p50, 3) +
             ",\"scratchMsP25\":" + util::fmt(p25, 3) +
             ",\"scratchMsP75\":" + util::fmt(p75, 3) +
-            ",\"statesComposedScratch\":" + std::to_string(composed) + "}";
+            ",\"statesComposedScratch\":" + std::to_string(composed) +
+            ",\"statesBuilt\":" + std::to_string(built) + "}";
   }
   json += "]}\n";
   std::printf("%s\n", table.str().c_str());

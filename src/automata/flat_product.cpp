@@ -116,10 +116,11 @@ Interaction FlatProduct::edgeLabel(std::uint32_t e) const {
           SignalSet::fromWords(w + stride_, stride_)};
 }
 
-util::DenseBitset FlatProduct::atomSat(util::NameId prop) const {
-  const std::size_t n = stateCount();
+util::DenseBitset FlatProduct::atomSat(util::NameId prop,
+                                      bool region) const {
+  const std::size_t n = regionBegin();
   const std::size_t k = comps_.size();
-  util::DenseBitset sat(n);
+  util::DenseBitset sat(stateCount());
   std::vector<char> carries;
   for (std::size_t c = 0; c < k; ++c) {
     const FlatComponent& comp = *comps_[c];
@@ -131,6 +132,12 @@ util::DenseBitset FlatProduct::atomSat(util::NameId prop) const {
     if (!any) continue;
     for (StateId p = 0; p < n; ++p) {
       if (carries[origins_[p * k + c]]) sat.set(p);
+    }
+  }
+  if (region && region_ != nullptr) {
+    const util::DenseBitset linked = region_->atomSat(prop);
+    for (std::size_t r = 0; r < regionStates_; ++r) {
+      if (linked[r]) sat.set(n + r);
     }
   }
   return sat;
@@ -187,8 +194,6 @@ std::string FlatProduct::renderRun(const Run& run,
 
 // ---- composeFlat -----------------------------------------------------------
 
-namespace {
-
 /// Open-addressing index from component-state rows to product states. The
 /// rows live in the product's origins array, so the table stores ids only.
 class RowIndex {
@@ -237,10 +242,16 @@ class RowIndex {
   std::vector<StateId> slots_;
 };
 
-}  // namespace
+namespace {
 
-FlatProduct composeFlat(std::vector<const FlatComponent*> components,
-                        std::size_t maxStates) {
+/// A target that composeFlat links to its region: the region state's id
+/// with this bit set, until the product's own states are all numbered.
+constexpr StateId kRegionLink = 0x80000000u;
+
+/// Throws std::invalid_argument where composeAll does (no components,
+/// unshared tables, overlapping I or O) and on components of different
+/// strides.
+void checkComposable(const std::vector<const FlatComponent*>& components) {
   if (components.empty()) {
     throw std::invalid_argument("composeFlat: no components");
   }
@@ -263,44 +274,33 @@ FlatProduct composeFlat(std::vector<const FlatComponent*> components,
     accIn |= b.inputs();
     accOut |= b.outputs();
   }
+}
 
-  FlatProduct p;
-  p.setComponents(std::move(components));
-  if (p.comps_.size() == 1) {
-    // composeAll wraps a single component as is, unreachable states too.
-    p.copySingle(maxStates);
-    countProduct(p.stateCount());
-    return p;
-  }
-  const std::size_t width = p.comps_.size();
-  const std::size_t w2 = 2 * p.stride_;
+/// Appends `row` to `origins` as product state `next` unless `index`
+/// already holds it; returns its state, or kEmpty when it is new and
+/// `admit` is false.
+StateId intern(RowIndex& index, std::vector<StateId>& origins,
+               const StateId* row, std::size_t width, bool admit) {
+  const auto next = static_cast<StateId>(origins.size() / width);
+  const StateId found = index.findOrInsert(row, origins, next, admit);
+  if (found != RowIndex::kEmpty || !admit) return found;
+  origins.insert(origins.end(), row, row + width);
+  return next;
+}
 
-  RowIndex index(width);
-  std::vector<StateId> row(width);  // the row being built or expanded
-  // The product state of `row`; kEmpty when it is new and over the bound.
-  const auto ensure = [&]() {
-    const auto next = static_cast<StateId>(p.origins_.size() / width);
-    const bool admit = next < maxStates;
-    const StateId found =
-        index.findOrInsert(row.data(), p.origins_, next, admit);
-    if (found != RowIndex::kEmpty) return found;
-    if (!admit) {
-      p.capped_ = true;
-      return RowIndex::kEmpty;
-    }
-    p.origins_.insert(p.origins_.end(), row.begin(), row.end());
-    return next;
-  };
-
-  // Q'' = Q_0 × ... × Q_{K-1}, lexicographically (the fold's order).
+/// Q'' = Q_0 × ... × Q_{K-1}, lexicographically (the fold's order): calls
+/// ensure(row) on every initial row and keeps the states it names.
+template <typename Ensure>
+void seedInitial(const std::vector<const FlatComponent*>& comps,
+                 std::vector<StateId>& initial, Ensure&& ensure) {
+  const std::size_t width = comps.size();
   std::vector<std::vector<StateId>> initials;
-  for (const FlatComponent* c : p.comps_) {
-    initials.push_back(c->initialStates());
-  }
+  for (const FlatComponent* c : comps) initials.push_back(c->initialStates());
+  std::vector<StateId> row(width);
   const auto seed = [&](auto&& self, std::size_t k) -> void {
     if (k == width) {
-      if (const StateId q = ensure(); q != RowIndex::kEmpty) {
-        p.initial_.push_back(q);
+      if (const StateId q = ensure(row.data()); q != RowIndex::kEmpty) {
+        initial.push_back(q);
       }
       return;
     }
@@ -310,54 +310,240 @@ FlatProduct composeFlat(std::vector<const FlatComponent*> components,
     }
   };
   seed(seed, 0);
+}
 
-  // Breadth-first: states are expanded in id order, so each state's edges
-  // are appended contiguously and head_ grows in step. The joint label of
-  // the edges chosen for components < k accumulates in acc[k], and
-  // `branch` is the lowest component whose choice moved since the last
-  // edge was appended.
-  std::vector<std::vector<EdgeRef>> edges(width);
-  std::size_t branch = 0;
-  std::vector<const Word*> chosen(width);
-  std::vector<Word> acc((width + 1) * w2, 0);
-  std::vector<StateId> from(width);
-  const auto extend = [&](auto&& self, std::size_t k) -> void {
-    if (k == width) {
-      const StateId to = ensure();
+}  // namespace
+
+/// composeFlat's breadth-first step. States are expanded in id order, so
+/// each state's edges are appended contiguously and head_ grows in step.
+/// The joint label of the edges chosen for components < k accumulates in
+/// acc_[k], and branch_ is the lowest component whose choice moved since
+/// the last edge was appended.
+class FlatProduct::Expander {
+ public:
+  explicit Expander(FlatProduct& p)
+      : p_(p),
+        width_(p.comps_.size()),
+        w2_(2 * p.stride_),
+        edges_(width_),
+        chosen_(width_),
+        acc_((width_ + 1) * w2_, 0),
+        row_(width_) {}
+
+  /// Appends the edges of state s, the first state not yet expanded.
+  /// ensure(row) names the target of each edge: a state, or kEmpty to drop
+  /// the edge.
+  template <typename Ensure>
+  void expand(StateId s, Ensure&& ensure) {
+    // Copy the row first: ensure may grow the origins array.
+    std::copy_n(p_.origins_.begin() + s * width_, width_, row_.begin());
+    for (std::size_t k = 0; k < width_; ++k) {
+      p_.comps_[k]->edges(row_[k], edges_[k]);
+    }
+    branch_ = 0;
+    extend(0, ensure);
+    p_.head_.push_back(static_cast<std::uint32_t>(p_.to_.size()));
+  }
+
+ private:
+  template <typename Ensure>
+  void extend(std::size_t k, Ensure& ensure) {
+    if (k == width_) {
+      const StateId to = ensure(row_.data());
       if (to == RowIndex::kEmpty) return;
-      p.to_.push_back(to);
-      p.labels_.insert(p.labels_.end(), acc.begin() + width * w2,
-                       acc.end());
-      p.branch_.push_back(
-          static_cast<std::uint8_t>(std::min<std::size_t>(branch, 255)));
-      branch = width;
+      p_.to_.push_back(to);
+      p_.labels_.insert(p_.labels_.end(), acc_.begin() + width_ * w2_,
+                        acc_.end());
+      p_.branch_.push_back(
+          static_cast<std::uint8_t>(std::min<std::size_t>(branch_, 255)));
+      branch_ = width_;
       return;
     }
-    const Word* prev = acc.data() + k * w2;
-    Word* next = acc.data() + (k + 1) * w2;
-    for (const EdgeRef& e : edges[k]) {
+    const Word* prev = acc_.data() + k * w2_;
+    Word* next = acc_.data() + (k + 1) * w2_;
+    for (const EdgeRef& e : edges_[k]) {
       bool ok = true;
       for (std::size_t j = 0; j < k && ok; ++j) {
-        ok = p.matches(j, chosen[j], k, e.label);
+        ok = p_.matches(j, chosen_[j], k, e.label);
       }
       if (!ok) continue;
-      branch = std::min(branch, k);
-      chosen[k] = e.label;
-      row[k] = e.to;
-      for (std::size_t w = 0; w < w2; ++w) next[w] = prev[w] | e.label[w];
-      self(self, k + 1);
+      branch_ = std::min(branch_, k);
+      chosen_[k] = e.label;
+      row_[k] = e.to;
+      for (std::size_t w = 0; w < w2_; ++w) next[w] = prev[w] | e.label[w];
+      extend(k + 1, ensure);
     }
+  }
+
+  FlatProduct& p_;
+  std::size_t width_;
+  std::size_t w2_;
+  std::vector<std::vector<EdgeRef>> edges_;
+  std::vector<const Word*> chosen_;
+  std::vector<Word> acc_;
+  std::vector<StateId> row_;  // the row being expanded, then the target's
+  std::size_t branch_ = 0;
+};
+
+FlatProduct composeFlat(std::vector<const FlatComponent*> components,
+                        std::size_t maxStates) {
+  checkComposable(components);
+  FlatProduct p;
+  p.setComponents(std::move(components));
+  if (p.comps_.size() == 1) {
+    // composeAll wraps a single component as is, unreachable states too.
+    p.copySingle(maxStates);
+    countProduct(p.stateCount());
+    return p;
+  }
+  const std::size_t width = p.comps_.size();
+  RowIndex index(width);
+  // The product state of `row`; kEmpty when it is new and over the bound.
+  const auto ensure = [&](const StateId* row) {
+    const bool admit = p.origins_.size() / width < maxStates;
+    const StateId q = intern(index, p.origins_, row, width, admit);
+    if (q == RowIndex::kEmpty) p.capped_ = true;
+    return q;
   };
+  seedInitial(p.comps_, p.initial_, ensure);
+  FlatProduct::Expander expander(p);
   for (StateId s = 0; std::size_t{s} * width < p.origins_.size(); ++s) {
-    std::copy_n(p.origins_.begin() + s * width, width, from.begin());
-    for (std::size_t k = 0; k < width; ++k) {
-      p.comps_[k]->edges(from[k], edges[k]);
-    }
-    branch = 0;
-    extend(extend, 0);
-    p.head_.push_back(static_cast<std::uint32_t>(p.to_.size()));
+    expander.expand(s, ensure);
   }
   countProduct(p.stateCount());
+  return p;
+}
+
+// ---- ChaosRegion -----------------------------------------------------------
+
+ChaosRegion::ChaosRegion(const FlatComponent& context,
+                         const std::vector<const Automaton*>& interfaces,
+                         const std::vector<std::vector<Interaction>>& alphabets,
+                         const std::string& chaosProp) {
+  if (interfaces.empty() || interfaces.size() != alphabets.size()) {
+    throw std::invalid_argument(
+        "ChaosRegion: expects a legacy and one alphabet per legacy");
+  }
+  const Automaton& ctx = context.base();
+  chaotic_.reserve(interfaces.size());  // the components point into it
+  std::vector<const FlatComponent*> comps{&context};
+  for (std::size_t k = 0; k < interfaces.size(); ++k) {
+    const Automaton& legacy = *interfaces[k];
+    if (legacy.signalTable() != ctx.signalTable() ||
+        legacy.propTable() != ctx.propTable()) {
+      throw std::invalid_argument("compose: automata must share tables");
+    }
+    chaotic_.push_back(chaoticAutomaton(ctx.signalTable(), ctx.propTable(),
+                                        legacy.inputs(), legacy.outputs(),
+                                        alphabets[k], legacy.name(),
+                                        chaosProp));
+    legacies_.push_back(
+        std::make_unique<AutomatonComponent>(chaotic_.back(), context.stride()));
+    comps.push_back(legacies_.back().get());
+  }
+  checkComposable(comps);
+  product_.setComponents(std::move(comps));
+  index_ = std::make_unique<RowIndex>(product_.componentCount());
+}
+
+ChaosRegion::~ChaosRegion() = default;
+
+StateId ChaosRegion::link(const StateId* row) {
+  const std::size_t width = product_.componentCount();
+  const auto first = static_cast<StateId>(stateCount());
+  const auto ensure = [&](const StateId* r) {
+    return intern(*index_, product_.origins_, r, width, true);
+  };
+  const StateId q = ensure(row);
+  if (q < first) return q;
+  // A new row: compose it with every row it reaches, breadth first.
+  FlatProduct::Expander expander(product_);
+  for (StateId s = first; std::size_t{s} * width < product_.origins_.size();
+       ++s) {
+    expander.expand(s, ensure);
+  }
+  return q;
+}
+
+FlatProduct composeFlat(std::vector<const FlatComponent*> components,
+                        ChaosRegion& region) {
+  checkComposable(components);
+  const FlatProduct& linked = region.product_;
+  const std::size_t width = components.size();
+  if (width != linked.componentCount() ||
+      components.front() != &linked.component(0)) {
+    throw std::invalid_argument(
+        "composeFlat: the components are not the region's context and "
+        "legacies");
+  }
+  // Per closure, the state ids from which on it sits in chaos.
+  std::vector<StateId> chaosFrom(width, 0);
+  for (std::size_t k = 1; k < width; ++k) {
+    const FlatComponent& c = *components[k];
+    const Automaton& chaos = linked.component(k).base();
+    if (c.chaosBegin() >= c.stateCount() ||
+        c.base().inputs() != chaos.inputs() ||
+        c.base().outputs() != chaos.outputs()) {
+      throw std::invalid_argument(
+          "composeFlat: component " + std::to_string(k) +
+          " is not a closure of the region's legacy");
+    }
+    chaosFrom[k] = c.chaosBegin();
+  }
+
+  FlatProduct p;
+  p.setComponents(std::move(components));
+  const std::size_t regionBefore = region.stateCount();
+  RowIndex index(width);
+  std::vector<StateId> chaosRow(width);
+  // The product state of `row`, or the region state it links to.
+  const auto ensure = [&](const StateId* row) {
+    bool chaos = true;
+    for (std::size_t k = 1; k < width && chaos; ++k) {
+      chaos = row[k] >= chaosFrom[k];
+    }
+    if (!chaos) return intern(index, p.origins_, row, width, true);
+    chaosRow[0] = row[0];
+    for (std::size_t k = 1; k < width; ++k) {
+      chaosRow[k] = row[k] - chaosFrom[k];
+    }
+    return kRegionLink | region.link(chaosRow.data());
+  };
+  seedInitial(p.comps_, p.initial_, ensure);
+  FlatProduct::Expander expander(p);
+  for (StateId s = 0; std::size_t{s} * width < p.origins_.size(); ++s) {
+    expander.expand(s, ensure);
+  }
+
+  // Number the region's states after the product's own, and walk the
+  // region from the states the product links to count what it reaches.
+  const StateId begin = p.regionBegin();
+  p.region_ = &linked;
+  p.regionStates_ = linked.stateCount();
+  p.regionEdges_ = static_cast<std::uint32_t>(linked.edgeCount());
+  p.regionBase_ = chaosFrom;
+  p.regionReached_ = util::DenseBitset(p.regionStates_);
+  std::vector<StateId> queue;
+  const auto reach = [&](StateId r) {
+    if (p.regionReached_[r]) return;
+    p.regionReached_.set(r);
+    queue.push_back(r);
+  };
+  for (std::vector<StateId>* ids : {&p.initial_, &p.to_}) {
+    for (StateId& q : *ids) {
+      if ((q & kRegionLink) == 0) continue;
+      q &= ~kRegionLink;
+      reach(q);
+      q += begin;
+    }
+  }
+  for (std::size_t i = 0; i < queue.size(); ++i) {
+    for (std::uint32_t e = linked.edgeBegin(queue[i]);
+         e < linked.edgeEnd(queue[i]); ++e) {
+      reach(linked.edgeTarget(e));
+    }
+  }
+  countProduct(begin + (region.stateCount() - regionBefore));
   return p;
 }
 

@@ -117,8 +117,9 @@ DoubledProduct::DoubledProduct(const FlatProduct& copy1,
     sAll_.push_back(closures[k].sAll());
     initialCount_.push_back(closures[k].initialStates().size());
   }
-  knownMask_.reserve(copy1.stateCount());
-  for (StateId p = 0; p < copy1.stateCount(); ++p) {
+  const StateId begin = copy1.regionBegin();
+  knownMask_.reserve(begin);
+  for (StateId p = 0; p < begin; ++p) {
     std::uint32_t mask = 0;
     for (std::size_t k = 1; k < sAll_.size(); ++k) {
       if (known(p, k)) mask |= 1u << (k - 1);
@@ -126,6 +127,8 @@ DoubledProduct::DoubledProduct(const FlatProduct& copy1,
     knownMask_.push_back(mask);
     states_ += std::size_t{1} << std::popcount(mask);
   }
+  // Every legacy is in chaos in a region state: one node each.
+  states_ += copy1.fullStateCount() - begin;
 }
 
 std::vector<DoubledProduct::Node> DoubledProduct::initialNodes() const {
@@ -165,7 +168,7 @@ void DoubledProduct::expand(Node n, std::size_t k, std::uint32_t lo,
                             std::vector<Step>& out) const {
   const bool last = k + 1 == sAll_.size();
   const std::uint32_t bit = 1u << (k - 1);
-  const bool fromKnown = (knownMask_[n.state] & bit) != 0;
+  const bool fromKnown = (knownMask(n.state) & bit) != 0;
   const std::uint32_t b = n.copies & bit;
   for (std::uint32_t e = lo; e < hi;) {
     // [e, end) are the edges that make legacy k's choice of edge e.
@@ -193,7 +196,7 @@ void DoubledProduct::expand(Node n, std::size_t k, std::uint32_t lo,
 bool DoubledProduct::deadlocked(Node n) const {
   // The legacies at an (s, 0) copy drop every edge that takes them into
   // chaos; the node is stuck when that drops all of its state's edges.
-  const std::uint32_t zero = knownMask_[n.state] & ~n.copies;
+  const std::uint32_t zero = knownMask(n.state) & ~n.copies;
   for (std::uint32_t e = p_.edgeBegin(n.state); e < p_.edgeEnd(n.state);
        ++e) {
     bool kept = true;
@@ -207,8 +210,10 @@ bool DoubledProduct::deadlocked(Node n) const {
 }
 
 bool DoubledProduct::anyDeadlock() const {
-  for (StateId p = 0; p < knownMask_.size(); ++p) {
-    if (deadlocked({p, 0})) return true;
+  for (StateId p = 0; p < p_.stateCount(); ++p) {
+    if ((p < knownMask_.size() || p_.regionReached(p)) && deadlocked({p, 0})) {
+      return true;
+    }
   }
   return false;
 }

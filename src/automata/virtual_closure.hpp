@@ -46,6 +46,7 @@ class VirtualClosure final : public FlatComponent {
   [[nodiscard]] const PropSet& labels(StateId c) const override;
   [[nodiscard]] std::vector<StateId> initialStates() const override;
   void edges(StateId c, std::vector<EdgeRef>& out) const override;
+  [[nodiscard]] StateId chaosBegin() const override { return sAll(); }
 
   [[nodiscard]] StateId sAll() const { return static_cast<StateId>(known_); }
   [[nodiscard]] StateId sDelta() const { return sAll() + 1; }
@@ -66,7 +67,8 @@ class VirtualClosure final : public FlatComponent {
 /// Def. 9's pessimistic product, the context composed with every legacy's
 /// two-copy closure chaoticClosure(M_l, ..., Both), as a view over `copy1`,
 /// the context (component 0) composed with the legacies' VirtualClosures
-/// (components 1..K) by composeFlat without a bound.
+/// (components 1..K) by composeFlat without a bound, over a ChaosRegion or
+/// not. A linked region state that `copy1` does not reach is no node.
 ///
 /// A node is a copy-1 product state plus the copy bit of each legacy that
 /// sits at a known state; a legacy in chaos has no copy bit. Every node is
@@ -100,7 +102,7 @@ class DoubledProduct {
                  const std::vector<VirtualClosure>& closures);
 
   [[nodiscard]] const FlatProduct& product() const { return p_; }
-  /// Σ over copy-1 states of 2^(legacies at a known state).
+  /// Σ over reached copy-1 states of 2^(legacies at a known state).
   [[nodiscard]] std::size_t stateCount() const { return states_; }
   /// A number of the node below slotCount(), distinct per node.
   [[nodiscard]] std::size_t index(Node n) const {
@@ -113,8 +115,9 @@ class DoubledProduct {
   /// Replaces `out` with the successors of n, in order.
   void successors(Node n, std::vector<Step>& out) const;
   [[nodiscard]] bool deadlocked(Node n) const;
-  /// Whether some node is deadlocked: some state whose every edge takes a
-  /// legacy from a known state into chaos (its all-copy-0 node is stuck).
+  /// Whether some node is deadlocked: some reached state whose every edge
+  /// takes a legacy from a known state into chaos (its all-copy-0 node is
+  /// stuck).
   [[nodiscard]] bool anyDeadlock() const;
   /// "ctx|a'|s_all": copy-1 states of known legacy states are primed, as
   /// chaoticClosure names them.
@@ -128,13 +131,18 @@ class DoubledProduct {
   [[nodiscard]] bool known(StateId p, std::size_t k) const {
     return p_.origin(p, k) < sAll_[k];
   }
+  /// Bit k-1: legacy k sits at a known state (none do in the region).
+  [[nodiscard]] std::uint32_t knownMask(StateId p) const {
+    return p < knownMask_.size() ? knownMask_[p] : 0;
+  }
   void expand(Node n, std::size_t k, std::uint32_t lo, std::uint32_t hi,
               std::uint32_t copies, std::vector<Step>& out) const;
 
   const FlatProduct& p_;
   std::vector<StateId> sAll_;              // per component; 0 for the context
   std::vector<std::size_t> initialCount_;  // per component
-  std::vector<std::uint32_t> knownMask_;   // per copy-1 state
+  std::vector<std::uint32_t> knownMask_;   // per copy-1 state before the
+                                           // linked region
   std::size_t states_ = 0;
 };
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <stdexcept>
+#include <utility>
 
 #include "obs/metrics.hpp"
 
@@ -39,12 +40,43 @@ bool AFPositions::holds(StateId s, std::size_t j) const {
   return !bound_.bounded() || (j <= bound_.hi && dist_[s] <= bound_.hi - j);
 }
 
-Checker::Checker(const automata::FlatProduct& g) : g_(g) { index(); }
+RegionMemo::RegionMemo(const automata::FlatProduct& region, FormulaPtr phi)
+    : region_(&region), states_(region.stateCount()), phi_(std::move(phi)) {
+  Checker checker(region);
+  checker.record_ = this;
+  checker.evaluate(phi_);
+  deadlock_ = checker.deadlock_;
+}
+
+const RegionMemo::Labels& RegionMemo::at(const Formula* f) const {
+  const auto it = nodes_.find(f);
+  if (it == nodes_.end()) {
+    throw std::logic_error("RegionMemo: '" + f->toString() +
+                           "' is not a subformula of '" + phi_->toString() +
+                           "'");
+  }
+  return it->second;
+}
+
+Checker::Checker(const automata::FlatProduct& g)
+    : g_(g), own_(static_cast<StateId>(g.stateCount())) {
+  index();
+}
 
 Checker::Checker(const Automaton& m)
     : owned_(std::make_unique<automata::FlatProduct>(
           automata::FlatProduct::of(m))),
-      g_(*owned_) {
+      g_(*owned_),
+      own_(static_cast<StateId>(g_.stateCount())) {
+  index();
+}
+
+Checker::Checker(const automata::FlatProduct& g, const RegionMemo& memo)
+    : g_(g), memo_(&memo), own_(g.regionBegin()) {
+  if (g.region() == nullptr || g.region() != memo.region_) {
+    throw std::invalid_argument(
+        "Checker: the product does not link the memo's region");
+  }
   index();
 }
 
@@ -57,11 +89,15 @@ void Checker::index() {
   checkers.inc();
   bits.observe(g_.stateCount());
   const std::size_t n = g_.stateCount();
-  deadlock_ = deadlockStates(g_);
-  succHead_.assign(n + 1, 0);
-  succList_.reserve(g_.edgeCount());
+  deadlock_ = SatSet(n);
+  for (StateId s = 0; s < own_; ++s) {
+    if (g_.edgeBegin(s) == g_.edgeEnd(s)) deadlock_.set(s);
+  }
+  if (memo_ != nullptr) deadlock_.placeAt(own_, memo_->deadlock_);
+  succHead_.assign(std::size_t{own_} + 1, 0);
+  succList_.reserve(own_ < n ? g_.edgeBegin(own_) : g_.edgeCount());
   std::vector<StateId> targets;
-  for (StateId s = 0; s < n; ++s) {
+  for (StateId s = 0; s < own_; ++s) {
     targets.clear();
     for (std::uint32_t e = g_.edgeBegin(s); e < g_.edgeEnd(s); ++e) {
       targets.push_back(g_.edgeTarget(e));
@@ -71,24 +107,33 @@ void Checker::index() {
     succList_.insert(succList_.end(), targets.begin(), targets.end());
     succHead_[s + 1] = static_cast<std::uint32_t>(succList_.size());
   }
-  // Invert the duplicate-free edge set: counting sort into CSR.
+  // Invert the duplicate-free edge set: counting sort into CSR. Region
+  // states get predecessors too, so that their labels reach the passes.
   predHead_.assign(n + 1, 0);
   for (const StateId t : succList_) ++predHead_[t + 1];
   for (std::size_t s = 0; s < n; ++s) predHead_[s + 1] += predHead_[s];
   predList_.resize(succList_.size());
   std::vector<std::uint32_t> cursor(predHead_.begin(), predHead_.end() - 1);
-  for (StateId s = 0; s < n; ++s) {
+  for (StateId s = 0; s < own_; ++s) {
     forSucc(s, [&](StateId t) { predList_[cursor[t]++] = s; });
+  }
+  for (StateId t = own_; t < n; ++t) {
+    if (predHead_[t] != predHead_[t + 1]) boundary_.push_back(t);
   }
 }
 
 SatSet Checker::atomSat(const std::string& name) {
-  const auto id = g_.propTable()->lookup(name);
-  if (!id) {
-    if (unknownAtomSet_.insert(name).second) unknownAtoms_.push_back(name);
-    return SatSet(g_.stateCount());
+  // Weakened formulas repeat the chaos atom once per literal.
+  for (const auto& [atom, sat] : atoms_) {
+    if (atom == name) return sat;
   }
-  return g_.atomSat(*id);
+  const auto id = g_.propTable()->lookup(name);
+  if (!id && unknownAtomSet_.insert(name).second) {
+    unknownAtoms_.push_back(name);
+  }
+  atoms_.emplace_back(name, id ? g_.atomSat(*id, memo_ == nullptr)
+                               : SatSet(g_.stateCount()));
+  return atoms_.back().second;
 }
 
 bool Checker::succIn(bool universal, StateId s, const SatSet& p) const {
@@ -100,7 +145,7 @@ bool Checker::succIn(bool universal, StateId s, const SatSet& p) const {
 
 SatSet Checker::next(bool universal, const SatSet& p) const {
   SatSet v(g_.stateCount());
-  for (StateId s = 0; s < g_.stateCount(); ++s) {
+  for (StateId s = 0; s < own_; ++s) {
     if (succIn(universal, s, p)) v.set(s);
   }
   return v;
@@ -109,7 +154,7 @@ SatSet Checker::next(bool universal, const SatSet& p) const {
 SatSet Checker::stepBack(bool universal, const SatSet& later,
                          const SatSet* guard) const {
   SatSet v(g_.stateCount());
-  for (StateId s = 0; s < g_.stateCount(); ++s) {
+  for (StateId s = 0; s < own_; ++s) {
     if (deadlock_[s] || (guard != nullptr && !(*guard)[s])) continue;
     if (succIn(universal, s, later)) v.set(s);
   }
@@ -135,17 +180,19 @@ SatSet Checker::stepBack(bool universal, const SatSet& later,
 // they join only as targets.
 SatSet Checker::distances(bool universal, const SatSet& target,
                           const SatSet* guard, std::size_t limit,
-                          std::vector<std::uint32_t>* dist) {
+                          std::vector<std::uint32_t>* dist,
+                          const std::vector<std::uint32_t>* seed) {
   const std::size_t n = g_.stateCount();
   SatSet sat = target;
   std::vector<StateId> queue;
-  for (StateId s = 0; s < n; ++s) {
+  queue.reserve(own_ + boundary_.size());
+  for (StateId s = 0; s < own_; ++s) {
     if (target[s]) queue.push_back(s);
   }
   std::vector<std::uint32_t> pending;
   if (universal) {
-    pending.resize(n);
-    for (StateId s = 0; s < n; ++s) {
+    pending.resize(own_);
+    for (StateId s = 0; s < own_; ++s) {
       pending[s] = static_cast<std::uint32_t>(outDegree(s));
     }
   }
@@ -153,22 +200,48 @@ SatSet Checker::distances(bool universal, const SatSet& target,
     dist->assign(n, kFar);
     for (const StateId s : queue) (*dist)[s] = 0;
   }
+  // A linked region state joins the pass at its memoized label, as if the
+  // pass had popped it there; only those with a predecessor matter.
+  std::vector<std::pair<std::uint32_t, StateId>> joins;
+  if (seed != nullptr) {
+    const std::size_t covered = std::min(n - own_, seed->size());
+    for (std::size_t r = 0; dist != nullptr && r < covered; ++r) {
+      (*dist)[own_ + r] = (*seed)[r];
+    }
+    for (const StateId t : boundary_) {
+      const std::size_t r = t - own_;
+      if (r < covered && (*seed)[r] != kFar && (*seed)[r] < limit) {
+        joins.emplace_back((*seed)[r], t);
+      }
+    }
+    std::sort(joins.begin(), joins.end());
+  }
+  std::size_t joined = 0;
   std::size_t level = 0;  // label of the states being popped
-  std::size_t levelEnd = queue.size();
   std::size_t head = 0;
-  for (; head < queue.size(); ++head) {
+  for (;;) {
+    while (joined < joins.size() && joins[joined].first == level) {
+      queue.push_back(joins[joined++].second);
+    }
+    const std::size_t levelEnd = queue.size();
     if (head == levelEnd) {
-      ++level;
-      levelEnd = queue.size();
+      if (joined == joins.size()) break;
+      level = joins[joined].first;  // no state is labelled in between
+      continue;
     }
     if (level >= limit) break;  // their predecessors would pass the limit
-    forPred(queue[head], [&](StateId s) {
-      if (sat[s] || (guard != nullptr && !(*guard)[s])) return;
-      if (universal && --pending[s] != 0) return;
-      sat.set(s);
-      if (dist != nullptr) (*dist)[s] = static_cast<std::uint32_t>(level + 1);
-      queue.push_back(s);
-    });
+    for (; head < levelEnd; ++head) {
+      forPred(queue[head], [&](StateId s) {
+        if (sat[s] || (guard != nullptr && !(*guard)[s])) return;
+        if (universal && --pending[s] != 0) return;
+        sat.set(s);
+        if (dist != nullptr) {
+          (*dist)[s] = static_cast<std::uint32_t>(level + 1);
+        }
+        queue.push_back(s);
+      });
+    }
+    ++level;
   }
   popsCounter().add(head);
   return sat;
@@ -176,55 +249,86 @@ SatSet Checker::distances(bool universal, const SatSet& target,
 
 SatSet Checker::windowStart(bool universal, Bound b, const SatSet& phi,
                             const SatSet* psi,
-                            std::vector<std::uint32_t>* dist) {
-  return distances(universal, psi != nullptr ? *psi : phi,
-                   psi != nullptr ? &phi : nullptr,
-                   b.bounded() ? b.hi - b.lo : Bound::kInf, dist);
+                            std::vector<std::uint32_t>* dist,
+                            const Labels* seed) {
+  SatSet v = distances(universal, psi != nullptr ? *psi : phi,
+                       psi != nullptr ? &phi : nullptr,
+                       b.bounded() ? b.hi - b.lo : Bound::kInf, dist,
+                       seed != nullptr ? &seed->dist : nullptr);
+  if (seed != nullptr) v.placeAt(own_, seed->positions[b.lo]);
+  return v;
 }
 
-SatSet Checker::temporal(Op op, Bound b, const SatSet& phi,
-                         const SatSet* psi) {
+SatSet Checker::temporal(Op op, Bound b, const SatSet& phi, const SatSet* psi,
+                         const Labels* seed, Labels* rec) {
   if (op == Op::AG || op == Op::EG) {
     // AG[a,b] φ = ¬EF[a,b] ¬φ and EG[a,b] φ = ¬AF[a,b] ¬φ, position by
     // position (formula.hpp: the weak semantics keeps the dualities).
     SatSet notPhi = phi;
     notPhi.flip();
-    SatSet v = temporal(op == Op::AG ? Op::EF : Op::AF, b, notPhi, nullptr);
+    SatSet v = temporal(op == Op::AG ? Op::EF : Op::AF, b, notPhi, nullptr,
+                        seed, rec);
     v.flip();
     return v;
   }
   // An empty window offers F/U no position to be fulfilled at.
   if (b.bounded() && b.hi < b.lo) return SatSet(g_.stateCount());
   const bool universal = op == Op::AF || op == Op::AU;
-  SatSet cur = windowStart(universal, b, phi, psi, nullptr);
+  SatSet cur = windowStart(universal, b, phi, psi,
+                           rec != nullptr ? &rec->dist : nullptr, seed);
+  if (rec != nullptr) rec->positions.assign(b.lo + 1, cur);
   const SatSet* guard = psi != nullptr ? &phi : nullptr;
-  for (std::size_t i = b.lo; i-- > 0;) cur = stepBack(universal, cur, guard);
+  for (std::size_t i = b.lo; i-- > 0;) {
+    cur = stepBack(universal, cur, guard);
+    if (seed != nullptr) cur.placeAt(own_, seed->positions[i]);
+    if (rec != nullptr) rec->positions[i] = cur;
+  }
   return cur;
 }
 
-AFPositions Checker::afPositions(const FormulaPtr& phi, Bound b) {
+AFPositions Checker::afPositions(const FormulaPtr& af) {
   AFPositions out;
+  const Bound b = af->bound;
   out.bound_ = b;
-  const SatSet p = evaluate(phi);
+  const SatSet p = evaluate(af->lhs);
   if (b.bounded() && b.hi < b.lo) return out;
-  SatSet cur = windowStart(true, b, p, nullptr, &out.dist_);
+  const Labels* seed = memo_ != nullptr ? &memo_->at(af.get()) : nullptr;
+  SatSet cur = windowStart(true, b, p, nullptr, &out.dist_, seed);
   out.below_.resize(b.lo);
   for (std::size_t j = b.lo; j-- > 0;) {
     cur = stepBack(true, cur, nullptr);
+    if (seed != nullptr) cur.placeAt(own_, seed->positions[j]);
     out.below_[j] = cur;
   }
   return out;
 }
 
 SatSet Checker::evaluate(const FormulaPtr& f) {
+  const Labels* seed = memo_ != nullptr ? &memo_->at(f.get()) : nullptr;
+  Labels* rec = record_ != nullptr ? &record_->nodes_[f.get()] : nullptr;
+  SatSet v = evaluateOwn(f, seed, rec);
+  if (rec != nullptr) rec->sat = v;
+  return v;
+}
+
+SatSet Checker::evaluateOwn(const FormulaPtr& f, const Labels* seed,
+                            Labels* rec) {
   const std::size_t n = g_.stateCount();
+  // Atoms and next-step operators label the product's own states only;
+  // the region's come from the memo. The temporal operators place the
+  // memo's labels at every window position, and the connectives combine
+  // region labels that are the memo's already.
+  const auto own = [&](SatSet v) {
+    if (seed != nullptr) v.placeAt(own_, seed->sat);
+    return v;
+  };
   switch (f->op) {
     case Op::True:
       return SatSet(n, true);
     case Op::False:
       return SatSet(n);
     case Op::Atom:
-      return atomSat(f->atom);
+      return own(atomSat(f->atom));
     case Op::Deadlock:
       return deadlock_;
     case Op::Not: {
@@ -249,19 +353,19 @@ SatSet Checker::evaluate(const FormulaPtr& f) {
       return a;
     }
     case Op::AX:
-      return next(true, evaluate(f->lhs));  // vacuous on deadlock states
+      return own(next(true, evaluate(f->lhs)));  // vacuous on deadlocks
     case Op::EX:
-      return next(false, evaluate(f->lhs));
+      return own(next(false, evaluate(f->lhs)));
     case Op::AF:
     case Op::EF:
     case Op::AG:
     case Op::EG:
-      return temporal(f->op, f->bound, evaluate(f->lhs), nullptr);
+      return temporal(f->op, f->bound, evaluate(f->lhs), nullptr, seed, rec);
     case Op::AU:
     case Op::EU: {
       const auto p = evaluate(f->lhs);
       const auto q = evaluate(f->rhs);
-      return temporal(f->op, f->bound, p, &q);
+      return temporal(f->op, f->bound, p, &q, seed, rec);
     }
   }
   throw std::logic_error("Checker::evaluate: unknown operator");

@@ -27,10 +27,20 @@
 // count, the edges, the initial states, and atoms through the origins. A
 // product of the lean composer is checked as it is; an Automaton enters as
 // its one-component product.
+//
+// A product that links a chaos region (automata::ChaosRegion) is checked
+// over its own states only. No edge leaves the region, so a region state's
+// sat-sets and distance labels are the same in every product that links
+// it: a RegionMemo computes them once per formula on the region, and the
+// product's passes take them as given. A region state joins a distance
+// pass at its memoized label, so the product's own states get the labels
+// a pass over the whole product gives them.
 
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "automata/automaton.hpp"
@@ -64,12 +74,49 @@ class AFPositions {
   std::vector<std::uint32_t> dist_;  // positions ≥ a: D ≤ b − j
 };
 
+/// A Checker's labels of every subformula of one formula on a chaos
+/// region's product (automata::ChaosRegion::product()): the sat-set and,
+/// for a temporal operator, the distance labels and window-position sets
+/// of its F/U pass (of the dual F pass for G). It covers the region's
+/// states when it was built; states added since read false and
+/// unreachable, so rebuild it once the region grew.
+class RegionMemo {
+ public:
+  /// Evaluates `phi` on `region`, which must outlive the memo.
+  RegionMemo(const automata::FlatProduct& region, FormulaPtr phi);
+
+  /// The region states covered.
+  [[nodiscard]] std::size_t stateCount() const { return states_; }
+
+ private:
+  friend class Checker;
+  struct Labels {
+    SatSet sat;
+    std::vector<std::uint32_t> dist;  // the F/U pass's labels
+    std::vector<SatSet> positions;    // its sat-sets at positions 0 .. lo
+  };
+  /// The labels of `f`; throws std::logic_error unless f is a subformula
+  /// of the memo's formula.
+  [[nodiscard]] const Labels& at(const Formula* f) const;
+
+  const automata::FlatProduct* region_;
+  std::size_t states_;
+  FormulaPtr phi_;  // keeps the keys of nodes_ alive
+  SatSet deadlock_;
+  std::unordered_map<const Formula*, Labels> nodes_;
+};
+
 class Checker {
  public:
   /// Checks `g`, which must outlive the checker.
   explicit Checker(const automata::FlatProduct& g);
   /// Checks `m` as its one-component product (FlatProduct::of).
   explicit Checker(const Automaton& m);
+  /// Checks `g`, which links the chaos region `memo` was built on, over
+  /// g's own states: the region's labels are the memo's. Evaluates the
+  /// subformulas of the memo's formula only (std::logic_error otherwise).
+  /// Throws std::invalid_argument if g links no region or another one.
+  Checker(const automata::FlatProduct& g, const RegionMemo& memo);
 
   /// Satisfaction set (per state) of `f`.
   SatSet evaluate(const FormulaPtr& f);
@@ -77,9 +124,9 @@ class Checker {
   /// True iff every initial state satisfies `f`.
   bool holds(const FormulaPtr& f);
 
-  /// AF[b] φ position by position: one distance pass plus one pass per
-  /// position below b.lo, whose b.lo satisfaction sets it keeps.
-  AFPositions afPositions(const FormulaPtr& phi, Bound b);
+  /// af = AF[b] φ position by position: one distance pass plus one pass
+  /// per position below b.lo, whose b.lo satisfaction sets it keeps.
+  AFPositions afPositions(const FormulaPtr& af);
 
   /// δ per state: no outgoing transition.
   [[nodiscard]] bool isDeadlockState(StateId s) const {
@@ -93,9 +140,15 @@ class Checker {
   }
 
  private:
-  /// Builds the forward and backward CSR and the deadlock set.
+  friend class RegionMemo;
+  using Labels = RegionMemo::Labels;
+
+  /// Builds the forward and backward CSR of the states the passes label
+  /// and the deadlock set.
   void index();
   SatSet atomSat(const std::string& name);
+  /// evaluate() below the region: the product's own states.
+  SatSet evaluateOwn(const FormulaPtr& f, const Labels* seed, Labels* rec);
 
   /// True iff all (universal) or some successors of s lie in `p`.
   [[nodiscard]] bool succIn(bool universal, StateId s, const SatSet& p) const;
@@ -109,15 +162,20 @@ class Checker {
   /// The F/U distance labelling (header comment) of `target`; eligible
   /// states must lie in `guard` if one is given. Returns {D ≤ limit};
   /// `dist`, if given, receives every label ≤ limit (the maximum value
-  /// elsewhere).
+  /// elsewhere). `seed` holds the linked region's labels of the same pass.
   SatSet distances(bool universal, const SatSet& target, const SatSet* guard,
-                   std::size_t limit, std::vector<std::uint32_t>* dist);
+                   std::size_t limit, std::vector<std::uint32_t>* dist,
+                   const std::vector<std::uint32_t>* seed);
   /// F (psi == nullptr: target φ) or U (guard φ, target ψ) over window b:
   /// the satisfaction set at position b.lo, i.e. {D ≤ b.hi − b.lo}.
   SatSet windowStart(bool universal, Bound b, const SatSet& phi,
-                     const SatSet* psi, std::vector<std::uint32_t>* dist);
-  /// Any bounded or unbounded F/G/U operator (psi only for U).
-  SatSet temporal(Op op, Bound b, const SatSet& phi, const SatSet* psi);
+                     const SatSet* psi, std::vector<std::uint32_t>* dist,
+                     const Labels* seed);
+  /// Any bounded or unbounded F/G/U operator (psi only for U). `seed`
+  /// holds the linked region's labels of the operator, and `rec`, if
+  /// given, receives the pass's labels.
+  SatSet temporal(Op op, Bound b, const SatSet& phi, const SatSet* psi,
+                  const Labels* seed, Labels* rec);
 
   // CSR slices over the duplicate-free successor/predecessor lists.
   [[nodiscard]] std::size_t outDegree(StateId s) const {
@@ -138,12 +196,17 @@ class Checker {
 
   std::unique_ptr<automata::FlatProduct> owned_;  // the Automaton case
   const automata::FlatProduct& g_;
+  const RegionMemo* memo_ = nullptr;  // the linked region's labels
+  RegionMemo* record_ = nullptr;      // a memo being built on g
+  StateId own_;                       // the states the passes label
+  std::vector<StateId> boundary_;     // region states with a predecessor
   // Duplicate-free edge set in CSR form, forwards and backwards.
   std::vector<std::uint32_t> succHead_;  // size n+1
   std::vector<StateId> succList_;
   std::vector<std::uint32_t> predHead_;  // size n+1
   std::vector<StateId> predList_;
   SatSet deadlock_;
+  std::vector<std::pair<std::string, SatSet>> atoms_;  // evaluated atoms
   std::vector<std::string> unknownAtoms_;
   std::unordered_set<std::string> unknownAtomSet_;
 };

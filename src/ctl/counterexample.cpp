@@ -203,14 +203,15 @@ std::vector<Run> searchPathsInWindow(const FlatProduct& m,
   return out;
 }
 
-/// Appends to `run` a suffix from its final state witnessing ¬AF[a,b]χ: a
-/// maximal-path prefix along which χ never holds inside the window. Each
-/// step takes the first edge, in insertion order, whose target violates the
-/// AF seen from the next position. Returns false if the invariant (final
-/// state violates the AF) does not hold.
+/// Appends to `run` a suffix from its final state witnessing ¬AF[a,b]χ for
+/// afNode = AF[a,b]χ: a maximal-path prefix along which χ never holds
+/// inside the window. Each step takes the first edge, in insertion order,
+/// whose target violates the AF seen from the next position. Returns false
+/// if the invariant (final state violates the AF) does not hold.
 bool appendNotAFWitness(Checker& checker, const FlatProduct& m, Run& run,
-                        const FormulaPtr& chi, Bound bound) {
-  const AFPositions af = checker.afPositions(chi, bound);
+                        const FormulaPtr& afNode) {
+  const Bound bound = afNode->bound;
+  const AFPositions af = checker.afPositions(afNode);
   StateId cur = run.states.back();
   std::size_t i = 0;
   std::unordered_set<StateId> seenSinceLo;
@@ -275,8 +276,7 @@ bool extendWitness(Checker& checker, const FlatProduct& m, Run& run,
         }
       }
       if (temporal == nullptr) return true;
-      return appendNotAFWitness(checker, m, run, (*temporal)->lhs,
-                                (*temporal)->bound);
+      return appendNotAFWitness(checker, m, run, *temporal);
     }
     case Op::Implies: {
       // ¬(a → b): a holds here, b fails — extend along b's failure.
@@ -284,7 +284,7 @@ bool extendWitness(Checker& checker, const FlatProduct& m, Run& run,
       return extendWitness(checker, m, run, psi->rhs, r);
     }
     case Op::AF:
-      return appendNotAFWitness(checker, m, run, psi->lhs, psi->bound);
+      return appendNotAFWitness(checker, m, run, psi);
     default:
       (void)psiSat;
       return false;  // approximate witness
@@ -345,8 +345,7 @@ void collectPropertyCexs(Checker& checker, const FlatProduct& m,
       Counterexample cex;
       cex.kind = Counterexample::Kind::Property;
       cex.run.states.push_back(badInitial);
-      cex.pathExact =
-          appendNotAFWitness(checker, m, cex.run, phi->lhs, phi->bound);
+      cex.pathExact = appendNotAFWitness(checker, m, cex.run, phi);
       cex.note = "violates " + phi->toString();
       out.push_back(std::move(cex));
       return;
@@ -401,15 +400,27 @@ VerifyResult verify(const Automaton& m, const FormulaPtr& phi,
 
 VerifyResult verify(const FlatProduct& m, const FormulaPtr& phi,
                     const VerifyOptions& opts) {
+  return verify(m, nullptr, phi, opts);
+}
+
+VerifyResult verify(const FlatProduct& m, const RegionMemo* memo,
+                    const FormulaPtr& phi, const VerifyOptions& opts) {
   const obs::ObsSpan span("verify", opts.traceId);
   VerifyResult result;
-  result.stateCount = m.stateCount();
+  result.stateCount = m.fullStateCount();
   auto& cexs = result.counterexamples;
 
   if (phi != nullptr) {
-    Checker checker(m);
-    if (!checker.holds(phi)) collectPropertyCexs(checker, m, phi, opts, cexs);
-    result.unknownAtoms = checker.unknownAtoms();
+    std::optional<Checker> checker;
+    if (memo != nullptr) {
+      checker.emplace(m, *memo);
+    } else {
+      checker.emplace(m);
+    }
+    if (!checker->holds(phi)) {
+      collectPropertyCexs(*checker, m, phi, opts, cexs);
+    }
+    result.unknownAtoms = checker->unknownAtoms();
   }
 
   // Deadlock freedom needs no checker: the deadlock set is read off the

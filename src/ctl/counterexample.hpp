@@ -73,7 +73,7 @@ struct VerifyOptions {
 struct VerifyResult {
   bool holds = false;
   std::vector<Counterexample> counterexamples;  // empty iff holds
-  std::size_t stateCount = 0;                   // explored model size
+  std::size_t stateCount = 0;  // model size (FlatProduct::fullStateCount)
   std::vector<std::string> unknownAtoms;
 
   [[nodiscard]] const Counterexample& cex() const {
@@ -89,6 +89,12 @@ struct VerifyResult {
 /// labels.
 VerifyResult verify(const automata::FlatProduct& m, const FormulaPtr& phi,
                     const VerifyOptions& opts = {});
+
+/// verify() with the labels of m's linked chaos region taken from `memo`
+/// (built on that region for phi) when it is not null: the same result,
+/// with only m's own states checked.
+VerifyResult verify(const automata::FlatProduct& m, const RegionMemo* memo,
+                    const FormulaPtr& phi, const VerifyOptions& opts = {});
 
 /// verify() on m's one-component product (FlatProduct::of).
 VerifyResult verify(const automata::Automaton& m, const FormulaPtr& phi,

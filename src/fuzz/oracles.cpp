@@ -1,6 +1,7 @@
 #include "fuzz/oracles.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <utility>
 
 #include "analysis/semantic.hpp"
@@ -376,7 +377,9 @@ OracleResult checkO6(const Scenario& s, const OracleOptions&) {
 // ---- O7: lean product engine vs the reference composer --------------------
 
 /// What differs between two verify() results, or "" when nothing does.
-std::string verifyDiff(const ctl::VerifyResult& a, const ctl::VerifyResult& b) {
+/// `toRef`, if given, maps b's states to a's.
+std::string verifyDiff(const ctl::VerifyResult& a, const ctl::VerifyResult& b,
+                       const std::vector<StateId>* toRef = nullptr) {
   if (a.holds != b.holds) return "holds";
   if (a.stateCount != b.stateCount) return "stateCount";
   if (a.unknownAtoms != b.unknownAtoms) return "unknownAtoms";
@@ -386,7 +389,11 @@ std::string verifyDiff(const ctl::VerifyResult& a, const ctl::VerifyResult& b) {
   for (std::size_t i = 0; i < a.counterexamples.size(); ++i) {
     const auto& x = a.counterexamples[i];
     const auto& y = b.counterexamples[i];
-    if (x.kind != y.kind || x.run.states != y.run.states ||
+    std::vector<StateId> states = y.run.states;
+    if (toRef != nullptr) {
+      for (StateId& q : states) q = (*toRef)[q];
+    }
+    if (x.kind != y.kind || x.run.states != states ||
         x.run.labels != y.run.labels || x.run.deadlock != y.run.deadlock) {
       return "counterexample #" + std::to_string(i) + " run";
     }
@@ -466,6 +473,79 @@ std::string productDiff(const automata::Product& ref,
   return {};
 }
 
+/// A linked state that composeAll's product has no counterpart of: a
+/// region state the product does not reach.
+constexpr StateId kUnreached = UINT32_MAX;
+
+/// What differs between composeAll's product and `linked`, a product over
+/// a chaos region, up to renumbering, or "". composeAll numbers states in
+/// breadth-first order from the initial states, so `toRef` receives that
+/// order's number of every linked state (kUnreached for a region state no
+/// initial state reaches); the states must then agree in names, origins,
+/// edges in order, labels and every atom.
+std::string linkedDiff(const automata::Product& ref,
+                       const automata::FlatProduct& linked,
+                       std::vector<StateId>& toRef) {
+  const Automaton& a = ref.automaton;
+  toRef.assign(linked.stateCount(), kUnreached);
+  std::vector<StateId> order;
+  const auto visit = [&](StateId q) {
+    if (toRef[q] != kUnreached) return;
+    toRef[q] = static_cast<StateId>(order.size());
+    order.push_back(q);
+  };
+  for (const StateId q : linked.initialStates()) visit(q);
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    for (std::uint32_t e = linked.edgeBegin(order[i]);
+         e < linked.edgeEnd(order[i]); ++e) {
+      visit(linked.edgeTarget(e));
+    }
+  }
+  if (order.size() != a.stateCount() ||
+      linked.fullStateCount() != a.stateCount()) {
+    return "state count " + std::to_string(a.stateCount()) + " vs " +
+           std::to_string(order.size()) + " reached, " +
+           std::to_string(linked.fullStateCount()) + " counted";
+  }
+  for (StateId q = linked.regionBegin(); q < linked.stateCount(); ++q) {
+    if (linked.regionReached(q) != (toRef[q] != kUnreached)) {
+      return "reach of region state '" + linked.stateName(q) + "'";
+    }
+  }
+  std::vector<StateId> initials;
+  for (const StateId q : linked.initialStates()) initials.push_back(toRef[q]);
+  if (a.initialStates() != initials) return "initial states";
+  for (StateId p = 0; p < a.stateCount(); ++p) {
+    const StateId q = order[p];
+    const std::string at = " of product state '" + a.stateName(p) + "'";
+    if (a.stateName(p) != linked.stateName(q)) return "name" + at;
+    for (std::size_t k = 0; k < ref.origins[p].size(); ++k) {
+      if (ref.origins[p][k] != linked.origin(q, k)) return "origins" + at;
+    }
+    const auto& ts = a.transitionsFrom(p);
+    if (ts.size() != linked.edgeEnd(q) - linked.edgeBegin(q)) {
+      return "edge count" + at;
+    }
+    for (std::size_t i = 0; i < ts.size(); ++i) {
+      const auto e = static_cast<std::uint32_t>(linked.edgeBegin(q) + i);
+      if (ts[i].to != toRef[linked.edgeTarget(e)] ||
+          ts[i].label != linked.edgeLabel(e)) {
+        return "edge #" + std::to_string(i) + at;
+      }
+    }
+  }
+  const automata::SignalTable& props = *a.propTable();
+  for (util::NameId prop = 0; prop < props.size(); ++prop) {
+    const util::DenseBitset sat = linked.atomSat(prop);
+    for (StateId p = 0; p < a.stateCount(); ++p) {
+      if (a.labels(p).test(prop) != sat.test(order[p])) {
+        return "sat-set of atom '" + props.name(prop) + "'";
+      }
+    }
+  }
+  return {};
+}
+
 /// What differs between `capped`, composed under a bound of `cap` states,
 /// and the first `cap` states of the unbounded product `full`, or "".
 std::string prefixDiff(const automata::FlatProduct& full,
@@ -505,7 +585,7 @@ std::string prefixDiff(const automata::FlatProduct& full,
   return {};
 }
 
-OracleResult checkO7(const Scenario& s, const OracleOptions&) {
+OracleResult checkO7(const Scenario& s, const OracleOptions& opts) {
   util::Rng rng(s.seed * 0x94d049bb133111ebull + 0xf7);
   util::Rng capRng(s.seed * 0xbf58476d1ce4e5b9ull + 0x5a);
   const auto alphabet =
@@ -539,6 +619,22 @@ OracleResult checkO7(const Scenario& s, const OracleOptions&) {
   deadlockChecks[2].search = ctl::CexSearch::DepthFirst;
   deadlockChecks[2].maxCounterexamples = 2;
 
+  // One chaos region across the stages and both closure styles, as the
+  // loop keeps one per job, and a checker memo per formula on it, first of
+  // the empty region and rebuilt whenever the region grew.
+  automata::ChaosRegion region(context, {&m.base()}, {alphabet});
+  struct Memo {
+    std::string text;
+    ctl::FormulaPtr f;
+    std::optional<ctl::RegionMemo> memo;
+  };
+  std::vector<Memo> memos;
+  if (phi != nullptr) memos.push_back({s.property, phi, std::nullopt});
+  for (auto& [text, f] : formulasFor(s, opts, 0xf7)) {
+    memos.push_back({text, std::move(f), std::nullopt});
+  }
+  for (Memo& mm : memos) mm.memo.emplace(region.product(), mm.f);
+
   // The initial model, then three rounds of random learning on top of it.
   for (int stage = 0; stage < 4; ++stage) {
     if (stage > 0) learnRandomFacts(rng, s.hidden, alphabet, m);
@@ -571,9 +667,9 @@ OracleResult checkO7(const Scenario& s, const OracleOptions&) {
                          " states is not the unbounded one's prefix: " + d +
                          where);
       }
-      for (const auto& [f, opts] : checks) {
-        const auto a = ctl::verify(ref.automaton, f, opts);
-        const auto b = ctl::verify(lean, f, opts);
+      for (const auto& [f, vo] : checks) {
+        const auto a = ctl::verify(ref.automaton, f, vo);
+        const auto b = ctl::verify(lean, f, vo);
         std::string d = verifyDiff(a, b);
         for (std::size_t i = 0; d.empty() && i < a.counterexamples.size();
              ++i) {
@@ -590,21 +686,78 @@ OracleResult checkO7(const Scenario& s, const OracleOptions&) {
                            s.property);
         }
       }
+      // The same product linking the region.
+      const auto linked = automata::composeFlat({&context, &view}, region);
+      std::vector<StateId> toRef;
+      if (const auto d = linkedDiff(ref, linked, toRef); !d.empty()) {
+        return violation(
+            "O7: the product over the chaos region differs from composeAll "
+            "up to renumbering: " +
+            d + where);
+      }
+      for (Memo& mm : memos) {
+        if (mm.memo->stateCount() != region.stateCount() &&
+            opts.injectBug != BugInjection::O7StaleRegion) {
+          mm.memo.emplace(region.product(), mm.f);
+        }
+        ctl::Checker plain(linked);
+        ctl::Checker memoized(linked, *mm.memo);
+        const ctl::SatSet want = plain.evaluate(mm.f);
+        const ctl::SatSet got = memoized.evaluate(mm.f);
+        for (StateId q = 0; q < linked.stateCount(); ++q) {
+          if (want[q] != got[q]) {
+            // Only the property is pinned for the shrinker: O7 weakens it,
+            // which not every random formula admits.
+            return violation(
+                "O7: the checker seeded by the region memo disagrees with a "
+                "plain Checker on state '" +
+                    linked.stateName(q) + "' (memo " +
+                    (got[q] ? "true" : "false") + ") for formula " + mm.text +
+                    where,
+                mm.f == phi ? s.property : std::string());
+          }
+        }
+      }
+      for (const auto& [f, vo] : checks) {
+        const auto a = ctl::verify(ref.automaton, f, vo);
+        const auto b = ctl::verify(
+            linked, f != nullptr ? &*memos.front().memo : nullptr, f, vo);
+        std::string d = verifyDiff(a, b, &toRef);
+        for (std::size_t i = 0; d.empty() && i < a.counterexamples.size();
+             ++i) {
+          if (ref.renderRun(a.counterexamples[i].run) !=
+              linked.renderRun(b.counterexamples[i].run)) {
+            d = "rendering of counterexample #" + std::to_string(i);
+          }
+        }
+        if (!d.empty()) {
+          return violation(
+              "O7: ctl::verify differs on the product over the chaos region (" +
+                  d + ") for " + (f ? f->toString() : std::string("¬δ")) +
+                  where,
+              s.property);
+        }
+      }
       const auto both = automata::chaoticClosure(
           m, alphabet, style, automata::ClosureCopies::Both);
       const auto pessimistic =
           automata::composeAll({&s.context, &both.automaton});
       const automata::DoubledProduct doubled(lean, views);
-      for (const auto& opts : deadlockChecks) {
-        if (const auto d = doubledViewDiff(pessimistic, {&both}, doubled, opts);
-            !d.empty()) {
-          return violation(
-              "O7: the doubled view's deadlock search differs from "
-              "ctl::verify on the two-copy product (" +
-                  d + ", " + std::to_string(opts.maxCounterexamples) + " " +
-                  (opts.search == ctl::CexSearch::Shortest ? "shortest"
-                                                           : "depth-first") +
-                  ")" + where);
+      const automata::DoubledProduct doubledLinked(linked, views);
+      for (const auto& dopts : deadlockChecks) {
+        for (const auto* view : {&doubled, &doubledLinked}) {
+          if (const auto d =
+                  doubledViewDiff(pessimistic, {&both}, *view, dopts);
+              !d.empty()) {
+            return violation(
+                std::string("O7: the doubled view's deadlock search") +
+                (view == &doubled ? "" : " over the chaos region") +
+                " differs from ctl::verify on the two-copy product (" + d +
+                ", " + std::to_string(dopts.maxCounterexamples) + " " +
+                (dopts.search == ctl::CexSearch::Shortest ? "shortest"
+                                                          : "depth-first") +
+                ")" + where);
+          }
         }
       }
     }
@@ -717,9 +870,11 @@ const char* describeOracle(OracleId id) {
              "truth";
     case OracleId::O7LeanProduct:
       return "lean product over virtual closures equals composeAll over "
-             "chaoticClosure; ctl::verify agrees on both; a capped product "
-             "is the unbounded one's prefix; the doubled view's deadlock "
-             "search equals ctl::verify on the two-copy product";
+             "chaoticClosure, also over a chaos region kept across learning "
+             "stages (up to renumbering); ctl::verify agrees on all three, "
+             "and the region-seeded checker with a plain one; a capped "
+             "product is the unbounded one's prefix; the doubled view's "
+             "deadlock search equals ctl::verify on the two-copy product";
   }
   return "";
 }
@@ -727,6 +882,7 @@ const char* describeOracle(OracleId id) {
 std::optional<BugInjection> bugInjectionFromString(std::string_view text) {
   if (text == "none") return BugInjection::None;
   if (text == "o1-deadlock-af") return BugInjection::O1DeadlockAF;
+  if (text == "o7-stale-region") return BugInjection::O7StaleRegion;
   return std::nullopt;
 }
 
@@ -736,6 +892,8 @@ const char* toString(BugInjection b) {
       return "none";
     case BugInjection::O1DeadlockAF:
       return "o1-deadlock-af";
+    case BugInjection::O7StaleRegion:
+      return "o7-stale-region";
   }
   return "none";
 }

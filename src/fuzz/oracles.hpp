@@ -30,7 +30,12 @@
 //       first c states, and capped() says whether the bound cut it. The
 //       deadlock search over the doubled view of the lean product returns
 //       what ctl::verify returns on composeAll over Def. 9's two-copy
-//       closure (doubledViewDiff).
+//       closure (doubledViewDiff). The product composed over one chaos
+//       region, kept across the learning stages as the loop keeps one per
+//       job, equals composeAll's up to renumbering; a Checker seeded by
+//       the region's memo (rebuilt when the region grew) labels every state
+//       as a plain Checker does, and ctl::verify and the doubled view
+//       answer on it as on composeAll's product.
 //
 // checkOracle never reports flaky results: everything derives from the
 // scenario seed. Violations carry the exposing formula so the shrinker
@@ -69,15 +74,19 @@ const char* describeOracle(OracleId id);
 /// Intentional fault injection — the self-test proving the harness can
 /// catch and shrink a checker bug (see tests/test_fuzz_oracles.cpp and the
 /// `--inject-bug` CLI flag). The bug corrupts the oracle's *observation* of
-/// the worklist checker, never the production checker itself.
+/// the checker, never the production checker itself.
 enum class BugInjection {
   None,
   /// O1 sees every deadlock state as satisfying a top-level AF formula —
   /// the classic "vacuous liveness at a stuck state" checker bug.
   O1DeadlockAF,
+  /// O7 keeps reading a region memo that was not rebuilt after the chaos
+  /// region grew, so the states added since read false.
+  O7StaleRegion,
 };
 std::optional<BugInjection> bugInjectionFromString(std::string_view text);
-/// "none", "o1-deadlock-af" — inverse of bugInjectionFromString.
+/// "none", "o1-deadlock-af", "o7-stale-region" — inverse of
+/// bugInjectionFromString.
 const char* toString(BugInjection b);
 
 struct OracleOptions {

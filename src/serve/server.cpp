@@ -236,6 +236,13 @@ void Server::serveConnection(const std::shared_ptr<Conn>& conn) {
         jsonlSession(reader, conn, *first);
       }
     }
+  } catch (const LineTooLong& e) {
+    // The stream cannot be framed past an overlong line: answer with an
+    // error, send EOF after it, and drop the connection.
+    protocolErrors_.fetch_add(1);
+    ServeMetrics::get().protocolErrors.inc();
+    writeLine(*conn, writeErrorLine(e.what()));
+    shutdownWrite(conn->fd.get());
   } catch (const std::exception&) {
     // Socket error mid-session: the connection is dropped, accepted jobs
     // run to completion via their shared_ptr on the worker side.

@@ -109,12 +109,21 @@ void writeAll(int fd, std::string_view data) {
 
 void shutdownRead(int fd) { ::shutdown(fd, SHUT_RD); }
 
+void shutdownWrite(int fd) { ::shutdown(fd, SHUT_WR); }
+
 std::optional<std::string> LineReader::next() {
   for (;;) {
-    const std::size_t eol = buf_.find('\n', pos_);
+    const std::size_t eol = buf_.find('\n', pos_ + scanned_);
+    const std::size_t length =
+        (eol == std::string::npos ? buf_.size() : eol) - pos_;
+    if (length > kMaxLine) {
+      throw LineTooLong("line longer than " + std::to_string(kMaxLine) +
+                        " bytes");
+    }
     if (eol != std::string::npos) {
-      std::string line = buf_.substr(pos_, eol - pos_);
+      std::string line = buf_.substr(pos_, length);
       pos_ = eol + 1;
+      scanned_ = 0;
       if (pos_ > (1u << 16)) {  // keep the buffer from growing unbounded
         buf_.erase(0, pos_);
         pos_ = 0;
@@ -122,10 +131,12 @@ std::optional<std::string> LineReader::next() {
       if (!line.empty() && line.back() == '\r') line.pop_back();
       return line;
     }
+    scanned_ = length;
     if (eof_) {
       if (pos_ >= buf_.size()) return std::nullopt;
       std::string line = buf_.substr(pos_);
       pos_ = buf_.size();
+      scanned_ = 0;
       if (!line.empty() && line.back() == '\r') line.pop_back();
       return line;
     }

@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 
@@ -60,20 +61,36 @@ void writeAll(int fd, std::string_view data);
 /// side stays open so in-flight replies can still be delivered.
 void shutdownRead(int fd);
 
+/// Sends the peer EOF after what was written so far; reading goes on.
+void shutdownWrite(int fd);
+
+/// A line that passed LineReader::kMaxLine bytes without a terminator.
+class LineTooLong : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
+
 /// Buffered reader returning one '\n'-terminated line at a time (without
 /// the terminator; a trailing '\r' is trimmed for HTTP request lines).
 class LineReader {
  public:
+  /// The longest line read, terminator excluded. Job lines hold paths
+  /// and formulas, and /trace sends one event per line.
+  static constexpr std::size_t kMaxLine = std::size_t{1} << 20;
+
   explicit LineReader(int fd) : fd_(fd) {}
 
   /// Next line, or nullopt at EOF. A final unterminated chunk before EOF
-  /// is returned as a line. Throws on socket errors.
+  /// is returned as a line. Throws LineTooLong as soon as the line passes
+  /// kMaxLine bytes, and std::runtime_error on socket errors. Each byte
+  /// is scanned for the terminator once.
   std::optional<std::string> next();
 
  private:
   int fd_;
   std::string buf_;
   std::size_t pos_ = 0;
+  std::size_t scanned_ = 0;  // bytes past pos_ that hold no '\n'
   bool eof_ = false;
 };
 

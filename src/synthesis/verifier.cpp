@@ -109,6 +109,17 @@ IntegrationResult IntegrationVerifier::run() {
   const bool needPess = config_.requireDeadlockFree;
   // The context is component 0 of every product; its labels are packed once.
   const automata::AutomatonComponent context(context_, stride_);
+  // The chaos region, context × {s_∀, s_δ} per legacy, is the same in every
+  // round: each round's product links it, and it is composed once, as far
+  // as the rounds reach into it. The property's labels on it are computed
+  // again only when it grew.
+  std::optional<automata::ChaosRegion> region;
+  if (needOpt || needPess) {
+    std::vector<const automata::Automaton*> interfaces;
+    for (const auto& m : models_) interfaces.push_back(&m.base());
+    region.emplace(context, interfaces, alphabets_);
+  }
+  std::optional<ctl::RegionMemo> memo;
 
   const auto accumulate = [&res](const IterationRecord& rec) {
     res.totalProductStatesNew += rec.productStatesNew;
@@ -207,14 +218,14 @@ IntegrationResult IntegrationVerifier::run() {
       if (!closures.empty()) {
         std::vector<const automata::FlatComponent*> parts{&context};
         for (const auto& c : closures) parts.push_back(&c);
-        product = automata::composeFlat(std::move(parts));
+        product = automata::composeFlat(std::move(parts), *region);
       }
       if (needPess) pessimistic.emplace(*product, closures);
     }
     if (needPess) rec.productStatesNew += pessimistic->stateCount();
-    if (needOpt) rec.productStatesNew += product->stateCount();
+    if (needOpt) rec.productStatesNew += product->fullStateCount();
     rec.productStates = needPess  ? pessimistic->stateCount()
-                        : needOpt ? product->stateCount()
+                        : needOpt ? product->fullStateCount()
                                   : 0;
     rec.composeMs = lapMs();
 
@@ -229,7 +240,12 @@ IntegrationResult IntegrationVerifier::run() {
       vo.search = config_.search;
       vo.traceId = config_.ulid;
       vo.requireDeadlockFree = false;
-      if (needOpt) propRes = ctl::verify(*product, phi, vo);
+      if (needOpt) {
+        if (!memo || memo->stateCount() != region->stateCount()) {
+          memo.emplace(region->product(), phi);
+        }
+        propRes = ctl::verify(*product, &*memo, phi, vo);
+      }
       if (needPess) dlRes = ctl::verifyDeadlockFree(*pessimistic, vo);
     }
     rec.checkPassed = propRes.holds && dlRes.holds;

@@ -4,7 +4,9 @@
 // Loop per iteration i:
 //   1. Set up the chaotic closures chaos(M_l^i) of the learned models
 //      (Def. 9) as virtual closures and compose them with the context
-//      (Def. 3) into flat products (automata/flat_product.hpp).
+//      (Def. 3) into flat products (automata/flat_product.hpp). The chaos
+//      region, where every legacy sits in Def. 8's chaotic automaton, is
+//      composed once per run and linked by every round's product.
 //   2. Model check the weakened property plus deadlock freedom (Sec. 4.1,
 //      Lemma 5). Success proves the integration correct for the real
 //      system — without having learned the rest of the legacy component.

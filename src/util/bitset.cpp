@@ -106,6 +106,24 @@ void DenseBitset::flip() {
   clearTail();
 }
 
+void DenseBitset::placeAt(std::size_t at, const DenseBitset& src) {
+  const std::size_t first = at / 64;
+  const std::size_t shift = at % 64;
+  if (first >= words_.size()) return;
+  words_[first] &= (std::uint64_t{1} << shift) - 1;
+  std::fill(words_.begin() + static_cast<std::ptrdiff_t>(first) + 1,
+            words_.end(), 0);
+  for (std::size_t w = 0; w < src.words_.size(); ++w) {
+    const std::size_t dst = first + w;
+    if (dst >= words_.size()) break;
+    words_[dst] |= src.words_[w] << shift;
+    if (shift != 0 && dst + 1 < words_.size()) {
+      words_[dst + 1] |= src.words_[w] >> (64 - shift);
+    }
+  }
+  clearTail();
+}
+
 DenseBitset& DenseBitset::operator&=(const DenseBitset& o) {
   for (std::size_t w = 0; w < words_.size(); ++w) words_[w] &= o.words_[w];
   return *this;

@@ -187,6 +187,10 @@ class DenseBitset {
   /// In-place complement within [0, size).
   void flip();
 
+  /// Bits [at, size) become src's bits [0, size − at), false past
+  /// src.size().
+  void placeAt(std::size_t at, const DenseBitset& src);
+
   DenseBitset& operator&=(const DenseBitset& o);
   DenseBitset& operator|=(const DenseBitset& o);
 

@@ -3,14 +3,16 @@
 // chaoticClosure's numbering, names, labels and edge order on the shipped
 // legacies, composeFlat equals composeAll's fold for any number of
 // components and any signal count, under a state bound it keeps the
-// unbounded product's prefix, and the doubled view of a product over
-// virtual closures is Def. 9's two-copy product, for any number of
-// legacies.
+// unbounded product's prefix, the doubled view of a product over virtual
+// closures is Def. 9's two-copy product, for any number of legacies, and a
+// product linking a chaos region is the full product up to renumbering and
+// is checked alike with the region's labels memoized.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -20,11 +22,14 @@
 #include "automata/flat_product.hpp"
 #include "automata/random.hpp"
 #include "automata/virtual_closure.hpp"
+#include "ctl/checker.hpp"
 #include "ctl/counterexample.hpp"
+#include "ctl/parser.hpp"
 #include "fuzz/oracles.hpp"
 #include "helpers.hpp"
 #include "muml/integration.hpp"
 #include "muml/loader.hpp"
+#include "obs/metrics.hpp"
 #include "synthesis/initial.hpp"
 #include "testing/legacy.hpp"
 
@@ -382,6 +387,276 @@ TEST(DoubledProduct, IsTheTwoCopyProductForTwoAndThreeLegacies) {
   }
   EXPECT_GT(nodes, 10000u);
   EXPECT_GT(runs, 200u);
+}
+
+/// Expects `linked`, composed over a chaos region, to be `full`, the same
+/// product composed without one, up to renumbering: composeFlat numbers
+/// states breadth first from the initial states, so walking `linked` in
+/// that order must meet `full`'s states in their order, with the same
+/// names, origins, edges in order and atoms; the linked region states the
+/// walk does not meet are the unreached ones.
+void expectLinkedIsFull(const FlatProduct& full, const FlatProduct& linked) {
+  constexpr StateId kNone = UINT32_MAX;
+  std::vector<StateId> toFull(linked.stateCount(), kNone);
+  std::vector<StateId> order;
+  const auto visit = [&](StateId q) {
+    if (toFull[q] != kNone) return;
+    toFull[q] = static_cast<StateId>(order.size());
+    order.push_back(q);
+  };
+  for (const StateId q : linked.initialStates()) visit(q);
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    for (std::uint32_t e = linked.edgeBegin(order[i]);
+         e < linked.edgeEnd(order[i]); ++e) {
+      visit(linked.edgeTarget(e));
+    }
+  }
+  ASSERT_EQ(order.size(), full.stateCount());
+  EXPECT_EQ(linked.fullStateCount(), full.stateCount());
+  for (StateId q = linked.regionBegin(); q < linked.stateCount(); ++q) {
+    EXPECT_EQ(linked.regionReached(q), toFull[q] != kNone) << q;
+  }
+  std::vector<StateId> initials;
+  for (const StateId q : linked.initialStates()) initials.push_back(toFull[q]);
+  EXPECT_EQ(initials, full.initialStates());
+  for (StateId p = 0; p < full.stateCount(); ++p) {
+    const StateId q = order[p];
+    ASSERT_EQ(linked.stateName(q), full.stateName(p));
+    for (std::size_t k = 0; k < full.componentCount(); ++k) {
+      EXPECT_EQ(linked.origin(q, k), full.origin(p, k));
+    }
+    ASSERT_EQ(linked.edgeEnd(q) - linked.edgeBegin(q),
+              full.edgeEnd(p) - full.edgeBegin(p));
+    for (std::uint32_t i = 0; i < full.edgeEnd(p) - full.edgeBegin(p); ++i) {
+      const std::uint32_t e = linked.edgeBegin(q) + i;
+      const std::uint32_t f = full.edgeBegin(p) + i;
+      EXPECT_EQ(toFull[linked.edgeTarget(e)], full.edgeTarget(f));
+      EXPECT_EQ(linked.edgeLabel(e), full.edgeLabel(f));
+      EXPECT_EQ(linked.edgeBranch(e), full.edgeBranch(f));
+    }
+  }
+  for (util::NameId prop = 0; prop < full.propTable()->size(); ++prop) {
+    const auto want = full.atomSat(prop);
+    const auto got = linked.atomSat(prop);
+    for (StateId p = 0; p < full.stateCount(); ++p) {
+      EXPECT_EQ(got.test(order[p]), want.test(p))
+          << full.propTable()->name(prop);
+    }
+  }
+}
+
+TEST(ChaosRegion, LinkedProductsAreTheFullOnesForTwoAndThreeLegacies) {
+  // The loop's rounds in miniature: one region per scenario, kept across
+  // three learning stages and both closure styles. Each product composed
+  // over it is the full product up to renumbering, its doubled view gives
+  // Def. 9's answers, and a checker seeded by the region's memo labels
+  // every state as a plain checker does.
+  std::vector<ctl::VerifyOptions> searches(2);
+  searches[1].search = ctl::CexSearch::DepthFirst;
+  searches[1].maxCounterexamples = 2;
+  const std::vector<std::string> properties{
+      "AG !g1.g1_q1", "AG (g0.g0_q0 -> AF[1,3] g0.g0_q1)",
+      "EF[2,4] (deadlock || p_chaos)", "A[!g0.g0_q2 U[0,5] g1.g1_q0]"};
+  std::size_t linkedStates = 0;
+  for (const std::size_t count : {2, 3}) {
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      Tables t;
+      std::vector<Automaton> hidden, mirrors;
+      for (std::size_t k = 0; k < count; ++k) {
+        RandomSpec spec;
+        spec.states = 4;
+        spec.inputs = 1;
+        spec.outputs = 1 + k % 2;
+        spec.seed = 10 * seed + k;
+        spec.name = "g" + std::to_string(k);
+        hidden.push_back(randomAutomaton(spec, t.signals, t.props));
+      }
+      for (std::size_t k = 0; k < count; ++k) {
+        const std::string name = "m" + std::to_string(k);
+        mirrors.push_back(
+            k == 0 ? mirrored(subAutomaton(hidden[k], 60, seed, "sub"), name)
+                   : mirrored(hidden[k], name));
+      }
+      std::vector<const Automaton*> parts;
+      for (const auto& m : mirrors) parts.push_back(&m);
+      const Automaton context = composeAll(parts).automaton;
+      std::vector<std::vector<Interaction>> alphabets;
+      std::vector<std::vector<IncompleteAutomaton>> models;
+      std::vector<const Automaton*> interfaces{&context};
+      std::vector<const Automaton*> legacies;
+      for (const auto& h : hidden) {
+        alphabets.push_back(makeAlphabet(h.inputs(), h.outputs(),
+                                         InteractionMode::AtMostOneSignal));
+        models.push_back(modelsOf(h, t.signals, t.props, alphabets.back()));
+        interfaces.push_back(&models.back().front().base());
+        legacies.push_back(&models.back().front().base());
+      }
+      const std::size_t stride = strideFor(interfaces);
+      const AutomatonComponent ctx(context, stride);
+      ChaosRegion region(ctx, legacies, alphabets);
+      std::vector<ctl::FormulaPtr> phis;
+      for (const auto& text : properties) {
+        phis.push_back(ctl::weakenForChaos(ctl::parseFormula(text)));
+      }
+      std::optional<FlatProduct> first;
+      std::vector<std::vector<VirtualClosure>> firstViews;
+      for (std::size_t stage = 0; stage < 3; ++stage) {
+        for (const auto style : {ClosureStyle::PaperExact,
+                                 ClosureStyle::DeterministicTarget}) {
+          SCOPED_TRACE(std::to_string(count) + " legacies, seed " +
+                       std::to_string(seed) + ", stage " +
+                       std::to_string(stage));
+          auto& views = firstViews.emplace_back();
+          std::vector<Closure> both;
+          std::vector<const FlatComponent*> components{&ctx};
+          std::vector<const Automaton*> automata{&context};
+          for (std::size_t k = 0; k < count; ++k) {
+            views.emplace_back(models[k][stage], alphabets[k], style, stride);
+            both.push_back(chaoticClosure(models[k][stage], alphabets[k],
+                                          style, ClosureCopies::Both));
+          }
+          for (std::size_t k = 0; k < count; ++k) {
+            components.push_back(&views[k]);
+            automata.push_back(&both[k].automaton);
+          }
+          const FlatProduct full = composeFlat(components);
+          FlatProduct linked = composeFlat(components, region);
+          expectLinkedIsFull(full, linked);
+          linkedStates += linked.regionBegin();
+
+          const Product pess = composeAll(automata);
+          std::vector<const Closure*> bothPtrs;
+          for (const auto& c : both) bothPtrs.push_back(&c);
+          const DoubledProduct view(linked, views);
+          EXPECT_EQ(view.stateCount(), pess.automaton.stateCount());
+          for (const auto& opts : searches) {
+            EXPECT_EQ(fuzz::doubledViewDiff(pess, bothPtrs, view, opts), "");
+          }
+          for (const auto& phi : phis) {
+            const ctl::RegionMemo memo(region.product(), phi);
+            ctl::Checker plain(linked);
+            ctl::Checker seeded(linked, memo);
+            EXPECT_EQ(seeded.evaluate(phi), plain.evaluate(phi))
+                << phi->toString();
+            const auto want = ctl::verify(full, phi);
+            const auto got = ctl::verify(linked, &memo, phi);
+            EXPECT_EQ(got.holds, want.holds) << phi->toString();
+            EXPECT_EQ(got.stateCount, want.stateCount);
+            ASSERT_EQ(got.counterexamples.size(), want.counterexamples.size());
+            for (std::size_t i = 0; i < got.counterexamples.size(); ++i) {
+              EXPECT_EQ(linked.renderRun(got.counterexamples[i].run),
+                        full.renderRun(want.counterexamples[i].run));
+              EXPECT_EQ(got.counterexamples[i].note,
+                        want.counterexamples[i].note);
+            }
+          }
+          if (!first) first.emplace(std::move(linked));
+        }
+      }
+      // The first product still reads as it did.
+      std::vector<const FlatComponent*> firstComponents{&ctx};
+      for (const auto& v : firstViews.front()) firstComponents.push_back(&v);
+      expectLinkedIsFull(composeFlat(firstComponents), *first);
+    }
+  }
+  EXPECT_GT(linkedStates, 1000u);
+}
+
+TEST(ChaosRegion, GrowsByTheRowsALaterRoundReaches) {
+  // A context that only ever sends `go` along a chain c0 → c1 → c2 → c3,
+  // and a device that reads it. A model that knows d0 -go-> d1 enters
+  // chaos from d1, one step later than the initial model does from d0:
+  // its region is {c2, c3} × {s_∀, s_δ}, and the initial model's product
+  // adds c1's two rows to it.
+  Tables t;
+  Automaton context(t.signals, t.props, "ctl");
+  context.declareSignals({}, test::sigs(*t.signals, {"go"}));
+  std::vector<StateId> c;
+  for (int i = 0; i < 4; ++i) {
+    c.push_back(context.addState("c" + std::to_string(i)));
+  }
+  context.markInitial(c[0]);
+  context.addLabel(c[3], "ctl.c3");
+  const Interaction send = test::ia(*t.signals, {}, {"go"});
+  for (int i = 0; i < 3; ++i) context.addTransition(c[i], send, c[i + 1]);
+  context.addTransition(c[3], send, c[3]);
+  const Interaction read = test::ia(*t.signals, {"go"}, {});
+  IncompleteAutomaton initial(t.signals, t.props, "dev");
+  initial.declareSignals(test::sigs(*t.signals, {"go"}), {});
+  initial.markInitial(initial.addState("d0"));
+  IncompleteAutomaton deep = initial;
+  deep.addTransition(0, read, deep.addState("d1"));
+  const auto alphabet = makeAlphabet(initial.base().inputs(), {},
+                                     InteractionMode::AtMostOneSignal);
+  const std::size_t stride = strideFor({&context, &initial.base()});
+  const AutomatonComponent ctx(context, stride);
+  ChaosRegion region(ctx, {&initial.base()}, {alphabet});
+  obs::Counter& built = obs::Registry::global().counter(
+      "mui_compose_product_states_new_total", "Product states built");
+
+  const auto style = ClosureStyle::DeterministicTarget;
+  const VirtualClosure deepView(deep, alphabet, style, stride);
+  std::uint64_t before = built.value();
+  const FlatProduct first = composeFlat({&ctx, &deepView}, region);
+  EXPECT_EQ(region.stateCount(), 4u);
+  EXPECT_EQ(first.regionBegin(), 2u);  // c0|d0, c1|d1
+  EXPECT_EQ(built.value() - before, 2u + 4u);
+  const auto phi = ctl::parseFormula("EF ctl.c3");
+  const ctl::RegionMemo stale(region.product(), phi);
+
+  const VirtualClosure initialView(initial, alphabet, style, stride);
+  before = built.value();
+  const FlatProduct second = composeFlat({&ctx, &initialView}, region);
+  EXPECT_EQ(region.stateCount(), 6u);
+  EXPECT_EQ(second.regionBegin(), 1u);  // c0|d0
+  EXPECT_EQ(second.fullStateCount(), 7u);
+  EXPECT_EQ(built.value() - before, 1u + 2u);
+  expectLinkedIsFull(composeFlat({&ctx, &initialView}), second);
+  expectLinkedIsFull(composeFlat({&ctx, &deepView}), first);
+  // The same rows again build nothing new.
+  before = built.value();
+  const FlatProduct again = composeFlat({&ctx, &initialView}, region);
+  EXPECT_EQ(built.value() - before, 1u);
+  EXPECT_EQ(again.fullStateCount(), 7u);
+
+  // A memo covers the region as it was built: c1's rows read false in the
+  // stale one, and a rebuilt memo agrees with a plain checker.
+  ctl::Checker plain(second);
+  const ctl::SatSet want = plain.evaluate(phi);
+  const ctl::RegionMemo fresh(region.product(), phi);
+  EXPECT_EQ(stale.stateCount(), 4u);
+  EXPECT_EQ(fresh.stateCount(), 6u);
+  ctl::Checker seeded(second, fresh);
+  EXPECT_EQ(seeded.evaluate(phi), want);
+  EXPECT_TRUE(plain.holds(phi));
+  ctl::Checker outgrown(second, stale);
+  EXPECT_FALSE(outgrown.holds(phi));
+}
+
+TEST(ChaosRegion, RejectsComponentsOfAnotherRegion) {
+  TwoPairs w;
+  const auto alphaA = makeAlphabet(w.a.inputs(), w.a.outputs(),
+                                   InteractionMode::AtMostOneSignal);
+  const auto models = modelsOf(w.a, w.t.signals, w.t.props, alphaA);
+  const std::size_t stride = strideFor({&w.mirrorA, &models[0].base()});
+  const AutomatonComponent ctx(w.mirrorA, stride);
+  const AutomatonComponent other(w.mirrorA, stride);
+  ChaosRegion region(ctx, {&models[0].base()}, {alphaA});
+  const VirtualClosure view(models[0], alphaA,
+                            ClosureStyle::DeterministicTarget, stride);
+  EXPECT_NO_THROW(composeFlat({&ctx, &view}, region));
+  EXPECT_THROW(composeFlat({&other, &view}, region), std::invalid_argument);
+  EXPECT_THROW(composeFlat({&ctx}, region), std::invalid_argument);
+  // A legacy without chaos states is no closure.
+  const AutomatonComponent plain(models[0].base(), stride);
+  EXPECT_THROW(composeFlat({&ctx, &plain}, region), std::invalid_argument);
+  // A checker memo belongs to the region it was built on.
+  const FlatProduct unlinked = composeFlat({&ctx, &view});
+  const ctl::RegionMemo memo(region.product(), ctl::parseFormula("true"));
+  EXPECT_THROW(ctl::Checker(unlinked, memo), std::invalid_argument);
+  const FlatProduct linked = composeFlat({&ctx, &view}, region);
+  ctl::Checker seeded(linked, memo);
+  EXPECT_THROW(seeded.evaluate(ctl::parseFormula("false")), std::logic_error);
 }
 
 TEST(DoubledProduct, RejectsACappedProductAndForeignClosures) {

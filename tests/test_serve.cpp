@@ -4,6 +4,7 @@
 // server restart, the HTTP endpoints, and protocol error handling.
 
 #include <gtest/gtest.h>
+#include <sys/socket.h>
 
 #include <chrono>
 #include <filesystem>
@@ -628,6 +629,48 @@ TEST(ServeServer, MalformedLinesGetAnErrorReplyAndTheSessionSurvives) {
   EXPECT_TRUE(sawResult);
   EXPECT_TRUE(sawDone);
   EXPECT_GE(server.stats().protocolErrors, 1u);
+}
+
+TEST(ServeServer, AnOverlongLineGetsAnErrorAndEndsTheConnection) {
+  serve::Server server(localOptions());
+  server.start();
+  {
+    serve::Fd fd = serve::connectTcp("127.0.0.1", server.port());
+    // 2 MiB without a newline, from a second thread: the daemon stops
+    // reading at the cap, so the writer's last sends may fail.
+    std::thread writer([&] {
+      const std::string chunk(64 * 1024, 'x');
+      try {
+        for (int i = 0; i < 32; ++i) serve::writeAll(fd.get(), chunk);
+      } catch (const std::exception&) {
+      }
+    });
+    std::string got;
+    char buf[4096];
+    ssize_t n = 0;
+    while ((n = ::recv(fd.get(), buf, sizeof(buf), 0)) > 0) {
+      got.append(buf, static_cast<std::size_t>(n));
+    }
+    writer.join();
+    EXPECT_EQ(n, 0);  // EOF after the error line
+    ASSERT_FALSE(got.empty());
+    ASSERT_EQ(got.back(), '\n');
+    got.pop_back();
+    EXPECT_EQ(got.find('\n'), std::string::npos);
+    EXPECT_EQ(serve::parseResponse(got).type, serve::Response::Type::Error);
+    EXPECT_NE(got.find("line longer than 1048576 bytes"), std::string::npos)
+        << got;
+  }
+  EXPECT_EQ(server.stats().protocolErrors, 1u);
+
+  // The daemon serves the next client.
+  serve::Fd fd = serve::connectTcp("127.0.0.1", server.port());
+  serve::LineReader reader(fd.get());
+  serve::writeAll(fd.get(), serve::writeHelloLine("gtest", 0) + "\n");
+  const auto welcome = reader.next();
+  ASSERT_TRUE(welcome.has_value());
+  EXPECT_EQ(serve::parseResponse(*welcome).type,
+            serve::Response::Type::Welcome);
 }
 
 TEST(ServeServer, DrainingDaemonShedsNewJobs) {

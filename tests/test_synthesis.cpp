@@ -8,14 +8,18 @@
 
 #include <cstdint>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <type_traits>
 
 #include "automata/compose.hpp"
 #include "automata/conformance.hpp"
+#include "automata/flat_product.hpp"
 #include "automata/random.hpp"
+#include "automata/virtual_closure.hpp"
 #include "ctl/parser.hpp"
 #include "helpers.hpp"
+#include "obs/metrics.hpp"
 #include "synthesis/initial.hpp"
 #include "synthesis/report.hpp"
 #include "synthesis/verifier.hpp"
@@ -418,6 +422,87 @@ TEST(SynthesisGolden, LoopRounds) {
                      rc.constraint(), text);
   }
   test::expectGoldenLines("loop_rounds.txt", text);
+}
+
+/// The loop composes each round's learned states and every state of the
+/// chaos region once per run: over the rounds of the two- and
+/// three-legacy scenarios, mui_compose_product_states_new_total grows by
+/// the learned states of each round's product plus the region states that
+/// any round reaches. The expectation is counted on the full products of
+/// the models each round checks (the models after r rounds are those of a
+/// run stopped after r iterations).
+TEST(SynthesisLoop, ComposesTheChaosRegionOncePerRun) {
+  obs::Counter& built = obs::Registry::global().counter(
+      "mui_compose_product_states_new_total", "Product states built");
+  std::size_t rounds = 0;
+  for (const std::size_t count : {2, 3}) {
+    for (const std::uint64_t seed : {3, 7, 11}) {
+      for (const char* property : {"", "AG !l1.l1_q3"}) {
+        const MirroredLegacies w(count, seed);
+        SCOPED_TRACE(std::to_string(count) + " legacies seed " +
+                     std::to_string(seed) + " '" + property + "'");
+        const auto run = [&](std::size_t maxIterations) {
+          std::vector<std::unique_ptr<testing::AutomatonLegacy>> owned;
+          std::vector<testing::LegacyComponent*> legacies;
+          for (const auto& h : w.hidden) {
+            owned.push_back(std::make_unique<testing::AutomatonLegacy>(h));
+            legacies.push_back(owned.back().get());
+          }
+          IntegrationConfig cfg;
+          cfg.property = property;
+          cfg.maxIterations = maxIterations;
+          return IntegrationVerifier(w.context, legacies, cfg).run();
+        };
+        const std::uint64_t before = built.value();
+        const IntegrationResult res = run(100000);
+        const std::uint64_t got = built.value() - before;
+        ASSERT_GT(res.iterations, 1u);
+
+        std::vector<std::vector<automata::Interaction>> alphabets;
+        for (const auto& h : w.hidden) {
+          alphabets.push_back(automata::makeAlphabet(
+              h.inputs(), h.outputs(),
+              automata::InteractionMode::AtMostOneSignal));
+        }
+        std::size_t learned = 0;
+        std::set<std::vector<automata::StateId>> region;
+        for (std::size_t r = 0; r < res.iterations; ++r) {
+          const IntegrationResult upTo = run(r);
+          std::vector<const automata::Automaton*> interfaces{&w.context};
+          for (const auto& m : upTo.learnedModels) {
+            interfaces.push_back(&m.base());
+          }
+          const std::size_t stride = automata::strideFor(interfaces);
+          const automata::AutomatonComponent ctx(w.context, stride);
+          std::vector<automata::VirtualClosure> views;
+          std::vector<const automata::FlatComponent*> parts{&ctx};
+          for (std::size_t k = 0; k < count; ++k) {
+            views.emplace_back(upTo.learnedModels[k], alphabets[k],
+                               automata::ClosureStyle::DeterministicTarget,
+                               stride);
+          }
+          for (const auto& v : views) parts.push_back(&v);
+          const automata::FlatProduct full = automata::composeFlat(parts);
+          for (automata::StateId p = 0; p < full.stateCount(); ++p) {
+            std::vector<automata::StateId> row{full.origin(p, 0)};
+            for (std::size_t k = 0; k < count; ++k) {
+              const automata::StateId q = full.origin(p, k + 1);
+              if (!views[k].isChaos(q)) break;
+              row.push_back(q - views[k].sAll());
+            }
+            if (row.size() == count + 1) {
+              region.insert(row);
+            } else {
+              ++learned;
+            }
+          }
+        }
+        EXPECT_EQ(got, learned + region.size());
+        rounds += res.iterations;
+      }
+    }
+  }
+  EXPECT_GT(rounds, 50u);
 }
 
 }  // namespace

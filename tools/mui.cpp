@@ -1119,7 +1119,7 @@ int cmdFuzz(int argc, char** argv) {
       const auto bug = fuzz::bugInjectionFromString(name);
       if (!bug) {
         return usageError(std::string("unknown bug injection '") + name +
-                          "' (expected: none, o1-deadlock-af)");
+                          "' (expected: none, o1-deadlock-af, o7-stale-region)");
       }
       options.oracle.injectBug = *bug;
     } else if (std::strcmp(argv[i], "--no-shrink") == 0) {
